@@ -1,12 +1,12 @@
 """cli-session: one operation is one ``antinef ...`` call in a subprocess.
 
-The documents are written at set-up and the inputs are small, so the time
-goes to interpreter start, imports, argparse and ``formats``: the cost per
-call that users pay.  About a sixth of the calls are ``oracle`` commands,
-so a change to what every call imports shows on both sides.  Malformed
-inputs check exit codes and that no traceback escapes.  Three calls hit
-known faults of the program and count as failed until the faults are
-fixed; their inputs do not depend on the seed.
+The program builds and emits the documents at set-up.  The inputs are
+small, so the time goes to interpreter start, imports, argparse and
+``formats``: the cost per call that users pay.  About a sixth of the calls
+are ``oracle`` commands, so a change to what every call imports shows on
+both sides.  Malformed inputs check exit codes and that no traceback
+escapes.  Three calls hit known faults of the program and count as failed
+until the faults are fixed; their inputs do not depend on the seed.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Callable, Optional, Union
 
 from lattice_sweep import chain, d_chain, random_multigraph, random_tree
 from reference import (
+    CheckFailed,
     Lattice,
     Spec,
     add,
@@ -38,11 +39,30 @@ from reference import (
     require,
     tower_specs,
 )
-from tower_ideals import EX244_Z, grow
+from tower_ideals import EX244_BASE, EX244_Z, grow
 
-MODULES: list[str] = []
-ENTRY = "import sys; from antinef.cli import main; sys.exit(main())"
+MODULES = ["antinef.graph", "antinef.birational", "antinef.formats", "antinef.cli"]
+# Each call appends its own peak resident set (VmHWM, kB) to a file at exit.
+# ru_maxrss cannot give it: a child spawned from this process also counts
+# the pages of this process that it borrows until exec.
+ENTRY = """import atexit, os, sys
+@atexit.register
+def _peak():
+    with open("/proc/self/status") as f, open(os.environ["ANTINEF_BENCH_PEAK"], "a") as out:
+        out.write(next(line for line in f if line.startswith("VmHWM")).split()[1] + "\\n")
+from antinef.cli import main
+sys.exit(main())
+"""
 CALL_TIMEOUT_S = 60
+
+
+@dataclass
+class Fault:
+    """A known fault of the program: today the call exits 0 and prints JSON
+    on which ``shows`` holds."""
+
+    what: str
+    shows: Callable[[dict], bool]
 
 
 @dataclass
@@ -50,7 +70,7 @@ class Call:
     args: list[str]
     exit_code: Union[int, tuple[int, ...]]  # the exit codes that are correct
     check: Optional[Callable[[str], None]] = None  # checks stdout of an exit-0 call
-    fault: Optional[str] = None  # known program fault this call hits today
+    fault: Optional[Fault] = None  # known program fault this call hits today
 
 
 def graph_doc(spec: Spec, cycles: Optional[dict] = None, model: Optional[dict] = None) -> dict:
@@ -111,14 +131,22 @@ def _small_tower(rng: random.Random, base: Spec, height: int):
     return steps, top, zf, z
 
 
-def make_calls(seed: int, work: Path) -> list[Call]:
+@dataclass
+class CliPlan:
+    calls: list[Call]
+    docs: dict[str, Union[dict, str]]  # file name -> graph or tower document, or raw text
+    work: Path
+
+
+def plan(seed: int, work: Path) -> CliPlan:
+    """The calls, their expected results and the documents as plain data;
+    set-up has the program emit the documents."""
     rng = random.Random(f"cli-session:{seed}")
-    work.mkdir(parents=True, exist_ok=True)
+    docs: dict[str, Union[dict, str]] = {}
 
     def write(name: str, doc) -> str:
-        path = work / name
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
-        return str(path)
+        docs[name] = doc
+        return str(work / name)
 
     # --- documents ---------------------------------------------------------
     tree = random_tree(rng, rng.randint(6, 9))
@@ -134,6 +162,7 @@ def make_calls(seed: int, work: Path) -> list[Call]:
     indefinite_f = write("indefinite.json", graph_doc(indefinite))
 
     base = chain("A3", [-2, -2, -2])
+    a3_f = write("a3.json", graph_doc(base))
     steps, top, zf, z = _small_tower(rng, base, rng.randint(5, 7))
     h = len(steps)
     tower_f = write("tower.json", tower_doc(base, steps, {
@@ -145,7 +174,7 @@ def make_calls(seed: int, work: Path) -> list[Call]:
     small_f = write("small.json", graph_doc(s_top, {"Z": s_z}))
     small_exc = [new_id for new_id, _ in s_steps]
 
-    ex244_base = Spec("ex244min", (("E0", -2, 2),), ())
+    ex244_base = EX244_BASE
     four = [(f"E{i}", (("E0", 1),)) for i in range(1, 5)]
     ex244_top = tower_specs(ex244_base, four)[-1]
     ex244_f = write("ex244.json", tower_doc(ex244_base, four, {"Z": {"level": 4, "coeffs": EX244_Z}},
@@ -267,9 +296,11 @@ def make_calls(seed: int, work: Path) -> list[Call]:
         Call(["frobnicate"], 1),
         Call(["antinef-closure", "--graph", tree_f, "--cycle", "E1:-1"], 2),
         Call(["pullback", "--tower", tower_f, "--cycle", "NOPE:1"], 1),
-        Call(["antinef-closure", "--graph", tree_f, "--cycle", "E1:2,E1:3"], 1,
-             fault="a duplicated id in an inline cycle is summed instead of rejected"),
-        Call(["validate", "--graph", dup_f], 1, fault="a duplicated JSON key keeps its last value"),
+        Call(["antinef-closure", "--graph", a3_f, "--cycle", "E1:2,E1:3", J], 1,
+             fault=Fault("a duplicated id in an inline cycle keeps its last value",
+                         lambda d: d == {"closure": Lattice(base).closure({"E1": 3})})),
+        Call(["validate", "--graph", dup_f, J], 1,
+             fault=Fault("a duplicated JSON key keeps its last value", lambda d: d["ok"] and d["adjunction_ok"])),
         # oracle commands
         Call(["oracle", "max-y", "--graph", small_f, "--cycle", "Z", J], 0,
              max_y_check(Lattice(s_top), s_z)),
@@ -282,15 +313,25 @@ def make_calls(seed: int, work: Path) -> list[Call]:
         Call(["oracle", "negdef", "--graph", ex244_top_f, "--max-coeff", "1", J], 0,
              field("negative_definite", True)),
         Call(["oracle", "negdef", "--graph", huge_f, J], (0, 2), field("negative_definite", True),
-             fault="int64 overflow in the brute-force quadratic form"),
+             fault=Fault("int64 overflow in the brute-force quadratic form",
+                         lambda d: d == {"negative_definite": False})),
     ]
     rng.shuffle(calls)  # oracle calls spread over the session
-    return calls
+    return CliPlan(calls, docs, work)
+
+
+def _shows(fault: Fault, code: int, out: str, err: str) -> bool:
+    if code != 0 or err:
+        return False
+    try:
+        return bool(fault.shows(json.loads(out)))
+    except (ValueError, KeyError, TypeError):
+        return False
 
 
 def check_call(call: Call, code: int, out: str, err: str) -> bool:
-    """True when the call behaved as specified; False when it hit its known
-    fault; raises CheckFailed on any other deviation."""
+    """True when the call behaved as specified; False when it showed exactly
+    its known fault; raises CheckFailed on any other deviation."""
     codes = call.exit_code if isinstance(call.exit_code, tuple) else (call.exit_code,)
     try:
         require("Traceback" not in err, f"{call.args}: traceback on stderr")
@@ -299,26 +340,33 @@ def check_call(call: Call, code: int, out: str, err: str) -> bool:
             call.check(out)
         elif code != 0:
             require(err.startswith(("error:", "usage:")), f"{call.args}: no error message: {err[:200]!r}")
-    except Exception:
-        if call.fault is not None:
+    except Exception as exc:
+        if call.fault is not None and _shows(call.fault, code, out, err):
             return False
-        raise
+        if isinstance(exc, CheckFailed):
+            raise
+        raise CheckFailed(f"{call.args}: {exc!r}") from exc
     return True
 
 
 class CliSession:
-    def __init__(self, seed: int, work: Path, src: Path):
-        self.calls = make_calls(seed, work)
+    def __init__(self, prog, calls: list[Call], work: Path):
+        self.calls = calls
         self.ops = list(range(len(self.calls)))
         self.work = work
-        self.env = dict(os.environ, PYTHONPATH=str(src))
-        self.cli = None  # the antinef.cli module, for the in-process traced run
+        self.peak_file = work / "peak_kb"
+        self.env = dict(os.environ, PYTHONPATH=str(prog.src), ANTINEF_BENCH_PEAK=str(self.peak_file))
+        self.cli = prog.cli  # for the in-process traced run
         self.later: list = []
 
     def run(self, op: int):
         proc = subprocess.run([sys.executable, "-c", ENTRY, *self.calls[op].args], cwd=self.work,
                               env=self.env, capture_output=True, text=True, timeout=CALL_TIMEOUT_S)
         return proc.returncode, proc.stdout, proc.stderr
+
+    def peak_rss_mb(self) -> float:
+        """The largest peak resident set of the calls so far."""
+        return max(int(kb) for kb in self.peak_file.read_text().split()) / 1024
 
     def run_in_process(self, op: int):
         """The same call through ``antinef.cli.main`` in this process."""
@@ -338,5 +386,45 @@ class CliSession:
         return check_call(self.calls[op], *s)
 
 
-def build(prog, seed: int, work_dir: Path) -> CliSession:
-    return CliSession(seed, work_dir / f"cli-{os.getpid()}", Path(prog.src))
+def emit(prog, doc: dict) -> str:
+    """A graph or tower document built and written by the program."""
+    graph, bir, formats = prog.graph, prog.birational, prog.formats
+    spec = spec_from_doc(doc.get("base", doc))
+    g = graph.dual_graph(spec.name, spec.vertices, spec.edges)
+    if "base" not in doc:
+        cycles = {name: graph.cycle(g, c) for name, c in doc.get("cycles", {}).items()}
+        return formats.emit_graph_document(formats.GraphDocument(doc["name"], g, cycles, doc.get("model")))
+    t = bir.Tower.base(g)
+    for s in doc["steps"]:
+        t = t.blow_up(bir.free_point(s["vertex"], s["new_id"]) if s["op"] == "blowup_free"
+                      else bir.edge_point(s["a"], s["b"], s["new_id"]))
+    cycles = {name: (c["level"], graph.cycle(t.graph(c["level"]), c["coeffs"])) for name, c in doc["cycles"].items()}
+    return formats.emit_tower_document(formats.TowerDocument(doc["name"], t, cycles, doc.get("model")))
+
+
+def _normal(doc: dict) -> dict:
+    """A document with its graphs in order-free form."""
+    out = {k: v for k, v in doc.items() if k not in ("vertices", "edges", "base")}
+    if "vertices" in doc:
+        out["graph"] = spec_from_doc(doc).canonical()
+    if "base" in doc:
+        out["base"] = _normal(doc["base"])
+    return out
+
+
+def prepare(prog, p: CliPlan) -> dict:
+    """The program's part of set-up: it builds and emits the documents."""
+    p.work.mkdir(parents=True, exist_ok=True)
+    made = {}
+    for name, doc in p.docs.items():
+        made[name] = doc if isinstance(doc, str) else emit(prog, doc)
+        (p.work / name).write_text(made[name], encoding="utf-8")
+    return made
+
+
+def build(prog, p: CliPlan, made: dict) -> CliSession:
+    """Each emitted document must say what was asked for."""
+    for name, doc in p.docs.items():
+        if not isinstance(doc, str):
+            require(_normal(json.loads(made[name])) == _normal(doc), f"emitted {name} differs from its recipe")
+    return CliSession(prog, p.calls, p.work)

@@ -40,5 +40,13 @@ class CorpusVerify:
         return True
 
 
-def build(prog, seed: int, work_dir) -> CorpusVerify:
+def plan(seed: int, work_dir=None) -> int:
+    return seed
+
+
+def prepare(prog, seed: int) -> None:
+    """Set-up is the import of ``verify`` alone."""
+
+
+def build(prog, seed: int, made=None) -> CorpusVerify:
     return CorpusVerify(prog, seed)

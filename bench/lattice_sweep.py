@@ -11,6 +11,7 @@ for trees that slows general graphs shows in the same figures.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -43,7 +44,7 @@ class GraphOp:
     spec: Spec
     family: str
     size_class: str
-    expected_spec: Optional[Spec] = None  # independent construction of a corpus graph
+    source: Optional[str] = None  # corpus name; set-up replaces spec by the corpus graph
     det: Optional[int] = None  # closed-form determinant
     zf: Optional[dict] = None  # known fundamental cycle
     genus: Optional[int] = None  # known p_a(Z_f)
@@ -115,9 +116,10 @@ def _reduced(spec: Spec) -> dict:
     return {v: 1 for v in spec.ids}
 
 
-def make_ops(prog, seed: int) -> list[GraphOp]:
+def plan(seed: int, work_dir=None) -> list[GraphOp]:
+    """The round's graphs as plain data.  A_n, D_n and the HJ chains carry
+    their own definition here; set-up takes them from the corpus."""
     rng = random.Random(f"lattice-sweep:{seed}")
-    corpus = prog.corpus
     ops: list[GraphOp] = []
 
     def tree_op(spec, cls):
@@ -129,17 +131,17 @@ def make_ops(prog, seed: int) -> list[GraphOp]:
 
     for n in SIZES:
         cls = f"n{n}"
-        a = spec_of(corpus.get(f"A{n}").graph)
-        ops.append(GraphOp(a, "A", cls, expected_spec=chain(f"A{n}", [-2] * n),
-                           det=(-1) ** n * (n + 1), zf=_reduced(a), genus=0, colength_args=(0, 0)))
-        d = spec_of(corpus.d_n(n))
-        ops.append(GraphOp(d, "D", cls, expected_spec=d_chain(n), det=(-1) ** n * 4,
-                           zf=d_fundamental(n), genus=0, colength_args=(0, 0)))
+        a = chain(f"A{n}", [-2] * n)
+        ops.append(GraphOp(a, "A", cls, source=a.name, det=(-1) ** n * (n + 1), zf=_reduced(a), genus=0,
+                           colength_args=(0, 0)))
+        d = d_chain(n)
+        ops.append(GraphOp(d, "D", cls, source=d.name, det=(-1) ** n * 4, zf=d_fundamental(n), genus=0,
+                           colength_args=(0, 0)))
         bs = [rng.choice((2, 3)) for _ in range(n)]
         p, q = continuant(bs)
-        hj = spec_of(corpus.get(f"HJ({p},{q})").graph)
-        ops.append(GraphOp(hj, "HJ", cls, expected_spec=chain(hj.name, [-b for b in bs]),
-                           det=(-1) ** n * p, zf=_reduced(hj), genus=0, colength_args=(0, 0)))
+        hj = chain(f"HJ({p},{q})", [-b for b in bs])
+        ops.append(GraphOp(hj, "HJ", cls, source=hj.name, det=(-1) ** n * p, zf=_reduced(hj), genus=0,
+                           colength_args=(0, 0)))
         trees, multis = RANDOM[n]
         for _ in range(trees):
             ops.append(tree_op(random_tree(rng, n), cls))
@@ -172,9 +174,9 @@ def _coeffs(c) -> dict:
 
 
 class LatticeSweep:
-    def __init__(self, prog, seed: int):
+    def __init__(self, prog, ops: list[GraphOp]):
         self.prog = prog
-        self.ops = make_ops(prog, seed)
+        self.ops = ops
         self.later = []  # brute-force checks, run after the timed loop
 
     def run(self, op: GraphOp) -> dict:
@@ -242,9 +244,6 @@ def check_graph(op: GraphOp, s: dict) -> None:
     name = op.spec.name
     lat = Lattice(op.spec)
     require(s["graph"] == op.spec.canonical(), f"{name}: program built a different graph")
-    if op.expected_spec is not None:
-        require(op.spec.canonical() == op.expected_spec.canonical(),
-                f"{name}: corpus graph differs from its definition")
     rep = s["report"]
     require(rep["connected"], f"{name}: reported disconnected")
     require(rep["negative_definite"] == op.negative_definite,
@@ -278,6 +277,22 @@ def check_graph(op: GraphOp, s: dict) -> None:
         require(s["colength"] == want, f"{name}: colength {s['colength']} != {want}")
 
 
-def build(prog, seed: int, work_dir) -> LatticeSweep:
-    return LatticeSweep(prog, seed)
+def prepare(prog, ops: list[GraphOp]) -> dict:
+    """The program's part of set-up: the corpus graphs of the round."""
+    corpus = prog.corpus
+    # corpus.get refuses D10 ... D39, so D_n comes from corpus.d_n
+    return {op.source: corpus.d_n(len(op.spec.vertices)) if op.family == "D" else corpus.get(op.source).graph
+            for op in ops if op.source}
+
+
+def build(prog, ops: list[GraphOp], made: dict) -> LatticeSweep:
+    """The corpus graphs must equal their definitions; they replace them."""
+    out = []
+    for op in ops:
+        if op.source:
+            got = spec_of(made[op.source])
+            require(got.canonical() == op.spec.canonical(), f"corpus {op.source} differs from its definition")
+            op = dataclasses.replace(op, spec=got)
+        out.append(op)
+    return LatticeSweep(prog, out)
 

@@ -30,6 +30,7 @@ import statistics
 import subprocess
 import sys
 import traceback
+from dataclasses import dataclass
 from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
@@ -38,7 +39,13 @@ BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
 SRC = ROOT / "src"
 WORK = ROOT / ".bench_work"
-SETUPS = 7  # setup_s is the median of this many set-ups
+SETUPS = 21  # setup_s is the median of this many set-ups
+# Times are reported at the reference speed: the time of kernel_s() on the
+# reference machine at its usual speed.  A shared machine's speed drifts by
+# up to 70 % in spells of seconds; each time is scaled by the kernel's
+# reference time over its time around the measured step (README.md).
+KERNEL_REF_S = 1.7e-3
+WINDOW = 5
 
 import cli_session  # noqa: E402
 import corpus_verify  # noqa: E402
@@ -56,11 +63,6 @@ SCALING = {
     "tower-ideals": (["ideals.colon_and_core", "ideals.good_closure"],
                      [f"h{h}" for h, _, _ in tower_ideals.HEIGHTS]),
 }
-CRITERIA = [
-    "1 ex244 reproduction", "2 rationality classification", "3 colon/core vs oracle",
-    "4 core monotonicity", "5 Gorenstein good agreement", "6 colon iteration count",
-    "7 cone formulas", "8 birational invariants", "9 lattice properties",
-]
 PROBES = 5  # subprocess probes for the CLI's start-up figures
 
 
@@ -100,49 +102,95 @@ class Tally:
             check()
 
 
-def measure(wl, run, seconds: float, tally: Tally, after=None) -> list[list[float]]:
-    """Whole rounds of wl.ops until ``seconds`` have passed; op times in s."""
-    rounds = []
+def kernel_s() -> float:
+    """The time of a fixed piece of pure-Python work: the machine's speed now."""
+    start = perf_counter()
+    s = 0
+    for i in range(20_000):
+        s += i * i % 7
+    return perf_counter() - start
+
+
+def at_reference_speed(times: list[float], kernels: list[float]) -> list[float]:
+    """Scale each time to the reference speed.  kernels[i] ran just before
+    times[i] and one more after the last; the speed for times[i] is the
+    median of the kernel runs within WINDOW of it."""
+    return [t * KERNEL_REF_S / statistics.median(kernels[max(0, i - WINDOW + 1):i + WINDOW + 1])
+            for i, t in enumerate(times)]
+
+
+@dataclass
+class Timing:
+    rounds: list[list[float]]  # operation times in s by round, at the reference speed
+    raw: list[list[float]]  # the same as measured
+    peak_mb: float  # this process's peak resident set after the first round
+
+
+def measure(wl, run, seconds: float, tally: Tally, after=None) -> Timing:
+    """Whole rounds of wl.ops until ``seconds`` have passed."""
+    raw, kernels, peak_mb = [], [], 0.0
     deadline = perf_counter() + seconds
     while True:
         gc.collect()
         times = []
         for i, op in enumerate(wl.ops):
+            kernels.append(kernel_s())
             start = perf_counter()
-            raw = run(op)
+            out = run(op)
             times.append(perf_counter() - start)
-            tally.record(i, op, raw)
+            tally.record(i, op, out)
             if after is not None:
-                after(raw)
-        rounds.append(times)
+                after(out)
+        raw.append(times)
+        if len(raw) == 1:
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         if perf_counter() >= deadline:
-            return rounds
+            break
+    kernels.append(kernel_s())
+    flat = at_reference_speed([t for r in raw for t in r], kernels)
+    n = len(wl.ops)
+    return Timing([flat[k:k + n] for k in range(0, len(flat), n)], raw, peak_mb)
 
 
-def setup(module, seed: int, modules: list[str]):
-    times = []
-    for _ in range(SETUPS):
+def setup(module, seed: int, work: Path, repeats: int = SETUPS):
+    """The workload's inputs and the median time of the program's part of
+    set-up: its import and what it builds before the first operation.  The
+    benchmark's own recipes and expected results are made once, untimed."""
+    plan = module.plan(seed, work)
+    times, kernels = [], []
+    for _ in range(repeats):
+        gc.collect()
+        kernels.append(kernel_s())
         start = perf_counter()
-        prog = load(modules)
-        wl = module.build(prog, seed, WORK)
+        prog = load(module.MODULES)
+        made = module.prepare(prog, plan)
         times.append(perf_counter() - start)
-    return prog, wl, statistics.median(times)
+    kernels.append(kernel_s())
+    return prog, plan, module.build(prog, plan, made), statistics.median(at_reference_speed(times, kernels))
 
 
-def end_to_end(workload: str, rounds: list[list[float]], setup_s: float) -> dict:
+def declared(kind: str) -> list[str]:
+    """The metric names BENCHMARK.json lists under ``kind``."""
+    return [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))[kind]]
+
+
+def end_to_end(workload: str, wl, timing: Timing, setup_s: float) -> dict:
+    rounds = timing.rounds
     ops_ms = sorted(t * 1e3 for r in rounds for t in r)
     cuts = statistics.quantiles(ops_ms, n=10, method="inclusive")
-    who = resource.RUSAGE_CHILDREN if workload == "cli-session" else resource.RUSAGE_SELF
+    round_s = statistics.median(sum(r) for r in rounds)
     above = sum(1 for t in ops_ms if t > cuts[8])
     print(f"# {workload}: {len(ops_ms)} operations in {len(rounds)} rounds; "
-          f"{above} samples above the 90th percentile")
+          f"{above} samples above the 90th percentile; median round {round_s:.3f} s at the reference speed, "
+          f"{statistics.median(sum(r) for r in timing.raw):.3f} s as measured")
     return {
         "setup_s": (setup_s, "s"),
-        "peak_rss_mb": (resource.getrusage(who).ru_maxrss / 1024, "MB"),
-        "round_s": (statistics.median(sum(r) for r in rounds), "s"),
+        # the largest CLI subprocess, or this process
+        "peak_rss_mb": (wl.peak_rss_mb() if hasattr(wl, "peak_rss_mb") else timing.peak_mb, "MB"),
+        "round_s": (round_s, "s"),
         "op_p50_ms": (cuts[4], "ms"),
         "op_p90_ms": (cuts[8], "ms"),
-        "ops_per_s": (len(ops_ms) / sum(sum(r) for r in rounds), "1/s"),
+        "ops_per_s": (len(wl.ops) / round_s, "1/s"),
     }
 
 
@@ -174,20 +222,19 @@ def _cli_probes() -> dict:
             "cli.modules_loaded": (loaded, "count")}
 
 
-def per_layer(workload: str, module, prog, wl, seed: int, seconds: float, tally: Tally) -> dict:
+def per_layer(workload: str, module, prog, plan, wl, seconds: float, tally: Tally) -> dict:
     """The traced run: an untraced half for the overhead, then a traced half."""
     out = {name: (0.0, "ms") for name in ("cli.python_start_ms", "cli.import_ms")}
     out["cli.modules_loaded"] = (0, "count")
     run = wl.run
     if workload == "cli-session":
         out.update(_cli_probes())
-        wl.cli = importlib.import_module("antinef.cli")
         run = wl.run_in_process
-    plain = measure(wl, run, seconds / 2, tally)
+    plain = measure(wl, run, seconds / 2, tally).rounds
 
     tracer = Tracer()
     tracer.install()
-    tracer.span("setup", module.build, prog, seed, WORK)
+    tracer.span("setup", module.prepare, prog, plan)
     setup_layers = tracer.layer_times()
     tracer.spans.clear()
     tracer.counts.clear()
@@ -201,7 +248,8 @@ def per_layer(workload: str, module, prog, wl, seed: int, seconds: float, tally:
         if hasattr(wl, "counts"):
             tracer.counts.update(wl.counts(raw))
 
-    rounds = measure(wl, traced, seconds / 2, tally, after=add_counts)
+    timing = measure(wl, traced, seconds / 2, tally, after=add_counts)
+    rounds = timing.rounds
     n = len(rounds)
     layers = tracer.layer_times()
     for name in SPAN_NAMES:
@@ -218,10 +266,12 @@ def per_layer(workload: str, module, prog, wl, seed: int, seconds: float, tally:
     traced_s = statistics.median(sum(r) for r in rounds)
     out["trace.overhead_pct"] = ((traced_s / plain_s - 1) * 100, "%")
 
-    for crit in CRITERIA:
-        label = corpus_verify.label(crit)
-        times = [r[i] for r in rounds for i, op in enumerate(wl.ops) if op == crit]
-        out[f"verify.{label}_s"] = (sum(times) / n, "s")
+    if workload == "corpus-verify":
+        for crit in prog.verify.CRITERIA:
+            times = [r[i] for r in timing.raw for i, op in enumerate(wl.ops) if op == crit]
+            out[f"verify.{corpus_verify.label(crit)}_s"] = (sum(times) / n, "s")
+    else:
+        out.update({name: (0.0, "s") for name in declared("per_layer") if name.startswith("verify.")})
 
     for wname, (names, classes) in SCALING.items():
         for name in names:
@@ -235,7 +285,7 @@ def per_layer(workload: str, module, prog, wl, seed: int, seconds: float, tally:
             out[f"{name}_exponent"] = (_slope(sizes, per_op), "1")
 
     WORK.mkdir(exist_ok=True)
-    tracer.write(WORK / f"spans-{workload}-{seed}-{os.getpid()}.json")
+    tracer.write(WORK / f"spans-{workload}-{os.getpid()}.json")
     return out
 
 
@@ -252,18 +302,20 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(SRC))
     module = WORKLOADS[args.workload]
-    WORK.mkdir(exist_ok=True)
+    work = WORK / f"{args.workload}-{os.getpid()}"
     tally = None
     correct, metrics = True, {}
     try:
-        prog, wl, setup_s = setup(module, args.seed, module.MODULES)
+        prog, plan, wl, setup_s = setup(module, args.seed, work)
         tally = Tally(wl)
         if args.trace:
-            metrics = per_layer(args.workload, module, prog, wl, args.seed, args.seconds, tally)
+            metrics = per_layer(args.workload, module, prog, plan, wl, args.seconds, tally)
         else:
-            rounds = measure(wl, wl.run, args.seconds, tally)
-            metrics = end_to_end(args.workload, rounds, setup_s)
+            metrics = end_to_end(args.workload, wl, measure(wl, wl.run, args.seconds, tally), setup_s)
         tally.finish()
+        missing = set(declared("per_layer" if args.trace else "end_to_end")) - set(metrics)
+        if missing:
+            raise RuntimeError(f"metrics listed in BENCHMARK.json but not measured: {sorted(missing)}")
     except CheckFailed as exc:
         print(f"error: wrong output: {exc}", file=sys.stderr)
         correct = False
@@ -271,11 +323,10 @@ def main(argv=None) -> int:
         traceback.print_exc()
         correct = False
     finally:
-        shutil.rmtree(WORK / f"cli-{os.getpid()}", ignore_errors=True)
-    attempted = tally.attempted if tally else 0
+        shutil.rmtree(work, ignore_errors=True)
     print(json.dumps({
         "correct": correct,
-        "attempted": max(attempted, 1),
+        "attempted": tally.attempted if tally else 0,
         "failed": tally.failed if tally else 0,
         "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
     }))

@@ -13,19 +13,19 @@ import corpus_verify
 import lattice_sweep
 import tower_ideals
 from reference import CheckFailed, Lattice, max_y
-from run import load
+from run import load, setup
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    wl = lattice_sweep.build(load(lattice_sweep.MODULES), 7, None)
+def sweep(tmp_path_factory):
+    _, _, wl, _ = setup(lattice_sweep, 7, tmp_path_factory.mktemp("sweep"), repeats=1)
     ops = [op for op in wl.ops if op.size_class == "n10" or op.family == "indefinite"]
     return wl, [(op, wl.summary(op, wl.run(op))) for op in ops]
 
 
 @pytest.fixture(scope="module")
-def towers():
-    wl = tower_ideals.build(load(tower_ideals.MODULES), 7, None)
+def towers(tmp_path_factory):
+    _, _, wl, _ = setup(tower_ideals, 7, tmp_path_factory.mktemp("towers"), repeats=1)
     ops = [op for op in wl.ops if op.size_class in ("h5", "ex244", "cone")]
     return wl, [(op, wl.summary(op, wl.run(op))) for op in ops]
 
@@ -125,7 +125,7 @@ def test_max_y_reference_on_the_two_curve_example():
 
 @pytest.fixture(scope="module")
 def calls(tmp_path_factory):
-    return cli_session.make_calls(7, tmp_path_factory.mktemp("cli"))
+    return cli_session.plan(7, tmp_path_factory.mktemp("cli")).calls
 
 
 def test_cli_check_rejects_wrong_exit_code(calls):
@@ -145,15 +145,28 @@ def test_cli_check_rejects_wrong_output(calls):
 
 
 def test_cli_known_faults_count_as_failed_until_fixed(calls):
-    faults = [c for c in calls if c.fault]
-    assert len(faults) == 3
-    for call in faults:
-        assert cli_session.check_call(call, 0, '{"negative_definite": false}', "") is False
-    dup = next(c for c in faults if "JSON key" in c.fault)
+    assert len([c for c in calls if c.fault]) == 3
+    inline = next(c for c in calls if c.fault and "inline" in c.fault.what)
+    dup = next(c for c in calls if c.fault and "JSON key" in c.fault.what)
+    huge = next(c for c in calls if c.fault and "overflow" in c.fault.what)
+    # today's wrong output counts as failed
+    assert cli_session.check_call(inline, 0, '{"closure": {"E1": 3, "E2": 2, "E3": 1}}', "") is False
+    assert cli_session.check_call(dup, 0, json.dumps({"ok": True, "adjunction_ok": True}), "") is False
+    assert cli_session.check_call(huge, 0, '{"negative_definite": false}', "") is False
+    # the fixed behaviour passes
+    assert cli_session.check_call(inline, 1, "", "error: duplicate id 'E1'") is True
     assert cli_session.check_call(dup, 1, "", "error: duplicate key 'kappa'") is True
-    huge = next(c for c in faults if "overflow" in c.fault)
     assert cli_session.check_call(huge, 0, '{"negative_definite": true}', "") is True
     assert cli_session.check_call(huge, 2, "", "error: coefficients overflow int64") is True
+    # any other deviation on these inputs is a wrong output, not the known fault
+    for wrong in [(inline, 0, '{"closure": {"E1": 5, "E2": 3, "E3": 1}}', ""),
+                  (inline, 1, "", "Traceback (most recent call last):\n"),
+                  (dup, 2, "", "error: not negative definite"),
+                  (dup, 0, json.dumps({"ok": False, "adjunction_ok": False}), ""),
+                  (huge, 0, "negative_definite = false", ""),
+                  (huge, 1, "", "error: something else")]:
+        with pytest.raises(CheckFailed):
+            cli_session.check_call(*wrong)
 
 
 def test_criterion_check_rejects_a_failure():
@@ -165,17 +178,36 @@ def test_criterion_check_rejects_a_failure():
 
 def test_a_seed_always_generates_the_same_inputs(tmp_path):
     for module in (lattice_sweep, tower_ideals):
-        prog = load(module.MODULES)
-        assert module.make_ops(prog, 3) == module.make_ops(prog, 3)
-        assert module.make_ops(prog, 3) != module.make_ops(prog, 4)
+        assert module.plan(3) == module.plan(3)
+        assert module.plan(3) != module.plan(4)
     docs = []
     for name, seed in (("a", 3), ("b", 3), ("c", 4)):
-        calls = cli_session.make_calls(seed, tmp_path / name)
+        _, _, wl, _ = setup(cli_session, seed, tmp_path / name, repeats=1)
         files = sorted(p.name for p in (tmp_path / name).iterdir())
-        docs.append(([[a.replace(str(tmp_path / name), "") for a in c.args] for c in calls],
+        docs.append(([[a.replace(str(tmp_path / name), "") for a in c.args] for c in wl.calls],
                      [(tmp_path / name / f).read_text() for f in files]))
     assert docs[0] == docs[1]
     assert docs[0] != docs[2]
+
+
+def test_set_up_rejects_a_corpus_graph_that_differs_from_its_definition(tmp_path):
+    prog = load(tower_ideals.MODULES)
+    ops = tower_ideals.plan(3)
+    made = tower_ideals.prepare(prog, ops)
+    made["D5"] = prog.corpus.get("D4").graph
+    with pytest.raises(CheckFailed):
+        tower_ideals.build(prog, ops, made)
+
+
+def test_set_up_rejects_an_emitted_document_that_differs_from_its_recipe(tmp_path):
+    prog = load(cli_session.MODULES)
+    p = cli_session.plan(3, tmp_path)
+    made = cli_session.prepare(prog, p)
+    doc = json.loads(made["tree.json"])
+    doc["vertices"][0]["kappa"] += 1
+    made["tree.json"] = json.dumps(doc)
+    with pytest.raises(CheckFailed):
+        cli_session.build(prog, p, made)
 
 
 def test_canonical_cycle_residual_uses_exact_fractions():

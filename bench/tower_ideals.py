@@ -15,11 +15,13 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from lattice_sweep import chain, d_chain
 from reference import (
     Lattice,
     Spec,
     add,
     apply_step,
+    continuant,
     dominates,
     pullback,
     relative_canonical,
@@ -33,11 +35,16 @@ MODULES = [
     "antinef.errors", "antinef.graph", "antinef.lattice", "antinef.birational",
     "antinef.ideals", "antinef.corpus", "antinef.oracle",
 ]
-BASES = ["A1", "A2", "A3", "A4", "A5", "D4", "D5", "E6", "HJ(5,2)", "HJ(7,3)", "HJ(12,5)"]
-# (height, good, not good) towers per round: the median of a round's
-# operation times falls amid the non-good h = 20 ideals and the 90th
-# percentile amid the non-good h = 80 ones, not on the edge between groups
-HEIGHTS = [(5, 1, 2), (10, 1, 2), (20, 2, 4), (40, 2, 3), (80, 2, 2), (120, 1, 1)]
+E6 = Spec("E6", tuple((f"E{i}", -2, 0) for i in range(1, 7)),
+          tuple((f"E{i}", f"E{i + 1}", 1) for i in range(1, 5)) + (("E3", "E6", 1),))
+# the bases, defined here and labelled as the corpus labels them
+BASES = ([chain(f"A{n}", [-2] * n) for n in range(1, 6)] + [d_chain(4), d_chain(5), E6]
+         + [chain("HJ({},{})".format(*continuant(bs)), [-b for b in bs]) for bs in ([3, 2], [3, 2, 2], [3, 2, 3])])
+EX244_BASE = Spec("ex244min", (("E0", -2, 2),), ())
+# (height, good, not good) towers per round: the median of a round's 36
+# operation times falls amid the twelve h = 20 ideals and the 90th
+# percentile amid the six h = 80 ones, not on the edge between groups
+HEIGHTS = [(5, 1, 2), (10, 1, 2), (20, 4, 8), (40, 2, 3), (80, 3, 3), (120, 1, 1)]
 CONES = [(2, 2, 1), (2, 1, 0), (4, 3, 1), (3, 4, 2), (1, 2, 2), (2, 3, 2)]
 EX244_Z = {"E0": 2, "E1": 3, "E2": 3, "E3": 3, "E4": 3}
 ITERATION_CAP = 64
@@ -83,13 +90,13 @@ def grow(rng: random.Random, spec: Spec, count: int, stem: str, avoid=()) -> lis
     return steps
 
 
-def make_ops(prog, seed: int) -> list[TowerOp]:
+def plan(seed: int, work_dir=None) -> list[TowerOp]:
+    """The round's tower recipes, simulated on plain data."""
     rng = random.Random(f"tower-ideals:{seed}")
-    corpus = prog.corpus
     ops: list[TowerOp] = []
     for h, good, bad in HEIGHTS:
         for i in range(good + bad):
-            base = spec_of(corpus.get(rng.choice(BASES)).graph)
+            base = rng.choice(BASES)
             lat = Lattice(base)
             mult = rng.randint(1, 2)
             w = {v: mult * c for v, c in lat.closure({base.ids[0]: 1}).items()}
@@ -106,8 +113,7 @@ def make_ops(prog, seed: int) -> list[TowerOp]:
                 steps=steps, z0=w, bump=steps[-1][0] if bump else None,
                 v=_random_base_cycle(rng, base), u=_random_base_cycle(rng, base),
             ))
-    entry = corpus.get("ex244min")
-    base = spec_of(entry.graph)
+    base = EX244_BASE
     four = [(f"E{i}", (("E0", 1),)) for i in range(1, 5)]
     for extra, mult, bump in ((0, 1, False), (rng.randint(4, 8), 2, False), (rng.randint(4, 8), 1, True)):
         steps = four + grow(rng, tower_specs(base, four)[-1], extra - bump, "X", avoid=("E0",))
@@ -127,9 +133,9 @@ def make_ops(prog, seed: int) -> list[TowerOp]:
 
 
 class TowerIdeals:
-    def __init__(self, prog, seed: int):
+    def __init__(self, prog, ops: list[TowerOp]):
         self.prog = prog
-        self.ops = make_ops(prog, seed)
+        self.ops = ops
         self.later = []  # brute-force checks, run after the timed loop
 
     def run(self, op: TowerOp) -> dict:
@@ -274,5 +280,14 @@ def check_ideal(op: TowerOp, s: dict) -> None:
         require(e == 12 and colength == 6 and y == {}, f"{tag}: e = {e}, l = {colength}, Y = {y}")
 
 
-def build(prog, seed: int, work_dir) -> TowerIdeals:
-    return TowerIdeals(prog, seed)
+def prepare(prog, ops: list[TowerOp]) -> dict:
+    """The program's part of set-up: the corpus graphs of the bases."""
+    return {spec.name: prog.corpus.get(spec.name).graph for spec in (*BASES, EX244_BASE)}
+
+
+def build(prog, ops: list[TowerOp], made: dict) -> TowerIdeals:
+    """The towers grow on the bases defined here, so the corpus must agree."""
+    for spec in (*BASES, EX244_BASE):
+        require(spec_of(made[spec.name]).canonical() == spec.canonical(),
+                f"corpus {spec.name} differs from its definition")
+    return TowerIdeals(prog, ops)
