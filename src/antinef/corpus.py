@@ -94,7 +94,7 @@ def ex244_blown() -> DualGraph:
     return ex244_tower().top
 
 
-_NAME_RE = re.compile(r"^(A[1-9]\d*|D[4-9]\d*|E[678]|HJ\((\d+),(\d+)\)|ex244min|ex244blown)$")
+_NAME_RE = re.compile(r"^(A[1-9]\d*|D(?:[4-9]|[1-9]\d+)|E[678]|HJ\((\d+),(\d+)\)|ex244min|ex244blown)$")
 
 
 def names() -> list[str]:

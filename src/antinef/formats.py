@@ -235,11 +235,20 @@ def _load(text: str | dict) -> dict:
     if isinstance(text, dict):
         return text
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise InputError("document root must be a JSON object")
+    return obj
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"invalid JSON: key {key!r} appears twice in one object")
+        obj[key] = value
     return obj
 
 
@@ -253,7 +262,10 @@ def parse_inline_cycle(spec: str, g: DualGraph) -> Cycle:
         if ":" not in part:
             raise InputError(f"inline cycle entry {part!r} must look like 'id:coeff'")
         vid, _, raw = part.partition(":")
-        data[vid.strip()] = _coeff(raw.strip() if "/" in raw else _maybe_int(raw), f"cycle[{vid}]")
+        vid = vid.strip()
+        if vid in data:
+            raise InputError(f"inline cycle names {vid!r} more than once")
+        data[vid] = _coeff(raw.strip() if "/" in raw else _maybe_int(raw), f"cycle[{vid}]")
     return cycle(g, data)
 
 

@@ -9,10 +9,11 @@ arbitrary-precision integers or ``fractions.Fraction``; no floats anywhere.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError, PreconditionError
 
@@ -74,6 +75,19 @@ class DualGraph:
             i, j = self._index[a], self._index[b]
             m[i][j] = m[j][i] = mult
         return m
+
+    def sparse_matrix(self) -> list[dict[int, int]]:
+        """Intersection matrix in vertex order, one {column: entry} map per row."""
+        rows = [{k: v.self_int} for k, v in enumerate(self.vertices)]
+        for a, b, mult in self.edges:
+            i, j = self._index[a], self._index[b]
+            rows[i][j] = rows[j][i] = mult
+        return rows
+
+    @cached_property
+    def negative_definite(self) -> bool:
+        """Sylvester's criterion on the intersection form, from one elimination."""
+        return eliminate(self.sparse_matrix()).negative_definite
 
     def __repr__(self) -> str:  # keep pytest diffs readable
         vs = ", ".join(f"{v.id}({v.self_int},{v.kappa})" for v in self.vertices)
@@ -269,15 +283,110 @@ def det_bareiss(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+class Elimination(NamedTuple):
+    """Outcome of one fraction-free elimination of an intersection matrix M.
+
+    ``negative_definite`` is Sylvester's criterion on -M, ``det`` is det M,
+    and ``solution`` is the x with M x = rhs when a right-hand side was given
+    and M is nonsingular (otherwise None).
+    """
+
+    negative_definite: bool
+    det: int
+    solution: Optional[tuple[Coeff, ...]] = None
+
+
+def eliminate(rows: Sequence[Mapping[int, int]], rhs: Optional[Sequence[int]] = None) -> Elimination:
+    """Sparse Bareiss elimination of -M, given M as one {column: entry} map per row.
+
+    Each step pivots on the remaining vertex with the fewest remaining
+    neighbours (ties by index), so a tree is stripped leaf by leaf without
+    fill-in.  While pivot row and column agree, the k-th pivot is a leading
+    principal minor of -P^T M P; a symmetric permutation preserves
+    definiteness, so "every pivot > 0" is exactly Sylvester's criterion.  A
+    zero pivot is replaced by another nonzero column of its row (the form is
+    then not definite), and the last pivot is det(-M) up to the permutation's
+    sign.  The right-hand side rides along as an extra column and is
+    back-substituted over the integers, scaled by that last pivot.
+
+    A row with a zero in the pivot column would only be rescaled by
+    pivot / previous pivot.  That is left undone: ``scale[i]`` is the pivot
+    at row i's last update, its entries are current times scale[i] / prev,
+    and Bareiss' division by the previous pivot becomes a division by
+    scale[i].  A step therefore costs only the rows it changes.
+    """
+    n = len(rows)
+    a: list = [{j: -x for j, x in row.items() if x} for row in rows]  # None once pivoted
+    b = [-x for x in rhs] if rhs is not None else [0] * n
+    scale = [1] * n
+    heap = [(len(row) - (i in row), i) for i, row in enumerate(a)]
+    heapq.heapify(heap)
+    steps: list[tuple[int, dict[int, int], int]] = []
+    sigma = list(range(n))  # pivot row -> pivot column
+    symmetric = definite = True
+    prev = 1
+    while heap:
+        deg, r = heapq.heappop(heap)
+        row = a[r]
+        if row is None or deg != len(row) - (r in row):
+            continue  # stale entry
+        a[r] = None
+        if not row:
+            return Elimination(negative_definite=False, det=0)
+        if scale[r] != prev:
+            row = {j: x * prev // scale[r] for j, x in row.items()}
+            b[r] = b[r] * prev // scale[r]
+        c = r if r in row else min(row)
+        p = row[c]
+        br = b[r]
+        if c != r:
+            sigma[r] = c
+            symmetric = False
+        definite = definite and symmetric and p > 0
+        # while the matrix is symmetric, column c is nonzero exactly where row c is
+        touched = [j for j in row if j != c] if symmetric else [i for i, ri in enumerate(a) if ri and c in ri]
+        for i in touched:
+            ri = a[i]
+            f = ri.pop(c)
+            s = scale[i]
+            upd = {j: x * p for j, x in ri.items()}
+            for j, x in row.items():
+                if j != c:
+                    upd[j] = upd.get(j, 0) - f * x
+            a[i] = ri = {j: x // s for j, x in upd.items() if x}
+            b[i] = (b[i] * p - f * br) // s
+            scale[i] = p
+            heapq.heappush(heap, (len(ri) - (i in ri), i))
+        steps.append((c, row, br))
+        prev = p
+    det = prev * (-1) ** n * (1 if symmetric else _perm_sign(sigma))
+    if rhs is None:
+        return Elimination(negative_definite=definite, det=det)
+    # y = prev * x is integral (Cramer), so every division below is exact
+    y = [0] * n
+    for c, row, br in reversed(steps):
+        y[c] = (prev * br - sum(x * y[j] for j, x in row.items() if j != c)) // row[c]
+    return Elimination(
+        negative_definite=definite, det=det, solution=tuple(Fraction(v, prev) for v in y)
+    )
+
+
+def _perm_sign(p: list[int]) -> int:
+    sign = 1
+    seen = [False] * len(p)
+    for start in range(len(p)):
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            if j != start:
+                sign = -sign
+    return sign
+
+
 def is_negative_definite(m: list[list[int]]) -> bool:
-    """Sylvester test on -M with exact integer determinants."""
-    n = len(m)
-    neg = [[-m[i][j] for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        sub = [row[:k] for row in neg[:k]]
-        if det_bareiss(sub) <= 0:
-            return False
-    return True
+    """Sylvester's criterion on -M, from one sparse elimination."""
+    return eliminate([{j: x for j, x in enumerate(row) if x} for row in m]).negative_definite
 
 
 def validate_graph(g: DualGraph) -> ValidationReport:
@@ -300,7 +409,7 @@ def validate_graph(g: DualGraph) -> ValidationReport:
         missing = sorted(set(g.ids) - reach)
         failures.append(f"graph is not connected (unreachable: {', '.join(missing)})")
 
-    negative_definite = is_negative_definite(g.matrix())
+    negative_definite = g.negative_definite
     if not negative_definite:
         failures.append("intersection matrix is not negative definite")
 

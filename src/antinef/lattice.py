@@ -10,10 +10,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import PreconditionError, TheoremViolationError
-from .graph import Coeff, Cycle, DualGraph, cycle, det_bareiss, unit_cycle
-
-# generous cap on Laufer-loop increments; only reachable on non-negative-definite input
-_CLOSURE_STEP_CAP = 1_000_000
+from .graph import Coeff, Cycle, DualGraph, cycle, eliminate, unit_cycle
 
 
 def pair(w: Cycle, v: Cycle) -> Coeff:
@@ -57,22 +54,14 @@ def k_dot(w: Cycle) -> Coeff:
 def canonical_cycle(g: DualGraph) -> Cycle:
     """The unique rational cycle z with z.E_i = -kappa_i for every vertex.
 
-    Solved by Cramer's rule with fraction-free integer determinants; the
-    intersection matrix is invertible on a negative-definite graph.
+    Solved by one sparse fraction-free elimination of the intersection
+    matrix with -kappa as an extra column (:func:`antinef.graph.eliminate`);
+    the matrix is invertible on a negative-definite graph.
     """
-    m = g.matrix()
-    n = len(m)
-    rhs = [-v.kappa for v in g.vertices]
-    den = det_bareiss(m)
-    if den == 0:
+    e = eliminate(g.sparse_matrix(), [-v.kappa for v in g.vertices])
+    if e.solution is None:
         raise PreconditionError(f"graph {g.name!r} has singular intersection matrix")
-    coeffs = {}
-    for i in range(n):
-        col = [row[:] for row in m]
-        for r in range(n):
-            col[r][i] = rhs[r]
-        coeffs[g.ids[i]] = Fraction(det_bareiss(col), den)
-    return cycle(g, coeffs)
+    return cycle(g, zip(g.ids, e.solution))
 
 
 def is_numerically_gorenstein(g: DualGraph) -> bool:
@@ -91,11 +80,18 @@ def is_antinef(z: Cycle) -> bool:
 
 
 def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = None) -> Cycle:
-    """Least anti-nef cycle >= D (Laufer-style fixup).
+    """Least anti-nef cycle >= D (Laufer's algorithm with jumps).
 
-    While some vertex has Z.E_i > 0 the coefficient there is incremented;
-    vertices are visited in ascending id order for reproducible traces, but
-    the least fixed point is order-independent.
+    While some vertex has Z.E_i > 0 its coefficient is raised by
+    ceil(Z.E_i / -E_i^2) in one step: every anti-nef W >= Z has at least that
+    much more there, because the off-diagonal entries are >= 0.  Vertices are
+    visited in ascending id order for reproducible traces; the least fixed
+    point is order-independent.  ``on_step(vid, new_coeff)`` sees each raise.
+
+    The loop terminates on a negative-definite graph.  Definiteness is decided
+    once, by one elimination, at the first raise past the n-th or at a vertex
+    with E_i^2 >= 0; a graph that is not negative definite raises
+    PreconditionError there.
     """
     if d.is_zero or not d.is_effective:
         raise PreconditionError("antinef_closure needs an effective nonzero cycle")
@@ -103,23 +99,27 @@ def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = No
         raise PreconditionError("antinef_closure needs an integral cycle")
     g = d.graph
     coeffs = {vid: d.coeff(vid) for vid in g.ids}
-    steps = 0
+    raises = 0
+    checked = False
     dirty = True
     while dirty:
         dirty = False
         for vid in g.ids:
-            row = coeffs[vid] * g.vertex(vid).self_int
+            e2 = g.vertex(vid).self_int
+            row = coeffs[vid] * e2
             for other, m in g.adjacency[vid]:
                 row += m * coeffs[other]
             if row > 0:
-                coeffs[vid] += 1
-                steps += 1
+                if not checked and (raises >= len(coeffs) or e2 >= 0):
+                    checked = True
+                    if not g.negative_definite:
+                        raise PreconditionError(
+                            f"antinef_closure needs a negative-definite graph; {g.name!r} is not"
+                        )
+                coeffs[vid] -= row // e2  # row > 0 > e2: a raise by ceil(row / -e2)
+                raises += 1
                 if on_step is not None:
                     on_step(vid, coeffs[vid])
-                if steps > _CLOSURE_STEP_CAP:
-                    raise PreconditionError(
-                        "Laufer loop did not terminate; graph is probably not negative definite"
-                    )
                 dirty = True
     return cycle(g, coeffs)
 

@@ -35,10 +35,13 @@ def default_bound(z: Cycle) -> SearchBound:
     return SearchBound(max_coeff=2 * top + 2)
 
 
-def _guard(g: DualGraph, ranges: list[int], bound: SearchBound) -> int:
-    if len(g.vertices) > bound.max_vertices:
+def _guard(g: DualGraph, ranges: list[int], bound: SearchBound, max_abs: int) -> int:
+    """Check the search bounds, and that no W.M.W + K.W over the box, with
+    |W_i| <= max_abs, can overflow the int64 enumeration."""
+    n = len(g.vertices)
+    if n > bound.max_vertices:
         raise PreconditionError(
-            f"graph has {len(g.vertices)} vertices, oracle bound allows {bound.max_vertices}"
+            f"graph has {n} vertices, oracle bound allows {bound.max_vertices}"
         )
     total = 1
     for r in ranges:
@@ -46,6 +49,12 @@ def _guard(g: DualGraph, ranges: list[int], bound: SearchBound) -> int:
     if total > bound.max_candidates:
         raise PreconditionError(
             f"{total} candidates exceed the oracle search bound {bound.max_candidates}"
+        )
+    m_max = max([abs(v.self_int) for v in g.vertices] + [m for _, _, m in g.edges])
+    k_max = max(abs(v.kappa) for v in g.vertices)
+    if n * n * max_abs * max_abs * m_max + n * max_abs * k_max >= 1 << 63:
+        raise PreconditionError(
+            "intersection numbers over the search box would overflow the oracle's int64 arithmetic"
         )
     return total
 
@@ -84,9 +93,10 @@ def enumerate_max_Y(
         bound = default_bound(z)
     if not z.is_effective or not z.is_integral:
         raise PreconditionError("oracle needs an effective integral Z")
-    zv = np.array(z.vector(), dtype=np.int64)
-    ranges = [min(int(v), bound.max_coeff) + 1 for v in zv]
-    _guard(g, ranges, bound)
+    zv = z.vector()
+    ranges = [min(v, bound.max_coeff) + 1 for v in zv]
+    _guard(g, ranges, bound, max(zv))
+    zv = np.array(zv, dtype=np.int64)
     m = np.array(g.matrix(), dtype=np.int64)
     kappa = np.array([v.kappa for v in g.vertices], dtype=np.int64)
     supp_c = [g._index[vid] for vid in c.support] if not c.is_zero else []
@@ -137,7 +147,7 @@ def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
     admissible set is exact whenever the search finds anything at all.
     """
     ranges = [bound.max_coeff + 1] * len(g.vertices)
-    _guard(g, ranges, bound)
+    _guard(g, ranges, bound, bound.max_coeff)
     m = np.array(g.matrix(), dtype=np.int64)
     best = None
     for ys in _boxes(ranges):
@@ -163,7 +173,7 @@ def negdef_bruteforce(g: DualGraph, bound: SearchBound) -> bool:
     """Check W.W < 0 for every nonzero W with |coefficients| <= max_coeff."""
     b = bound.max_coeff
     ranges = [2 * b + 1] * len(g.vertices)
-    _guard(g, ranges, bound)
+    _guard(g, ranges, bound, b)
     m = np.array(g.matrix(), dtype=np.int64)
     offsets = [-b] * len(g.vertices)
     for ws in _boxes(ranges, offsets):

@@ -120,6 +120,30 @@ class TestExitCodes:
         assert run(capsys, "validate", "--graph", str(path))[0] == 2
 
 
+    def test_duplicate_inline_id_is_input_error(self, capsys, tmp_path):
+        g = corpus.get("A3").graph
+        path = tmp_path / "a3.json"
+        path.write_text(emit_graph_document(GraphDocument(name="A3", graph=g)))
+        code = main(["antinef-closure", "--graph", str(path), "--cycle", "E1:2,E1:3"])
+        assert code == 1 and capsys.readouterr().err.startswith("error:")
+
+    def test_duplicate_json_key_is_input_error(self, capsys, tmp_path):
+        # the first kappa breaks adjunction; keeping only the last would validate
+        g = {"format": 1, "name": "g", "vertices": [{"id": "E", "self_int": -2, "kappa": 0}]}
+        text = json.dumps(g).replace('"kappa": 0', '"kappa": 1, "kappa": 0')
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        code = main(["validate", "--graph", str(path)])
+        assert code == 1 and capsys.readouterr().err.startswith("error:")
+
+    def test_oracle_overflow_is_precondition_error(self, capsys, tmp_path):
+        g = {"format": 1, "name": "g", "vertices": [{"id": "E", "self_int": -(2**62), "kappa": 2**62 - 2}]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(g))
+        code = main(["oracle", "negdef", "--graph", str(path), "--json"])
+        assert code == 2 and capsys.readouterr().err.startswith("error:")
+
+
 class TestCone:
     def test_cone_json(self, capsys):
         code, out = run(capsys, "cone", "--e", "2", "--g", "2", "--a", "1", "--json")

@@ -72,6 +72,13 @@ class TestGraphDocuments:
         with pytest.raises(InputError):
             parse_graph_document("{not json")
 
+    def test_duplicate_key_rejected(self):
+        text = emit_graph_document(_graph_doc("A3"))
+        # a second kappa on E1: the first breaks adjunction, the last would not
+        dup = text.replace('"kappa": 0', '"kappa": 1, "kappa": 0', 1)
+        with pytest.raises(InputError, match="'kappa' appears twice"):
+            parse_graph_document(dup)
+
     def test_fractional_cycle_coefficients(self):
         from fractions import Fraction
 
@@ -137,3 +144,10 @@ class TestInlineCycles:
         g = corpus.get("A2").graph
         with pytest.raises(InputError):
             parse_inline_cycle("E1=2", g)
+
+    def test_duplicate_id_rejected(self):
+        g = corpus.get("A3").graph
+        with pytest.raises(InputError, match="'E1' more than once"):
+            parse_inline_cycle("E1:2,E1:3", g)
+        with pytest.raises(InputError):
+            parse_inline_cycle("E1:2, E1 :3", g)

@@ -6,16 +6,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from antinef import corpus
-from antinef.errors import InputError
+from antinef.errors import InputError, PreconditionError
 from antinef.graph import (
     cycle,
     det_bareiss,
     dual_graph,
+    eliminate,
     is_negative_definite,
     unit_cycle,
     validate_graph,
     zero_cycle,
 )
+from antinef.lattice import canonical_cycle, row_pairing
 
 
 class TestConstruction:
@@ -142,3 +144,63 @@ def test_cycle_group_laws(a, b):
     assert za - za == zero_cycle(g)
     assert -(za + zb) == (-za) + (-zb)
     assert 2 * za == za + za
+
+
+class TestCorpusNames:
+    def test_every_d_n_resolves(self):
+        for n in range(4, 41):
+            assert corpus.get(f"D{n}").graph == corpus.d_n(n)
+
+    @pytest.mark.parametrize("name", ["D3", "D04", "D0"])
+    def test_bad_d_names_rejected(self, name):
+        with pytest.raises(InputError):
+            corpus.get(name)
+
+
+# --- the sparse elimination against dense determinants ----------------------
+
+
+def _leading_minor_test(m):
+    """Sylvester's criterion the slow way: every leading minor of -M > 0."""
+    neg = [[-x for x in row] for row in m]
+    return all(det_bareiss([row[:k] for row in neg[:k]]) > 0 for k in range(1, len(m) + 1))
+
+
+@st.composite
+def small_graphs(draw):
+    """Any small weighted graph: indefinite, singular, E^2 >= 0, cycles, multi-edges."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    ids = [f"E{i}" for i in range(n)]
+    verts = [(vid, draw(st.integers(-6, 2)), draw(st.integers(-3, 3))) for vid in ids]
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return dual_graph("g", verts, edges)
+
+
+class TestElimination:
+    def test_zero_pivot_takes_another_column(self):
+        e = eliminate([{1: 1}, {0: 1}], [2, 3])
+        assert (e.negative_definite, e.det, e.solution) == (False, -1, (3, 2))
+
+    def test_singular_matrix(self):
+        e = eliminate([{0: -2, 1: 2}, {0: 2, 1: -2}], [1, 1])
+        assert (e.negative_definite, e.det, e.solution) == (False, 0, None)
+
+    def test_large_chain_is_exact(self):
+        g = corpus.get("A160").graph
+        assert validate_graph(g).ok
+        assert eliminate(g.sparse_matrix()).det == 161
+        assert canonical_cycle(g).is_zero
+
+    @given(small_graphs())
+    def test_agrees_with_dense_determinants(self, g):
+        m = g.matrix()
+        e = eliminate(g.sparse_matrix())
+        assert e.negative_definite == g.negative_definite == _leading_minor_test(m) == is_negative_definite(m)
+        assert e.det == det_bareiss(m)
+        if e.det == 0:
+            with pytest.raises(PreconditionError, match="singular intersection matrix"):
+                canonical_cycle(g)
+        else:
+            zk = canonical_cycle(g)
+            assert all(row_pairing(zk, v.id) == -v.kappa for v in g.vertices)

@@ -81,6 +81,78 @@ class TestAntinefClosure:
         with pytest.raises(PreconditionError):
             antinef_closure(cycle(g, {"E1": -1}))
 
+    def test_indefinite_graph_fails_within_n_raises(self):
+        # two (-1)-curves meeting twice: det M = -3
+        g = dual_graph("twice", [("E1", -1, -1), ("E2", -1, -1)], [("E1", "E2", 2)])
+        steps = []
+        with pytest.raises(PreconditionError, match="needs a negative-definite graph"):
+            antinef_closure(unit_cycle(g, "E1"), on_step=lambda vid, c: steps.append((vid, c)))
+        assert len(steps) <= len(g.ids) + 1
+
+    def test_nonnegative_self_intersection_fails_at_once(self):
+        g = dual_graph("g", [("E1", -2, 0), ("E2", 0, -2)], [("E1", "E2")])
+        with pytest.raises(PreconditionError, match="needs a negative-definite graph"):
+            antinef_closure(unit_cycle(g, "E1"))
+
+    def test_large_seed_takes_few_raises(self):
+        g = corpus.get("E8").graph
+        d = cycle(g, {"E1": 1000})
+        steps = []
+        z = antinef_closure(d, on_step=lambda vid, c: steps.append(vid))
+        assert z == _unit_step_closure(d)
+        # +1 raises would take sum(Z - D) = 10500 steps
+        assert sum(z.vector()) - 1000 == 10500 and len(steps) < 1000
+
+
+def _unit_step_closure(d):
+    """Laufer's loop with +1 raises: the reference for the jumping closure."""
+    g = d.graph
+    z = dict(zip(g.ids, d.vector()))
+    dirty = True
+    while dirty:
+        dirty = False
+        for vid in g.ids:
+            row = z[vid] * g.vertex(vid).self_int + sum(m * z[o] for o, m in g.adjacency[vid])
+            if row > 0:
+                z[vid] += 1
+                dirty = True
+    return cycle(g, z)
+
+
+@st.composite
+def definite_graphs(draw):
+    """Random connected graphs with -E_i^2 above the weighted degree, so the
+    form is negative definite; cycles and double edges included."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    mult = {}
+    for i in range(1, n):
+        mult[(draw(st.integers(0, i - 1)), i)] = 1
+    for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n)):
+        if u != v:
+            key = (min(u, v), max(u, v))
+            mult[key] = mult.get(key, 0) + 1
+    wdeg = [0] * n
+    for (u, v), m in mult.items():
+        wdeg[u] += m
+        wdeg[v] += m
+    verts = [(f"E{i}", -(wdeg[i] + draw(st.integers(1, 2))), 0) for i in range(n)]
+    return dual_graph("g", verts, [(f"E{u}", f"E{v}", m) for (u, v), m in mult.items()])
+
+
+@given(definite_graphs(), st.data())
+def test_jumping_closure_matches_unit_steps(g, data):
+    seed = {vid: data.draw(st.integers(0, 30)) for vid in g.ids}
+    seed[g.ids[0]] += 1
+    d = cycle(g, seed)
+    steps = []
+    z = antinef_closure(d, on_step=lambda vid, c: steps.append((vid, c)))
+    assert z == _unit_step_closure(d)
+    replay = dict(zip(g.ids, d.vector()))
+    for vid, c in steps:
+        assert c > replay[vid]
+        replay[vid] = c
+    assert cycle(g, replay) == z
+
 
 class TestCanonicalCycle:
     def test_ade_canonical_is_zero(self):

@@ -44,6 +44,16 @@ class TestNegdefOracle:
             assert negdef_bruteforce(g, SearchBound(max_coeff=4)) == is_negative_definite(g.matrix())
 
 
+    def test_refuses_int64_overflow(self):
+        # exactly negative definite, but W.M.W overflows int64 once |W_i| >= 2
+        g = dual_graph("huge", [("E", -(2**62), 2**62 - 2)])
+        with pytest.raises(PreconditionError, match="overflow"):
+            negdef_bruteforce(g, SearchBound(max_coeff=2))
+        assert negdef_bruteforce(g, SearchBound(max_coeff=1))
+        with pytest.raises(PreconditionError, match="overflow"):
+            enumerate_max_Y(cycle(g, {"E": 3}), zero_cycle(g), bound=SearchBound(max_coeff=3))
+
+
 class TestEnumerateMaxY:
     def test_a1b_example(self, a1b):
         z = cycle(a1b, {"E": 1, "C1": 2})
