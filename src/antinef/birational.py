@@ -8,11 +8,12 @@ upper one, so contraction sequences become towers read in reverse.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
-from .graph import Cycle, DualGraph, Vertex, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
+from .graph import Coeff, Cycle, DualGraph, Vertex, cycle, unit_cycle
 from .lattice import is_antinef, pair, row_pairing
 
 
@@ -51,7 +52,12 @@ class TowerStep:
 
 
 def apply_step(g: DualGraph, step: TowerStep) -> DualGraph:
-    """Insert the step's exceptional curve into g (upward surgery)."""
+    """Insert the step's exceptional curve into g (upward surgery).
+
+    g is in :func:`~antinef.graph.dual_graph`'s canonical order and so is the
+    result: untouched vertices and edges are reused, the new curve is
+    inserted by id, and only the edge tuple is sorted again.
+    """
     for vid, m in step.attach:
         if not g.has_vertex(vid):
             raise InputError(f"step attaches to unknown vertex {vid!r}")
@@ -60,30 +66,40 @@ def apply_step(g: DualGraph, step: TowerStep) -> DualGraph:
     if g.has_vertex(step.new_id):
         raise InputError(f"vertex id {step.new_id!r} already exists on {g.name!r}")
     att = dict(step.attach)
-    verts: list[Vertex] = []
-    for v in g.vertices:
-        m = att.get(v.id, 0)
-        verts.append(Vertex(v.id, v.self_int - m * m, v.kappa + m))
-    verts.append(Vertex(step.new_id, -1, -1))
-    edges: dict[tuple[str, str], int] = {}
-    for a, b, m in g.edges:
-        edges[(a, b)] = m
-    pairs = list(step.attach)
+    verts = [
+        v if v.id not in att else Vertex(v.id, v.self_int - att[v.id] ** 2, v.kappa + att[v.id])
+        for v in g.vertices
+    ]
+    verts.insert(bisect_left(g.ids, step.new_id), Vertex(step.new_id, -1, -1))
+    elist, inner = _split_edges(g.edges, att)
+    pairs = step.attach
     for i in range(len(pairs)):
         for j in range(i + 1, len(pairs)):
             (u, mu), (v, mv) = pairs[i], pairs[j]
             key = (u, v) if u < v else (v, u)
-            have = edges.get(key, 0)
+            have = inner.get(key, 0)
             if have < mu * mv:
                 raise PreconditionError(
                     f"cannot blow up: edge {key} has multiplicity {have} < {mu * mv}"
                 )
-            edges[key] = have - mu * mv
-    for vid, m in step.attach:
-        key = (vid, step.new_id) if vid < step.new_id else (step.new_id, vid)
-        edges[key] = edges.get(key, 0) + m
-    elist = [(a, b, m) for (a, b), m in edges.items() if m > 0]
-    return dual_graph(g.name, verts, elist)
+            inner[key] = have - mu * mv
+    elist += [(a, b, m) for (a, b), m in inner.items() if m > 0]
+    new = step.new_id
+    elist += [(vid, new, m) if vid < new else (new, vid, m) for vid, m in step.attach]
+    elist.sort()
+    return DualGraph(g.name, tuple(verts), tuple(elist))
+
+
+def _split_edges(edges, ends) -> tuple[list, dict]:
+    """The edges with an end outside ``ends``, kept as they are, and the
+    multiplicities of the edges with both ends in it, by (a, b)."""
+    kept, inner = [], {}
+    for e in edges:
+        if e[0] in ends and e[1] in ends:
+            inner[e[0], e[1]] = e[2]
+        else:
+            kept.append(e)
+    return kept, inner
 
 
 def blowup(g: DualGraph, center: BlowupCenter) -> tuple[DualGraph, TowerStep]:
@@ -101,7 +117,8 @@ def blowup(g: DualGraph, center: BlowupCenter) -> tuple[DualGraph, TowerStep]:
 
 def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
     """Contract a rational (-1)-curve; returns the lower graph and the
-    step that rebuilds g from it."""
+    step that rebuilds g from it.  Like :func:`apply_step`, keeps g's
+    canonical order and reuses the untouched vertices and edges."""
     v = g.vertex(vid)
     if v.self_int != -1 or v.kappa != -1:
         raise PreconditionError(
@@ -109,24 +126,22 @@ def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
         )
     if len(g.vertices) == 1:
         raise PreconditionError("cannot contract the last curve of a graph")
-    attach = tuple(g.adjacency[vid])
-    verts = []
-    for w in g.vertices:
-        if w.id == vid:
-            continue
-        m = dict(attach).get(w.id, 0)
-        verts.append(Vertex(w.id, w.self_int + m * m, w.kappa - m))
-    edges: dict[tuple[str, str], int] = {}
-    for a, b, m in g.edges:
-        if vid in (a, b):
-            continue
-        edges[(a, b)] = m
+    attach = g.adjacency[vid]
+    att = dict(attach)
+    verts = tuple(
+        w if w.id not in att else Vertex(w.id, w.self_int + att[w.id] ** 2, w.kappa - att[w.id])
+        for w in g.vertices
+        if w.id != vid
+    )
+    elist, inner = _split_edges([e for e in g.edges if vid != e[0] and vid != e[1]], att)
     for i in range(len(attach)):
         for j in range(i + 1, len(attach)):
             (u, mu), (w, mw) = attach[i], attach[j]
             key = (u, w) if u < w else (w, u)
-            edges[key] = edges.get(key, 0) + mu * mw
-    lower = dual_graph(g.name, verts, [(a, b, m) for (a, b), m in edges.items()])
+            inner[key] = inner.get(key, 0) + mu * mw
+    elist += [(a, b, m) for (a, b), m in inner.items()]
+    elist.sort()
+    lower = DualGraph(g.name, verts, tuple(elist))
     return lower, TowerStep(new_id=vid, attach=attach)
 
 
@@ -173,14 +188,7 @@ class Tower:
         self._check_cycle(w, from_level)
         if to_level < from_level:
             raise PreconditionError("pullback goes to a level >= its source")
-        self.graph(to_level)
-        coeffs = dict(w.coeffs)
-        for k in range(from_level, to_level):
-            step = self.steps[k]
-            lift = sum(m * coeffs.get(vid, 0) for vid, m in step.attach)
-            if lift != 0:
-                coeffs[step.new_id] = lift
-        return cycle(self.graph(to_level), coeffs)
+        return cycle(self.graph(to_level), lift(w.as_dict(), self.steps[from_level:to_level]))
 
     def pushforward(self, w: Cycle, from_level: int, to_level: int) -> Cycle:
         """Restrict coefficients to the curves surviving at the lower level."""
@@ -196,15 +204,39 @@ class Tower:
             )
 
 
+def lift(
+    coeffs: dict[str, Coeff], steps: Sequence[TowerStep], marks: Optional[Sequence[int]] = None
+) -> dict[str, Coeff]:
+    """One pass up the steps, bottom first: the total transform of a cycle
+    plus, for each step k, marks[k] times the total transform of the curve
+    step k inserts.  Each new curve gets acc[new] = sum m.acc[attach] + mark.
+
+    With no marks this is the pullback; with every mark 1 it is the relative
+    canonical cycle, since the total transform of E_k is E_k plus the lifts
+    of E_k onto every later curve.
+    """
+    acc = dict(coeffs)
+    for k, step in enumerate(steps):
+        c = sum(m * acc.get(vid, 0) for vid, m in step.attach)
+        if marks is not None:
+            c += marks[k]
+        if c != 0:
+            acc[step.new_id] = c
+    return acc
+
+
 def relative_canonical(t: Tower, top_level: Optional[int] = None, bottom_level: int = 0) -> Cycle:
     """K_{top/bottom}: sum of the total transforms of every exceptional curve
-    inserted between the two levels.  Always contracts to a smooth point."""
+    inserted between the two levels, by one :func:`lift` pass.  Always
+    contracts to a smooth point."""
     if top_level is None:
         top_level = t.height
     top = t.graph(top_level)
-    k = zero_cycle(top)
-    for j in range(bottom_level, top_level):
-        k = k + t.pullback(unit_cycle(t.graph(j + 1), t.steps[j].new_id), j + 1, top_level)
+    t.graph(bottom_level)
+    if bottom_level > top_level:
+        raise PreconditionError(f"bottom level {bottom_level} is above top level {top_level}")
+    steps = t.steps[bottom_level:top_level]
+    k = cycle(top, lift({}, steps, [1] * len(steps)))
     if not k.is_zero and (-pair(k, k) + sum(c * top.vertex(v).kappa for v, c in k.coeffs)) != 0:
         raise TheoremViolationError("relative canonical cycle fails -K^2 + K.K_X = 0")
     return k

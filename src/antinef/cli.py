@@ -15,8 +15,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import corpus, oracle, verify
-from .birational import Tower, contract, edge_point, free_point, relative_canonical, transport_cohom
+from . import corpus, oracle
+from .birational import Tower, contract, edge_point, free_point, relative_canonical
 from .errors import InputError, LatticeError, PreconditionError
 from .formats import (
     GraphDocument,
@@ -26,8 +26,9 @@ from .formats import (
     parse_inline_cycle,
     parse_tower_document,
     TowerDocument,
+    vertex_id,
 )
-from .graph import Cycle, DualGraph, cycle, unit_cycle, validate_graph, zero_cycle
+from .graph import Cycle, DualGraph, cycle, validate_graph, zero_cycle
 from .ideals import (
     IdealRep,
     colon_and_core,
@@ -279,6 +280,7 @@ def cmd_colength(args) -> int:
 
 
 def _parse_center(raw: str, new_id: str):
+    new_id = vertex_id(new_id, "--new-id")
     ids = [part.strip() for part in raw.split(",") if part.strip()]
     if len(ids) == 1:
         return free_point(ids[0], new_id)
@@ -469,7 +471,12 @@ def cmd_corpus_show(args) -> int:
 
 
 def cmd_corpus_verify(args) -> int:
-    results = verify.run_all(seed=args.seed, samples=args.samples)
+    from . import verify  # the acceptance suite loads only for this command
+
+    results = verify.run_all(
+        seed=verify.DEFAULT_SEED if args.seed is None else args.seed,
+        samples=verify.DEFAULT_SAMPLES if args.samples is None else args.samples,
+    )
     if args.json:
         print(json.dumps([dataclasses.asdict(r) for r in results]))
     else:
@@ -580,8 +587,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--as-tower", action="store_true", help="emit the tower document when one exists")
     sp.set_defaults(fn=cmd_corpus_show)
     sp = csub.add_parser("verify", parents=[common])
-    sp.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    sp.add_argument("--samples", type=int, default=verify.DEFAULT_SAMPLES)
+    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--samples", type=int, default=None)
     sp.set_defaults(fn=cmd_corpus_verify)
 
     return p

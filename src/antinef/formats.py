@@ -8,6 +8,7 @@ document.  ``emit_*`` output is deterministic and round-trip stable.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
@@ -53,17 +54,32 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
+# the whole coefficient grammar, for documents and inline cycles alike
+_COEFF_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def _coeff(value: Any, path: str) -> Coeff:
     if isinstance(value, bool):
         _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        if not _COEFF_RE.fullmatch(value):
+            _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
         try:
             return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+        except ZeroDivisionError:
             _fail(path, f"cannot parse rational {value!r}")
     _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
+
+
+def vertex_id(value: Any, path: str) -> str:
+    """A declared vertex id; one the inline syntax "id:coeff,..." could not
+    name is an InputError."""
+    vid = str(value)
+    if ":" in vid or "," in vid:
+        _fail(path, f"vertex id {vid!r} contains ':' or ',', which inline cycles cannot name")
+    return vid
 
 
 def _coeff_out(value: Coeff) -> Any:
@@ -77,7 +93,7 @@ def _parse_vertices_edges(obj: dict, path: str) -> DualGraph:
     vs = []
     for i, v in enumerate(_need(obj, "vertices", path)):
         vp = f"{path}.vertices[{i}]"
-        vid = str(_need(v, "id", vp))
+        vid = vertex_id(_need(v, "id", vp), vp + ".id")
         self_int = _int(_need(v, "self_int", vp), vp + ".self_int")
         if "kappa" in v and "genus" in v:
             _fail(vp, "give exactly one of 'kappa' or 'genus'")
@@ -169,11 +185,11 @@ def parse_tower_document(text: str | dict) -> TowerDocument:
         sp = f"$.steps[{i}]"
         op = _need(s, "op", sp)
         if op == "blowup_free":
-            t = t.blow_up(free_point(str(_need(s, "vertex", sp)), str(_need(s, "new_id", sp))))
+            vid = str(_need(s, "vertex", sp))
+            t = t.blow_up(free_point(vid, vertex_id(_need(s, "new_id", sp), sp + ".new_id")))
         elif op == "blowup_edge":
-            t = t.blow_up(
-                edge_point(str(_need(s, "a", sp)), str(_need(s, "b", sp)), str(_need(s, "new_id", sp)))
-            )
+            a, b = str(_need(s, "a", sp)), str(_need(s, "b", sp))
+            t = t.blow_up(edge_point(a, b, vertex_id(_need(s, "new_id", sp), sp + ".new_id")))
         elif op == "contract":
             vid = str(_need(s, "vertex", sp))
             if t.height == 0 or t.steps[-1].new_id != vid:
@@ -265,12 +281,5 @@ def parse_inline_cycle(spec: str, g: DualGraph) -> Cycle:
         vid = vid.strip()
         if vid in data:
             raise InputError(f"inline cycle names {vid!r} more than once")
-        data[vid] = _coeff(raw.strip() if "/" in raw else _maybe_int(raw), f"cycle[{vid}]")
+        data[vid] = _coeff(raw.strip(), f"cycle[{vid}]")
     return cycle(g, data)
-
-
-def _maybe_int(raw: str):
-    try:
-        return int(raw.strip())
-    except ValueError:
-        return raw.strip()

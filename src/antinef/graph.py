@@ -228,7 +228,7 @@ def cycle(graph: DualGraph, data: Mapping[str, Coeff] | Iterable[tuple[str, Coef
             raise InputError(f"cycle names unknown vertex {vid!r} on graph {graph.name!r}")
         if isinstance(c, Fraction):
             c = int(c) if c.denominator == 1 else c
-        elif not isinstance(c, int):
+        elif not isinstance(c, int) or isinstance(c, bool):
             raise InputError(f"coefficient for {vid!r} must be an integer or Fraction, got {type(c).__name__}")
         acc[vid] = acc.get(vid, 0) + c
     order = graph._index

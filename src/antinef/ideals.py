@@ -2,19 +2,21 @@
 ideals, core, goodness, good closures, and the graded-cone model.
 
 A minimal reduction is never materialized; every colon/core output is
-computed at the cycle level via the contraction-sequence description
-(contract rational (-1)-curves disjoint from the cohomological cycle, read
-off the total transforms F_i and b_i = -Z.F_i, take Y = sum of min(1,b_i)
-F_i, then Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}).
+computed at the cycle level via the contraction-sequence description:
+contract rational (-1)-curves E_i disjoint from the cohomological cycle,
+read b_i = -Z.F_i off each contraction step by the projection formula
+(Z.F_i = (pi_* Z).E_i on the graph E_i is contracted from, F_i its total
+transform), accumulate Y = sum of min(1, b_i) F_i in one bottom-up pass over
+the steps, then Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .birational import Tower, TowerStep, associated_pg_cycle, contract, transport_cohom
-from .errors import InputError, PreconditionError, TheoremViolationError
+from .birational import Tower, TowerStep, associated_pg_cycle, contract, lift, transport_cohom
+from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
 from .lattice import (
     canonical_cycle,
@@ -22,7 +24,6 @@ from .lattice import (
     contracts_to_smooth,
     epsilon,
     is_antinef,
-    is_numerically_gorenstein,
     is_rational,
     multiplicity,
     pair,
@@ -186,36 +187,53 @@ class CoreReport:
     good_cycle: Cycle  # pushforward of Z to the bottom of the contraction tower
 
 
+def _row(g: DualGraph, coeffs: dict[str, int], vid: str) -> int:
+    """W.E for the curve vid of g, where W has the given coefficients on g's curves."""
+    return coeffs.get(vid, 0) * g.vertex(vid).self_int + sum(
+        m * coeffs.get(u, 0) for u, m in g.adjacency[vid]
+    )
+
+
 def _contract_disjoint_minus_one_curves(g: DualGraph, c: Cycle, trace=None):
     """Contract, in ascending-id scans, every rational (-1)-curve disjoint
-    from the cohomological cycle.  Returns (graphs, steps, contracted ids, c')
-    with graphs[0] = g top-down and c' the cycle on the final graph."""
+    from the cohomological cycle.  Returns (graphs, steps) with graphs[0] = g
+    top-down: steps[i] contracts a curve of graphs[i] into graphs[i + 1].
+
+    A contracted curve is off supp C, so C keeps its coefficients on every
+    graph of the sequence.
+    """
+    cc = c.as_dict()
     graphs = [g]
     steps: list[TowerStep] = []
-    names: list[str] = []
     cur = g
     while True:
         for v in cur.vertices:
             if (
                 v.self_int == -1
                 and v.kappa == -1
-                and c.coeff(v.id) == 0
-                and row_pairing(c, v.id) == 0
+                and v.id not in cc
+                and _row(cur, cc, v.id) == 0
             ):
                 cur, step = contract(cur, v.id)
-                c = c.restricted_to(cur)
                 graphs.append(cur)
                 steps.append(step)
-                names.append(v.id)
                 if trace is not None:
                     trace(f"contract {v.id!r}")
                 break
         else:
-            return graphs, steps, names, c
+            return graphs, steps
 
 
 def colon_and_core(ideal: IdealRep, trace=None) -> CoreReport:
     """Compute Q:I and core(I) for a numerically-p_g ideal.
+
+    One pass over the contraction sequence g = graphs[0] -> graphs[1] -> ...
+    of rational (-1)-curves E_i disjoint from the cohomological cycle.  By the
+    projection formula, b_i = -Z.F_i = -(pi_* Z).E_i on graphs[i], where pi_* Z
+    keeps Z's coefficients on the curves of graphs[i], so each b_i is one row
+    pairing there.  Y = sum over b_i > 0 of F_i is one bottom-up accumulation over
+    the steps (:func:`~antinef.birational.lift`):
+    Y[E_i] = sum m.Y[attach] + [b_i > 0].
 
     Any failure of the construction's guarantees (Z - Y not anti-nef, Y not
     contracting to a smooth point, negative b_i) is raised as a theorem
@@ -225,25 +243,21 @@ def colon_and_core(ideal: IdealRep, trace=None) -> CoreReport:
         raise PreconditionError("colon_and_core needs a numerically-p_g ideal")
     g = ideal.tower.graph(ideal.level)
     z = ideal.z
-    graphs, steps, names, _ = _contract_disjoint_minus_one_curves(g, ideal.c, trace=trace)
-    n = len(steps)
+    graphs, steps = _contract_disjoint_minus_one_curves(g, ideal.c, trace=trace)
     # rebuild the contraction sequence as a tower, bottom = most contracted
     local = Tower.from_steps(graphs[-1], tuple(reversed(steps)))
     if local.top != g:
         raise TheoremViolationError("contraction sequence did not replay to the input graph")
+    zc = z.as_dict()
     b: list[int] = []
-    y = zero_cycle(g)
-    for i, vid in enumerate(names):
-        # curve i was contracted from graphs[i], which sits at local level n - i
-        f_i = local.pullback(unit_cycle(local.graph(n - i), vid), n - i, n)
-        b_i = -pair(z, f_i)
+    for i, step in enumerate(steps):
+        b_i = -_row(graphs[i], zc, step.new_id)  # -(pi_* Z).E_i on graphs[i]
         if b_i < 0:
             raise TheoremViolationError(
-                f"b_{i + 1} = {b_i} < 0 for contracted curve {vid!r}"
+                f"b_{i + 1} = {b_i} < 0 for contracted curve {step.new_id!r}"
             )
         b.append(b_i)
-        if b_i > 0:
-            y = y + f_i
+    y = cycle(g, lift({}, local.steps, [int(b_i > 0) for b_i in reversed(b)]))
     if not y.is_zero:
         if not contracts_to_smooth(y):
             raise TheoremViolationError(f"Y = {y} does not contract to a smooth point")
@@ -276,19 +290,19 @@ def is_good(ideal: IdealRep) -> bool:
     if not ideal.pg_numeric:
         raise PreconditionError("is_good needs a numerically-p_g ideal")
     g = ideal.tower.graph(ideal.level)
-    z, c = ideal.z, ideal.c
+    # a contraction keeps the survivors' coefficients: pi_* Z and pi_* C are
+    # Z and C read on the curves that are left
+    zc, cc = ideal.z.as_dict(), ideal.c.as_dict()
     while True:
         for v in g.vertices:
-            if v.self_int == -1 and v.kappa == -1 and row_pairing(z, v.id) == 0:
+            if v.self_int == -1 and v.kappa == -1 and _row(g, zc, v.id) == 0:
                 g, _ = contract(g, v.id)
-                z = z.restricted_to(g)
-                c = c.restricted_to(g)
                 break
         else:
             break
     for v in g.vertices:
         if v.self_int == -1 and v.kappa == -1:
-            if c.coeff(v.id) == 0 and row_pairing(c, v.id) == 0:
+            if v.id not in cc and _row(g, cc, v.id) == 0:
                 return False
     return True
 

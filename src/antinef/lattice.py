@@ -20,11 +20,12 @@ def pair(w: Cycle, v: Cycle) -> Coeff:
             f"cycles live on different graphs ({w.graph.name!r} vs {v.graph.name!r})"
         )
     g = w.graph
+    wm, vm = w._map, v._map
     total: Coeff = 0
     for vid, c in w.coeffs:
-        total += c * g.vertex(vid).self_int * v.coeff(vid)
+        total += c * g.vertex(vid).self_int * vm.get(vid, 0)
     for a, b, m in g.edges:
-        total += m * (w.coeff(a) * v.coeff(b) + w.coeff(b) * v.coeff(a))
+        total += m * (wm.get(a, 0) * vm.get(b, 0) + wm.get(b, 0) * vm.get(a, 0))
     if isinstance(total, Fraction) and total.denominator == 1:
         return int(total)
     return total

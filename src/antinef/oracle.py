@@ -3,18 +3,20 @@
 These deliberately work from the definitions (exhaustive enumeration over a
 coefficient box) rather than reusing the production algorithms, so that the
 test suite can play the two against each other.  numpy is used only to make
-the enumeration fast; every comparison is integer-exact.
+the enumeration fast; every comparison is integer-exact.  numpy is imported on
+the first oracle call, so importing this module (and the CLI) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, cycle
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 1 << 18
 
@@ -61,6 +63,8 @@ def _guard(g: DualGraph, ranges: list[int], bound: SearchBound, max_abs: int) ->
 
 def _boxes(ranges: list[int], offsets: Optional[list[int]] = None) -> Iterator[np.ndarray]:
     """Yield chunks of the integer box prod(range(r_i)) (+ offsets) as arrays."""
+    import numpy as np
+
     r = len(ranges)
     total = 1
     for n in ranges:
@@ -88,6 +92,8 @@ def enumerate_max_Y(
     Returns the coefficient-wise maximum among the admissible candidates, or
     None when no unique maximum exists (a theorem violation on valid input).
     """
+    import numpy as np
+
     g = z.graph
     if bound is None:
         bound = default_bound(z)
@@ -146,6 +152,8 @@ def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
     lies below it, hence inside the box, so the pointwise minimum over the
     admissible set is exact whenever the search finds anything at all.
     """
+    import numpy as np
+
     ranges = [bound.max_coeff + 1] * len(g.vertices)
     _guard(g, ranges, bound, bound.max_coeff)
     m = np.array(g.matrix(), dtype=np.int64)
@@ -171,6 +179,8 @@ def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
 
 def negdef_bruteforce(g: DualGraph, bound: SearchBound) -> bool:
     """Check W.W < 0 for every nonzero W with |coefficients| <= max_coeff."""
+    import numpy as np
+
     b = bound.max_coeff
     ranges = [2 * b + 1] * len(g.vertices)
     _guard(g, ranges, bound, b)

@@ -1,11 +1,12 @@
 """Blow-ups, contractions, towers, and cycle transport."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from antinef import corpus
 from antinef.birational import (
     Tower,
+    TowerStep,
     apply_step,
     associated_pg_cycle,
     blowup,
@@ -16,8 +17,9 @@ from antinef.birational import (
     transport_cohom,
 )
 from antinef.errors import InputError, PreconditionError
-from antinef.graph import cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
+from antinef.graph import Vertex, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
 from antinef.lattice import arithmetic_genus, contracts_to_smooth, fundamental_cycle, pair
+from towers import grow
 
 
 class TestBlowup:
@@ -63,6 +65,14 @@ class TestContract:
         lower, step = contract(g2, "C")
         assert lower == g
         assert apply_step(lower, step) == g2
+
+    def test_neighbours_already_joined(self):
+        # C meets A once and B twice, and A meets B: the edge A-B gains 1 * 2
+        g = dual_graph("tri", [("A", -3, 1), ("B", -6, 4), ("C", -1, -1)], [("A", "B"), ("A", "C"), ("B", "C", 2)])
+        lower, step = contract(g, "C")
+        assert lower == dual_graph("tri", [("A", -2, 0), ("B", -2, 2)], [("A", "B", 3)])
+        assert step == TowerStep(new_id="C", attach=(("A", 1), ("B", 2)))
+        assert apply_step(lower, step) == g
 
     def test_only_minus_one_curves_contract(self):
         g = corpus.get("A2").graph
@@ -120,6 +130,16 @@ class TestTower:
         z = fundamental_cycle(t.top)
         with pytest.raises(PreconditionError):
             t.pullback(z, 2, 0)
+
+    def test_relative_canonical_checks_its_levels(self):
+        t = self._tower()
+        with pytest.raises(InputError):
+            relative_canonical(t, bottom_level=-1)
+        with pytest.raises(InputError):
+            relative_canonical(t, bottom_level=t.height + 1)
+        with pytest.raises(PreconditionError):
+            relative_canonical(t, top_level=0, bottom_level=1)
+        assert relative_canonical(t, top_level=1, bottom_level=1).is_zero
 
     def test_relative_canonical_contracts_to_smooth(self):
         t = self._tower()
@@ -182,3 +202,47 @@ def test_random_blowup_towers_stay_valid(data):
     assert validate_graph(t.top).ok
     z = fundamental_cycle(base)
     assert t.pushforward(t.pullback(z, 0, t.height), t.height, 0) == z
+
+
+def _reference_apply_step(g, step):
+    """The surgery rebuilt through dual_graph's full normalisation."""
+    att = dict(step.attach)
+    verts = [Vertex(v.id, v.self_int - att.get(v.id, 0) ** 2, v.kappa + att.get(v.id, 0)) for v in g.vertices]
+    verts.append(Vertex(step.new_id, -1, -1))
+    edges = {(a, b): m for a, b, m in g.edges}
+    for i, (u, mu) in enumerate(step.attach):
+        for v, mv in step.attach[i + 1:]:
+            edges[min(u, v), max(u, v)] -= mu * mv
+    for vid, m in step.attach:
+        key = (min(vid, step.new_id), max(vid, step.new_id))
+        edges[key] = edges.get(key, 0) + m
+    return dual_graph(g.name, verts, [(a, b, m) for (a, b), m in edges.items() if m > 0])
+
+
+def _reference_contract(g, vid):
+    attach = g.adjacency[vid]
+    att = dict(attach)
+    verts = [Vertex(w.id, w.self_int + att.get(w.id, 0) ** 2, w.kappa - att.get(w.id, 0))
+             for w in g.vertices if w.id != vid]
+    edges = [(a, b, m) for a, b, m in g.edges if vid not in (a, b)]
+    for i, (u, mu) in enumerate(attach):
+        for w, mw in attach[i + 1:]:
+            edges.append((u, w, mu * mw))
+    return dual_graph(g.name, verts, edges), TowerStep(new_id=vid, attach=attach)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_surgery_keeps_canonical_order(data):
+    base = corpus.get(data.draw(st.sampled_from(["A1", "A4", "D5", "E6", "HJ(7,3)", "ex244min"]))).graph
+    t = grow(data, Tower.base(base), data.draw(st.integers(min_value=1, max_value=40)))
+    for k, step in enumerate(t.steps):
+        g = t.levels[k + 1]
+        assert g == dual_graph(g.name, g.vertices, g.edges)
+        assert g == _reference_apply_step(t.levels[k], step)
+        for v in g.vertices:
+            if v.self_int == -1 and v.kappa == -1:
+                lower, back = contract(g, v.id)
+                assert lower == dual_graph(lower.name, lower.vertices, lower.edges)
+                assert (lower, back) == _reference_contract(g, v.id)
+                assert apply_step(lower, back) == g

@@ -136,6 +136,32 @@ class TestExitCodes:
         code = main(["validate", "--graph", str(path)])
         assert code == 1 and capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("spec", ["E1:1.5", "E1:1e1", "E1:1_0"])
+    def test_decimal_inline_coefficient_is_input_error(self, capsys, tmp_path, spec):
+        path = tmp_path / "a3.json"
+        path.write_text(emit_graph_document(GraphDocument(name="A3", graph=corpus.get("A3").graph)))
+        code = main(["antinef-closure", "--graph", str(path), "--cycle", spec])
+        assert code == 1 and capsys.readouterr().err.startswith("error:")
+
+    def test_decimal_document_coefficient_is_input_error(self, capsys, tmp_path):
+        doc = json.loads(emit_graph_document(GraphDocument(name="A3", graph=corpus.get("A3").graph)))
+        doc["cycles"] = {"Z": {"E1": "1.5"}}
+        path = tmp_path / "a3.json"
+        path.write_text(json.dumps(doc))
+        code = main(["antinef-closure", "--graph", str(path), "--cycle", "Z"])
+        assert code == 1 and capsys.readouterr().err.startswith("error:")
+
+    def test_id_unnameable_inline_is_input_error(self, capsys, tmp_path):
+        g = {"format": 1, "name": "g", "vertices": [{"id": "E:1", "self_int": -2, "kappa": 0}]}
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(g))
+        code = main(["validate", "--graph", str(path)])
+        assert code == 1 and capsys.readouterr().err.startswith("error:")
+
+    def test_blowup_new_id_unnameable_inline_is_input_error(self, capsys, a1b_file):
+        code = main(["blowup", "--graph", a1b_file, "--center", "E", "--new-id", "X,1"])
+        assert code == 1 and capsys.readouterr().err.startswith("error:")
+
     def test_oracle_overflow_is_precondition_error(self, capsys, tmp_path):
         g = {"format": 1, "name": "g", "vertices": [{"id": "E", "self_int": -(2**62), "kappa": 2**62 - 2}]}
         path = tmp_path / "g.json"

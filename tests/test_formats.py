@@ -1,6 +1,7 @@
 """JSON document parsing, emission, and round-trip stability."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -151,3 +152,47 @@ class TestInlineCycles:
             parse_inline_cycle("E1:2,E1:3", g)
         with pytest.raises(InputError):
             parse_inline_cycle("E1:2, E1 :3", g)
+
+
+class TestInputGrammar:
+    BAD = ["1.5", "1e1", "1_0", "0x1", "1/2/3", "inf", "nan", "\u0663"]
+
+    @pytest.mark.parametrize("raw", BAD)
+    def test_inline_coefficient_grammar(self, raw):
+        g = corpus.get("A2").graph
+        with pytest.raises(InputError, match="integer or 'p/q'"):
+            parse_inline_cycle(f"E1:{raw}", g)
+
+    @pytest.mark.parametrize("raw", BAD + [" 3", "3 ", ""])
+    def test_document_coefficient_grammar(self, raw):
+        obj = json.loads(emit_graph_document(_graph_doc("A2")))
+        obj["cycles"] = {"Z": {"E1": raw}}
+        with pytest.raises(InputError, match="integer or 'p/q'"):
+            parse_graph_document(obj)
+
+    @pytest.mark.parametrize(
+        "raw,value", [("3", 3), ("-2", -2), ("+4", 4), ("6/4", Fraction(3, 2)), ("-1/2", Fraction(-1, 2))]
+    )
+    def test_accepted_coefficients(self, raw, value):
+        g = corpus.get("A2").graph
+        assert parse_inline_cycle(f"E1:{raw}", g).coeff("E1") == value
+        obj = json.loads(emit_graph_document(_graph_doc("A2")))
+        obj["cycles"] = {"Z": {"E1": raw}}
+        assert parse_graph_document(obj).cycles["Z"].coeff("E1") == value
+
+    def test_zero_denominator_rejected(self):
+        with pytest.raises(InputError, match="cannot parse rational"):
+            parse_inline_cycle("E1:1/0", corpus.get("A2").graph)
+
+    @pytest.mark.parametrize("vid", ["E:1", "E,1", ":", ","])
+    def test_graph_ids_must_be_nameable_inline(self, vid):
+        obj = {"format": 1, "name": "g", "vertices": [{"id": vid, "self_int": -2, "kappa": 0}]}
+        with pytest.raises(InputError, match="inline cycles cannot name"):
+            parse_graph_document(obj)
+
+    @pytest.mark.parametrize("op", ["blowup_free", "blowup_edge"])
+    def test_tower_new_ids_must_be_nameable_inline(self, op):
+        step = {"op": op, "vertex": "E1", "a": "E1", "b": "E2", "new_id": "X:1"}
+        obj = {"format": 1, "base": json.loads(emit_graph_document(_graph_doc("A2"))), "steps": [step]}
+        with pytest.raises(InputError, match="inline cycles cannot name"):
+            parse_tower_document(obj)

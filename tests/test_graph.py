@@ -111,6 +111,11 @@ class TestCycles:
         with pytest.raises(InputError):
             cycle(g, {"E9": 1})
 
+    @pytest.mark.parametrize("value", [True, False, 1.0, "1"])
+    def test_non_exact_coefficients_rejected(self, value):
+        with pytest.raises(InputError):
+            cycle(corpus.get("A2").graph, {"E1": value})
+
     def test_fraction_coefficients(self):
         g = corpus.get("A2").graph
         z = cycle(g, {"E1": Fraction(1, 2)})

@@ -1,9 +1,10 @@
 """Ideal representations: colon, core, goodness, cones."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from antinef import corpus
-from antinef.birational import Tower, free_point
+from antinef.birational import Tower, contract, free_point, relative_canonical
 from antinef.errors import PreconditionError, TheoremViolationError
 from antinef.graph import cycle, dual_graph, unit_cycle
 from antinef.ideals import (
@@ -19,7 +20,8 @@ from antinef.ideals import (
     singularity_model,
     stability_defect,
 )
-from antinef.lattice import colength, multiplicity
+from antinef.lattice import colength, fundamental_cycle, multiplicity, pair, row_pairing
+from towers import grow
 
 
 def _rational_ideal(base, steps, z_coeffs, gorenstein=False):
@@ -226,3 +228,87 @@ class TestGorensteinColengthFormula:
         l = colength(ideal.z, pg=ideal.model.pg, h1=ideal.h1)
         assert is_good(ideal) == (e == 2 * l)
         assert e == 12 and l == 6
+
+
+# --- the pullback-and-pair formulas, kept as the reference -----------------
+
+
+def _reference_pullback(t, w, lo, hi):
+    coeffs = dict(w.coeffs)
+    for k in range(lo, hi):
+        step = t.steps[k]
+        lift = sum(m * coeffs.get(vid, 0) for vid, m in step.attach)
+        if lift != 0:
+            coeffs[step.new_id] = lift
+    return cycle(t.graph(hi), coeffs)
+
+
+def _reference_relative_canonical(t):
+    k = cycle(t.top, {})
+    for j, step in enumerate(t.steps):
+        k = k + _reference_pullback(t, unit_cycle(t.graph(j + 1), step.new_id), j + 1, t.height)
+    return k
+
+
+def _reference_colon_and_core(ideal):
+    """b, Y and the contraction tower: contract rational (-1)-curves off the
+    cohomological cycle in ascending-id scans, pull each back to the top as
+    F_i and pair it with Z."""
+    g, c = ideal.z.graph, ideal.c
+    graphs, steps = [g], []
+    while True:
+        cur = graphs[-1]
+        for v in cur.vertices:
+            e = unit_cycle(cur, v.id)
+            if (v.self_int, v.kappa) == (-1, -1) and c.coeff(v.id) == 0 and pair(c.restricted_to(cur), e) == 0:
+                lower, step = contract(cur, v.id)
+                graphs.append(lower)
+                steps.append(step)
+                break
+        else:
+            break
+    n = len(steps)
+    local = Tower(levels=tuple(reversed(graphs)), steps=tuple(reversed(steps)))
+    b, y = [], cycle(g, {})
+    for i, step in enumerate(steps):
+        f_i = _reference_pullback(local, unit_cycle(local.graph(n - i), step.new_id), n - i, n)
+        b.append(-pair(ideal.z, f_i))
+        if b[-1] > 0:
+            y = y + f_i
+    return tuple(b), y, local
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_colon_core_and_relative_canonical_match_pullback_formulas(data):
+    name = data.draw(st.sampled_from(["A1", "A3", "D4", "E6", "HJ(7,3)", "HJ(12,5)", "ex244blown"]))
+    if name == "ex244blown":
+        # the p_g = 1 worked example; growth away from E0 keeps Z numerically p_g
+        t = corpus.get(name).tower
+        model = singularity_model(t.levels[0], pg=1, gorenstein=True)
+        z0, avoid = data.draw(st.integers(1, 2)) * corpus.get(name).cycles["Z"], ("E0",)
+    else:
+        t = Tower.base(corpus.get(name).graph)
+        model = singularity_model(t.levels[0])
+        z0, avoid = data.draw(st.integers(1, 2)) * fundamental_cycle(t.levels[0]), ()
+    level = t.height
+    below = [v for v in t.top.ids if v not in avoid and row_pairing(z0, v) < 0]
+    t = grow(data, t, data.draw(st.integers(min_value=0, max_value=40)), avoid=avoid)
+    if data.draw(st.booleans()):
+        # E_Q on a curve B with Z.B < 0: pullback + k E_Q is anti-nef and not
+        # good for 1 <= k <= -Z.B
+        b_id = data.draw(st.sampled_from(below))
+        k = data.draw(st.integers(1, -row_pairing(z0, b_id)))
+        t = t.blow_up(free_point(b_id, "Q"))
+        z = _reference_pullback(t, z0, level, t.height) + k * unit_cycle(t.top, "Q")
+    else:
+        z = _reference_pullback(t, z0, level, t.height)
+    ideal = represent(model, t, t.height, z, h1=model.pg)
+    assume(ideal.pg_numeric)
+    rep = colon_and_core(ideal)
+    b, y, local = _reference_colon_and_core(ideal)
+    assert rep.b == b
+    assert rep.y == y
+    assert rep.contraction_tower == local
+    assert is_good(ideal) == rep.good
+    assert relative_canonical(t) == _reference_relative_canonical(t)
