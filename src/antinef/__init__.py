@@ -8,6 +8,7 @@ from .birational import (
     associated_pg_cycle,
     blowup,
     contract,
+    contract_all,
     edge_point,
     free_point,
     relative_canonical,

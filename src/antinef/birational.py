@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
 from .graph import Coeff, Cycle, DualGraph, Vertex, cycle, unit_cycle
@@ -142,7 +142,40 @@ def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
     elist += [(a, b, m) for (a, b), m in inner.items()]
     elist.sort()
     lower = DualGraph(g.name, verts, tuple(elist))
+    # seed the cached adjacency: only the curves vid met change neighbours
+    adj = dict(g.adjacency)
+    del adj[vid]
+    for u, mu in attach:
+        nb = {w: m for w, m in adj[u] if w != vid}
+        for w, mw in attach:
+            if w != u:
+                nb[w] = nb.get(w, 0) + mu * mw
+        adj[u] = tuple(sorted(nb.items()))
+    lower.__dict__["adjacency"] = adj
     return lower, TowerStep(new_id=vid, attach=attach)
+
+
+def contract_all(g: DualGraph, may_contract: Callable[[DualGraph, str], bool]) -> Tower:
+    """Contract rational (-1)-curves of g while one may go; returns the
+    sequence as a tower with g on top, bottom = most contracted.
+
+    Each scan runs over the current graph's curves in canonical order and
+    contracts the first rational (-1)-curve, other than the last curve, for
+    which ``may_contract(graph, vid)`` holds; then it scans again.  A
+    contraction keeps the survivors' coefficients, so a caller's coefficient
+    dict stays valid on every graph of the sequence.
+    """
+    graphs, steps = [g], []
+    while len(g.vertices) > 1:
+        for v in g.vertices:
+            if v.self_int == -1 and v.kappa == -1 and may_contract(g, v.id):
+                g, step = contract(g, v.id)
+                graphs.append(g)
+                steps.append(step)
+                break
+        else:
+            break
+    return Tower(levels=tuple(reversed(graphs)), steps=tuple(reversed(steps)))
 
 
 @dataclass(frozen=True)
@@ -242,7 +275,16 @@ def relative_canonical(t: Tower, top_level: Optional[int] = None, bottom_level: 
     return k
 
 
-def transport_cohom(t: Tower, c_base: Cycle, trace=None) -> tuple[Cycle, ...]:
+def transported(coeffs: Mapping[str, Coeff], attach: Sequence[tuple[str, int]]) -> Coeff:
+    """The cohomological cycle's coefficient on a curve inserted with these
+    attachments: its total transform sum m.C[u], minus 1 when the center lies
+    on supp C (some C[u] > 0)."""
+    on_curves = [coeffs.get(vid, 0) for vid, _ in attach]
+    lifted = sum(m * c for (_, m), c in zip(attach, on_curves))
+    return lifted - 1 if any(c > 0 for c in on_curves) else lifted
+
+
+def transport_cohom(t: Tower, c_base: Cycle) -> tuple[Cycle, ...]:
     """Transport the cohomological cycle from the bottom level to every level.
 
     Per step: if the center touches the support of C, the new curve is
@@ -256,16 +298,13 @@ def transport_cohom(t: Tower, c_base: Cycle, trace=None) -> tuple[Cycle, ...]:
         raise PreconditionError("cohomological cycle must live on the tower's bottom level")
     track = [c_base]
     for k, step in enumerate(t.steps):
-        c = track[-1]
-        lifted = t.pullback(c, k, k + 1)
-        on_supp = any(c.coeff(vid) > 0 for vid, _ in step.attach)
-        nxt = lifted - unit_cycle(t.graph(k + 1), step.new_id) if on_supp else lifted
+        coeffs = track[-1].as_dict()
+        coeffs[step.new_id] = transported(coeffs, step.attach)
+        nxt = cycle(t.graph(k + 1), coeffs)
         if not nxt.is_effective:
             raise PreconditionError(
                 f"cohomological cycle turned negative at level {k + 1}; inconsistent input"
             )
-        if trace is not None:
-            trace(f"level {k + 1}: C = {nxt}" + ("  (center on supp C)" if on_supp else ""))
         track.append(nxt)
     return tuple(track)
 
@@ -282,7 +321,6 @@ def associated_pg_cycle(
     z: Cycle,
     branches: Sequence[tuple[str, int]],
     c_base: Cycle,
-    trace=None,
 ) -> tuple[Tower, Cycle]:
     """Blow up along the branches of a function divisor until none meets the
     cohomological cycle; returns the extended tower and the transported
@@ -330,5 +368,3 @@ def associated_pg_cycle(
         if not c.is_effective:
             raise TheoremViolationError("cohomological cycle turned negative during blow-up")
         live[i] = new_id
-        if trace is not None:
-            trace(f"blow up {vid!r} -> {new_id!r}: Z = {z}, C = {c}")

@@ -12,14 +12,22 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import corpus, oracle
-from .birational import Tower, contract, edge_point, free_point, relative_canonical
+from .birational import (
+    Tower,
+    contract,
+    contract_all,
+    edge_point,
+    free_point,
+    relative_canonical,
+    transported,
+)
 from .errors import InputError, LatticeError, PreconditionError
 from .formats import (
     GraphDocument,
+    coeff_out,
     emit_graph_document,
     emit_tower_document,
     parse_graph_document,
@@ -28,7 +36,7 @@ from .formats import (
     TowerDocument,
     vertex_id,
 )
-from .graph import Cycle, DualGraph, cycle, validate_graph, zero_cycle
+from .graph import Cycle, DualGraph, validate_graph, zero_cycle
 from .ideals import (
     IdealRep,
     colon_and_core,
@@ -54,20 +62,8 @@ from .lattice import (
 # --- rendering -------------------------------------------------------------
 
 
-def _coeff_out(value):
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return int(value)
-
-
 def _cycle_json(c: Cycle) -> dict:
-    return {vid: _coeff_out(v) for vid, v in c.coeffs}
-
-
-def _cycle_text(c: Cycle) -> str:
-    if c.is_zero:
-        return "0"
-    return ",".join(f"{vid}:{_coeff_out(v)}" for vid, v in c.coeffs)
+    return {vid: coeff_out(v) for vid, v in c.coeffs}
 
 
 def _emit(args, data: dict, order: Optional[list[str]] = None) -> None:
@@ -155,31 +151,11 @@ def _doc_cohom(doc_model: Optional[dict], cycles: dict, base: DualGraph) -> Opti
 def _minimalize(g: DualGraph, c: Cycle) -> tuple[Tower, Cycle]:
     """Contract rational (-1)-curves down to a minimal resolution, keeping the
     cohomological cycle consistent; returns the tower with g on top and the
-    cycle on the bottom graph."""
-    steps = []
-    cur, cc = g, c
-    changed = True
-    while changed:
-        changed = False
-        for v in cur.vertices:
-            if v.self_int != -1 or v.kappa != -1 or len(cur.vertices) == 1:
-                continue
-            lower, step = contract(cur, v.id)
-            c_low = cc.restricted_to(lower)
-            lift = sum(m * c_low.coeff(u) for u, m in step.attach)
-            expected = dict(c_low.coeffs)
-            on_supp = any(c_low.coeff(u) > 0 for u, _ in step.attach)
-            if on_supp:
-                lift -= 1
-            if lift:
-                expected[v.id] = lift
-            if cycle(cur, expected) != cc:
-                continue  # contraction would not transport C consistently
-            cur, cc = lower, c_low
-            steps.append(step)
-            changed = True
-            break
-    return Tower.from_steps(cur, reversed(steps)), cc
+    cycle on the bottom graph.  A curve may go only if transport along its
+    re-insertion gives back C's coefficient on it."""
+    cc = c.as_dict()
+    tower = contract_all(g, lambda h, vid: cc.get(vid, 0) == transported(cc, h.adjacency[vid]))
+    return tower, c.restricted_to(tower.levels[0])
 
 
 def _build_ideal(args, z_spec: str) -> IdealRep:
@@ -219,7 +195,6 @@ def cmd_validate(args) -> int:
     _emit(
         args,
         {
-            "symmetric": report.symmetric,
             "connected": report.connected,
             "negative_definite": report.negative_definite,
             "adjunction_ok": report.adjunction_ok,
@@ -261,14 +236,14 @@ def cmd_antinef_closure(args) -> int:
 def cmd_pa(args) -> int:
     doc = _graph_doc(args)
     z = _graph_cycle(args.cycle, doc)
-    _emit(args, {"pa": _coeff_out(arithmetic_genus(z))})
+    _emit(args, {"pa": coeff_out(arithmetic_genus(z))})
     return 0
 
 
 def cmd_multiplicity(args) -> int:
     doc = _graph_doc(args)
     z = _graph_cycle(args.cycle, doc)
-    _emit(args, {"multiplicity": _coeff_out(multiplicity(z))})
+    _emit(args, {"multiplicity": coeff_out(multiplicity(z))})
     return 0
 
 
@@ -406,8 +381,10 @@ def cmd_cone(args) -> int:
     return 0 if stats.all_ok else 3
 
 
-def _search_bound(args, z: Optional[Cycle]):
-    bound = oracle.default_bound(z) if z is not None else oracle.SearchBound()
+def _search_bound(args, z: Optional[Cycle] = None) -> oracle.SearchBound:
+    """The oracle's search box: the default for z, else --max-coeff; with
+    --max-search, that many candidates at most."""
+    bound = oracle.default_bound(z) if z is not None else oracle.SearchBound(max_coeff=args.max_coeff)
     if args.max_search is not None:
         bound = dataclasses.replace(bound, max_candidates=args.max_search)
     return bound
@@ -427,20 +404,14 @@ def cmd_oracle_max_y(args) -> int:
 
 def cmd_oracle_zf(args) -> int:
     doc = _graph_doc(args)
-    bound = oracle.SearchBound(max_coeff=args.max_coeff)
-    if args.max_search is not None:
-        bound = dataclasses.replace(bound, max_candidates=args.max_search)
-    zf = oracle.fundamental_cycle_bruteforce(doc.graph, bound)
+    zf = oracle.fundamental_cycle_bruteforce(doc.graph, _search_bound(args))
     _emit(args, {"fundamental_cycle": _cycle_json(zf)})
     return 0
 
 
 def cmd_oracle_negdef(args) -> int:
     doc = _graph_doc(args)
-    bound = oracle.SearchBound(max_coeff=args.max_coeff)
-    if args.max_search is not None:
-        bound = dataclasses.replace(bound, max_candidates=args.max_search)
-    _emit(args, {"negative_definite": oracle.negdef_bruteforce(doc.graph, bound)})
+    _emit(args, {"negative_definite": oracle.negdef_bruteforce(doc.graph, _search_bound(args))})
     return 0
 
 

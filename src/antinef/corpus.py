@@ -13,9 +13,6 @@ from .birational import Tower, free_point
 from .errors import InputError
 from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle
 
-_RATIONAL_KAPPA = 0  # every ADE curve is a smooth rational (-2)-curve
-
-
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str

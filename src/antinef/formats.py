@@ -82,10 +82,11 @@ def vertex_id(value: Any, path: str) -> str:
     return vid
 
 
-def _coeff_out(value: Coeff) -> Any:
-    if isinstance(value, Fraction):
+def coeff_out(value: Coeff) -> Any:
+    """A coefficient for output: an int, or "p/q" when it is not integral."""
+    if isinstance(value, Fraction) and value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
-    return value
+    return int(value)
 
 
 def _parse_vertices_edges(obj: dict, path: str) -> DualGraph:
@@ -163,7 +164,7 @@ def emit_graph_document(doc: GraphDocument) -> str:
     out["edges"] = [{"a": a, "b": b, "mult": m} for a, b, m in g.edges]
     if doc.cycles:
         out["cycles"] = {
-            name: {vid: _coeff_out(c) for vid, c in doc.cycles[name].coeffs}
+            name: {vid: coeff_out(c) for vid, c in doc.cycles[name].coeffs}
             for name in sorted(doc.cycles)
         }
     if doc.model is not None:
@@ -238,7 +239,7 @@ def emit_tower_document(doc: TowerDocument) -> str:
         out["cycles"] = {
             name: {
                 "level": doc.cycles[name][0],
-                "coeffs": {vid: _coeff_out(c) for vid, c in doc.cycles[name][1].coeffs},
+                "coeffs": {vid: coeff_out(c) for vid, c in doc.cycles[name][1].coeffs},
             }
             for name in sorted(doc.cycles)
         }

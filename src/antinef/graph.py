@@ -248,7 +248,6 @@ def unit_cycle(graph: DualGraph, vid: str) -> Cycle:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    symmetric: bool
     connected: bool
     negative_definite: bool
     adjunction_ok: bool
@@ -256,7 +255,7 @@ class ValidationReport:
 
     @property
     def ok(self) -> bool:
-        return self.symmetric and self.connected and self.negative_definite and self.adjunction_ok
+        return self.connected and self.negative_definite and self.adjunction_ok
 
 
 def det_bareiss(m: list[list[int]]) -> int:
@@ -393,9 +392,6 @@ def validate_graph(g: DualGraph) -> ValidationReport:
     """Check every DualGraph invariant; reports findings, never throws."""
     failures: list[str] = []
 
-    # symmetry holds by construction (edges are unordered pairs)
-    symmetric = True
-
     reach = {g.vertices[0].id}
     frontier = [g.vertices[0].id]
     while frontier:
@@ -422,7 +418,6 @@ def validate_graph(g: DualGraph) -> ValidationReport:
                 f"vertex {v.id!r} violates adjunction: self_int + kappa = {s} must be even and >= -2"
             )
     return ValidationReport(
-        symmetric=symmetric,
         connected=connected,
         negative_definite=negative_definite,
         adjunction_ok=adjunction_ok,

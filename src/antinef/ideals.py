@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .birational import Tower, TowerStep, associated_pg_cycle, contract, lift, transport_cohom
+from .birational import Tower, associated_pg_cycle, contract_all, lift, transport_cohom
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
 from .lattice import (
@@ -194,44 +194,14 @@ def _row(g: DualGraph, coeffs: dict[str, int], vid: str) -> int:
     )
 
 
-def _contract_disjoint_minus_one_curves(g: DualGraph, c: Cycle, trace=None):
-    """Contract, in ascending-id scans, every rational (-1)-curve disjoint
-    from the cohomological cycle.  Returns (graphs, steps) with graphs[0] = g
-    top-down: steps[i] contracts a curve of graphs[i] into graphs[i + 1].
-
-    A contracted curve is off supp C, so C keeps its coefficients on every
-    graph of the sequence.
-    """
-    cc = c.as_dict()
-    graphs = [g]
-    steps: list[TowerStep] = []
-    cur = g
-    while True:
-        for v in cur.vertices:
-            if (
-                v.self_int == -1
-                and v.kappa == -1
-                and v.id not in cc
-                and _row(cur, cc, v.id) == 0
-            ):
-                cur, step = contract(cur, v.id)
-                graphs.append(cur)
-                steps.append(step)
-                if trace is not None:
-                    trace(f"contract {v.id!r}")
-                break
-        else:
-            return graphs, steps
-
-
 def colon_and_core(ideal: IdealRep, trace=None) -> CoreReport:
     """Compute Q:I and core(I) for a numerically-p_g ideal.
 
-    One pass over the contraction sequence g = graphs[0] -> graphs[1] -> ...
-    of rational (-1)-curves E_i disjoint from the cohomological cycle.  By the
-    projection formula, b_i = -Z.F_i = -(pi_* Z).E_i on graphs[i], where pi_* Z
-    keeps Z's coefficients on the curves of graphs[i], so each b_i is one row
-    pairing there.  Y = sum over b_i > 0 of F_i is one bottom-up accumulation over
+    One pass over the contraction sequence (:func:`~antinef.birational.contract_all`)
+    of rational (-1)-curves E_1, E_2, ... disjoint from the cohomological
+    cycle.  By the projection formula, b_i = -Z.F_i = -(pi_* Z).E_i on the
+    graph E_i is contracted from, where pi_* Z keeps Z's coefficients on that
+    graph's curves, so each b_i is one row pairing there.  Y = sum over b_i > 0 of F_i is one bottom-up accumulation over
     the steps (:func:`~antinef.birational.lift`):
     Y[E_i] = sum m.Y[attach] + [b_i > 0].
 
@@ -243,18 +213,23 @@ def colon_and_core(ideal: IdealRep, trace=None) -> CoreReport:
         raise PreconditionError("colon_and_core needs a numerically-p_g ideal")
     g = ideal.tower.graph(ideal.level)
     z = ideal.z
-    graphs, steps = _contract_disjoint_minus_one_curves(g, ideal.c, trace=trace)
-    # rebuild the contraction sequence as a tower, bottom = most contracted
-    local = Tower.from_steps(graphs[-1], tuple(reversed(steps)))
-    if local.top != g:
+    # a contracted curve is off supp C, so C keeps its coefficients on every
+    # graph of the sequence
+    cc = ideal.c.as_dict()
+    local = contract_all(g, lambda h, vid: vid not in cc and _row(h, cc, vid) == 0)
+    if trace is not None:
+        for step in reversed(local.steps):
+            trace(f"contract {step.new_id!r}")
+    if Tower.from_steps(local.levels[0], local.steps).top != g:
         raise TheoremViolationError("contraction sequence did not replay to the input graph")
     zc = z.as_dict()
     b: list[int] = []
-    for i, step in enumerate(steps):
-        b_i = -_row(graphs[i], zc, step.new_id)  # -(pi_* Z).E_i on graphs[i]
+    for k in reversed(range(local.height)):  # top-down: E_i is contracted from levels[k + 1]
+        step = local.steps[k]
+        b_i = -_row(local.levels[k + 1], zc, step.new_id)  # -(pi_* Z).E_i there
         if b_i < 0:
             raise TheoremViolationError(
-                f"b_{i + 1} = {b_i} < 0 for contracted curve {step.new_id!r}"
+                f"b_{len(b) + 1} = {b_i} < 0 for contracted curve {step.new_id!r}"
             )
         b.append(b_i)
     y = cycle(g, lift({}, local.steps, [int(b_i > 0) for b_i in reversed(b)]))
@@ -279,7 +254,7 @@ def colon_and_core(ideal: IdealRep, trace=None) -> CoreReport:
         colength_colon=colength(colon, pg, pg),
         colength_core=colength(core, pg, pg),
         contraction_tower=local,
-        good_cycle=z.restricted_to(graphs[-1]),
+        good_cycle=z.restricted_to(local.levels[0]),
     )
 
 
@@ -289,17 +264,10 @@ def is_good(ideal: IdealRep) -> bool:
     cycle."""
     if not ideal.pg_numeric:
         raise PreconditionError("is_good needs a numerically-p_g ideal")
-    g = ideal.tower.graph(ideal.level)
     # a contraction keeps the survivors' coefficients: pi_* Z and pi_* C are
     # Z and C read on the curves that are left
     zc, cc = ideal.z.as_dict(), ideal.c.as_dict()
-    while True:
-        for v in g.vertices:
-            if v.self_int == -1 and v.kappa == -1 and _row(g, zc, v.id) == 0:
-                g, _ = contract(g, v.id)
-                break
-        else:
-            break
+    g = contract_all(ideal.tower.graph(ideal.level), lambda h, vid: _row(h, zc, vid) == 0).levels[0]
     for v in g.vertices:
         if v.self_int == -1 and v.kappa == -1:
             if v.id not in cc and _row(g, cc, v.id) == 0:
@@ -328,22 +296,13 @@ def good_closure(ideal: IdealRep) -> IdealRep:
     local = report.contraction_tower
     # extend the contraction all the way down to the model base so the
     # result lives on a tower over the base
-    cur = local.graph(0)
-    lower_steps: list[TowerStep] = []
-    while True:
-        for v in cur.vertices:
-            if v.self_int == -1 and v.kappa == -1:
-                cur, step = contract(cur, v.id)
-                lower_steps.append(step)
-                break
-        else:
-            break
-    if not _same_lattice(cur, ideal.model.base):
+    lower = contract_all(local.graph(0), lambda h, vid: True)
+    if not _same_lattice(lower.levels[0], ideal.model.base):
         raise TheoremViolationError(
             "contracting all (-1)-curves did not reach the model base"
         )
-    full = Tower.from_steps(ideal.model.base, tuple(reversed(lower_steps)) + local.steps)
-    level = len(lower_steps)
+    full = Tower.from_steps(ideal.model.base, lower.steps + local.steps)
+    level = lower.height
     z = cycle(full.graph(level), report.good_cycle.as_dict())
     result = represent(ideal.model, full, level, z)
     if not is_good(result):

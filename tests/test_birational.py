@@ -11,13 +11,17 @@ from antinef.birational import (
     associated_pg_cycle,
     blowup,
     contract,
+    contract_all,
     edge_point,
     free_point,
     relative_canonical,
     transport_cohom,
+    transported,
 )
+from antinef.cli import _minimalize
 from antinef.errors import InputError, PreconditionError
 from antinef.graph import Vertex, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
+from antinef.ideals import _row, colon_and_core, represent, singularity_model
 from antinef.lattice import arithmetic_genus, contracts_to_smooth, fundamental_cycle, pair
 from towers import grow
 
@@ -245,4 +249,98 @@ def test_surgery_keeps_canonical_order(data):
                 lower, back = contract(g, v.id)
                 assert lower == dual_graph(lower.name, lower.vertices, lower.edges)
                 assert (lower, back) == _reference_contract(g, v.id)
+                assert lower.adjacency == dual_graph(lower.name, lower.vertices, lower.edges).adjacency
                 assert apply_step(lower, back) == g
+
+
+# --- the contraction loops as they were written before contract_all --------
+
+
+def _reference_loop(g, may_go, spare_last=False):
+    """Scan for a rational (-1)-curve, contract it, rescan.  ``may_go(cur,
+    lower, step)`` judges the contraction after it is made; the loop of the
+    CLI's minimalization also left the last curve alone."""
+    graphs, steps = [g], []
+    while True:
+        cur = graphs[-1]
+        for v in cur.vertices:
+            if (v.self_int, v.kappa) != (-1, -1) or (spare_last and len(cur.vertices) == 1):
+                continue
+            lower, step = contract(cur, v.id)
+            if may_go(cur, lower, step):
+                graphs.append(lower)
+                steps.append(step)
+                break
+        else:
+            break
+    return Tower(levels=tuple(reversed(graphs)), steps=tuple(reversed(steps)))
+
+
+def _pairs_to_zero(w):
+    """The old rule of colon/core and is_good: W.E = 0 on the graph E leaves."""
+    return lambda cur, lower, step: pair(w.restricted_to(cur), unit_cycle(cur, step.new_id)) == 0
+
+
+def _transports_back(c):
+    """The old minimalization rule: re-inserting the curve transports C
+    (restricted to the lower graph) back to C itself."""
+    def may_go(cur, lower, step):
+        c_low = c.restricted_to(lower)
+        lifted = Tower(levels=(lower, cur), steps=(step,)).pullback(c_low, 0, 1)
+        if any(c_low.coeff(u) > 0 for u, _ in step.attach):
+            lifted = lifted - unit_cycle(cur, step.new_id)
+        return lifted == c.restricted_to(cur)
+    return may_go
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_contract_all_matches_the_four_loops(data):
+    name = data.draw(st.sampled_from(["A1", "A3", "D4", "E6", "HJ(7,3)", "ex244blown"]))
+    if name == "ex244blown":
+        t = corpus.get(name).tower
+        model = singularity_model(t.levels[0], pg=1, gorenstein=True)
+        z0, avoid = corpus.get(name).cycles["Z"], ("E0",)
+    else:
+        t = Tower.base(corpus.get(name).graph)
+        model = singularity_model(t.levels[0])
+        z0, avoid = fundamental_cycle(t.levels[0]), ()
+    level = t.height
+    t = grow(data, t, data.draw(st.integers(min_value=0, max_value=25)), avoid=avoid)
+    g = t.top
+    c = transport_cohom(t, model.c_base)[-1]
+    z = t.pullback(data.draw(st.integers(1, 2)) * z0, level, t.height)
+    if data.draw(st.booleans()):
+        # a cohomological cycle that some contraction would not transport
+        vid = data.draw(st.sampled_from(g.ids))
+        c_any = c + unit_cycle(g, vid)
+    else:
+        c_any = c
+    zc, cc, ca = z.as_dict(), c.as_dict(), c_any.as_dict()
+    disjoint = contract_all(g, lambda h, vid: vid not in cc and _row(h, cc, vid) == 0)
+    assert disjoint == _reference_loop(
+        g, lambda cur, lower, step: c.coeff(step.new_id) == 0 and _pairs_to_zero(c)(cur, lower, step)
+    )
+    assert contract_all(g, lambda h, vid: _row(h, zc, vid) == 0) == _reference_loop(g, _pairs_to_zero(z))
+    everything = contract_all(g, lambda h, vid: True)
+    assert everything == _reference_loop(g, lambda cur, lower, step: True)
+    assert everything.levels[0] == t.levels[0]
+    minimal = contract_all(g, lambda h, vid: ca.get(vid, 0) == transported(ca, h.adjacency[vid]))
+    assert minimal == _reference_loop(g, _transports_back(c_any), spare_last=True)
+    # the library and CLI paths run the same engine
+    assert _minimalize(g, c_any) == (minimal, c_any.restricted_to(minimal.levels[0]))
+    ideal = represent(model, t, t.height, z, h1=model.pg)
+    if ideal.pg_numeric:
+        assert colon_and_core(ideal).contraction_tower == disjoint
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_transport_is_pullback_minus_the_new_curve_on_supp(data):
+    t = grow(data, corpus.get("ex244blown").tower, data.draw(st.integers(min_value=1, max_value=20)))
+    track = transport_cohom(t, unit_cycle(t.levels[0], "E0"))
+    for k, step in enumerate(t.steps):
+        want = t.pullback(track[k], k, k + 1)
+        if any(track[k].coeff(u) > 0 for u, _ in step.attach):
+            want = want - unit_cycle(t.graph(k + 1), step.new_id)
+        assert track[k + 1] == want

@@ -7,7 +7,7 @@ import pytest
 from antinef import corpus
 from antinef.cli import main
 from antinef.formats import emit_graph_document, emit_tower_document, GraphDocument, TowerDocument
-from antinef.graph import dual_graph
+from antinef.graph import cycle, dual_graph
 from antinef.lattice import fundamental_cycle, is_rational
 
 
@@ -28,6 +28,19 @@ def ex244_tower_file(tmp_path):
     )
     path = tmp_path / "ex244.json"
     path.write_text(emit_tower_document(doc))
+    return str(path)
+
+
+def _ex244_graph_file(tmp_path, cohom):
+    """The ex244 top graph as a graph document declaring model.cohom_cycle."""
+    entry = corpus.get("ex244blown")
+    cycles = {"Z": entry.cycles["Z"], "C": cycle(entry.graph, cohom)}
+    doc = GraphDocument(
+        name=entry.name, graph=entry.graph, cycles=cycles,
+        model={**entry.model_args, "cohom_cycle": "C"},
+    )
+    path = tmp_path / "ex244_graph.json"
+    path.write_text(emit_graph_document(doc))
     return str(path)
 
 
@@ -67,6 +80,25 @@ class TestColonCore:
         data = json.loads(out)
         assert data["good"] is True
         assert data["core"] == {"E0": 4, "E1": 6, "E2": 6, "E3": 6, "E4": 6}
+
+
+class TestDeclaredCohomologicalCycle:
+    @pytest.mark.parametrize("command", ["colon-core", "good-closure"])
+    def test_graph_document_matches_tower_document(self, capsys, tmp_path, ex244_tower_file, command):
+        graph_file = _ex244_graph_file(tmp_path, {"E0": 1})
+        code, on_graph = run(capsys, command, "--graph", graph_file, "--cycle", "Z", "--json")
+        code2, on_tower = run(capsys, command, "--tower", ex244_tower_file, "--cycle", "Z", "--json")
+        assert code == code2 == 0
+        assert on_graph == on_tower
+
+    def test_cycle_a_contraction_cannot_transport_is_not_minimal(self, capsys, tmp_path):
+        # E1 sits on E0, in supp C: its re-insertion gives C[E1] = 1 - 1 = 0, not 1,
+        # so E1 stays and the graph never reaches a minimal resolution
+        graph_file = _ex244_graph_file(tmp_path, {"E0": 1, "E1": 1})
+        code = main(["colon-core", "--graph", graph_file, "--cycle", "Z"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "not a minimal resolution" in captured.err
 
 
 class TestThinWrapper:
