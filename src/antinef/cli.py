@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Every command is a thin wrapper: it parses documents, calls exactly one
-library operation, and serializes the result.  Exit codes: 0 success,
-1 input/schema error, 2 mathematical precondition violated, 3 internal
-theorem violation.
+Every command is one entry of the table ``COMMANDS``: it reads at most one
+document, makes one library call and prints the result.  Exit codes: 0
+success, 1 input/schema error, 2 mathematical precondition violated, 3
+internal theorem violation.
 """
 
 from __future__ import annotations
@@ -12,18 +12,13 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Optional
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
+from typing import Any, Callable, Optional
 
-from . import corpus, oracle
-from .birational import (
-    Tower,
-    contract,
-    contract_all,
-    edge_point,
-    free_point,
-    relative_canonical,
-    transported,
-)
+from . import corpus, ideals, lattice, oracle
+from .birational import Tower, blowup, contract, contract_all, edge_point, free_point, relative_canonical, transported
 from .errors import InputError, LatticeError, PreconditionError
 from .formats import (
     GraphDocument,
@@ -37,114 +32,43 @@ from .formats import (
     vertex_id,
 )
 from .graph import Cycle, DualGraph, validate_graph, zero_cycle
-from .ideals import (
-    IdealRep,
-    colon_and_core,
-    cone_model,
-    core_monotone_check,
-    good_closure,
-    includes,
-    is_good,
-    represent,
-    singularity_model,
-)
-from .lattice import (
-    antinef_closure,
-    arithmetic_genus,
-    canonical_cycle,
-    colength,
-    fundamental_cycle,
-    is_rational,
-    multiplicity,
-)
 
 
-# --- rendering -------------------------------------------------------------
-
-
-def _cycle_json(c: Cycle) -> dict:
-    return {vid: coeff_out(v) for vid, v in c.coeffs}
-
-
-def _emit(args, data: dict, order: Optional[list[str]] = None) -> None:
-    """Print a result dict as JSON (--json) or as key = value lines."""
-    if args.json:
-        print(json.dumps(data, indent=None, separators=(",", ":"), sort_keys=False))
-        return
-    for key in order or data.keys():
-        value = data[key]
-        if isinstance(value, dict):
-            value = ",".join(f"{k}:{v}" for k, v in value.items()) or "0"
-        elif isinstance(value, bool):
-            value = "true" if value else "false"
-        print(f"{key} = {value}")
-
-
-def _trace(args):
-    if not args.trace:
-        return None
-    return lambda msg: print(f"# {msg}")
-
-
-def _closure_trace(args):
-    if not args.trace:
-        return None
-    return lambda vid, coeff: print(f"# raise {vid} -> {coeff}")
-
-
-# --- input plumbing --------------------------------------------------------
+# --- the document of one call --------------------------------------------------
 
 
 def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from None
 
 
-def _graph_doc(args) -> GraphDocument:
-    if getattr(args, "graph", None):
-        return parse_graph_document(_read(args.graph))
-    raise InputError("this command needs --graph FILE")
-
-
-def _tower_doc(args) -> TowerDocument:
-    if getattr(args, "tower", None):
-        return parse_tower_document(_read(args.tower))
-    raise InputError("this command needs --tower FILE")
-
-
-def _graph_cycle(spec: str, doc: GraphDocument) -> Cycle:
-    if spec in doc.cycles:
-        return doc.cycles[spec]
-    return parse_inline_cycle(spec, doc.graph)
-
-
-def _tower_cycle(spec: str, doc: TowerDocument, level: Optional[int]) -> tuple[int, Cycle]:
+def _tower_cycle(doc: TowerDocument, spec: str, level: Optional[int]) -> tuple[int, Cycle]:
+    """A named cycle of the document with its level, or an inline one on the
+    graph at level (default: the top)."""
     if spec in doc.cycles:
         lv, c = doc.cycles[spec]
         if level is not None and level != lv:
             raise InputError(f"cycle {spec!r} is declared at level {lv}, not {level}")
         return lv, c
-    t = doc.tower
-    lv = t.height if level is None else level
-    return lv, parse_inline_cycle(spec, t.graph(lv))
+    lv = doc.tower.height if level is None else level
+    return lv, parse_inline_cycle(spec, doc.tower.graph(lv))
 
 
-def _doc_cohom(doc_model: Optional[dict], cycles: dict, base: DualGraph) -> Optional[Cycle]:
-    if not doc_model or "cohom_cycle" not in doc_model:
+def _doc_cohom(doc: GraphDocument | TowerDocument) -> Optional[Cycle]:
+    """The cycle that model.cohom_cycle names; on a tower, one at level 0."""
+    name = (doc.model or {}).get("cohom_cycle")
+    if name is None:
         return None
-    name = doc_model["cohom_cycle"]
-    if name not in cycles:
+    if name not in doc.cycles:
         raise InputError(f"model.cohom_cycle names unknown cycle {name!r}")
-    c = cycles[name]
-    if isinstance(c, tuple):  # tower document: (level, cycle)
+    c = doc.cycles[name]
+    if isinstance(doc, TowerDocument):
         level, c = c
         if level != 0:
             raise InputError("model.cohom_cycle must be declared at level 0")
-    if c.graph != base:
-        raise InputError("model.cohom_cycle must live on the base graph")
     return c
 
 
@@ -158,227 +82,161 @@ def _minimalize(g: DualGraph, c: Cycle) -> tuple[Tower, Cycle]:
     return tower, c.restricted_to(tower.levels[0])
 
 
-def _build_ideal(args, z_spec: str) -> IdealRep:
-    """Assemble an ideal representation from --graph or --tower input."""
-    h1 = getattr(args, "h1", None)
-    if getattr(args, "tower", None):
-        doc = _tower_doc(args)
-        base = doc.tower.levels[0]
+class _Input:
+    """The document a call names, read and parsed on first use, once.  First
+    use, so that a command's own argument checks (blowup's --center) still
+    come before any error in the document."""
+
+    def __init__(self, args: argparse.Namespace, reads: Optional[str]):
+        self.args, self.reads = args, reads
+
+    @cached_property
+    def doc(self) -> GraphDocument | TowerDocument:
+        """--graph or --tower as the command declares; for "either", --tower
+        when it is given."""
+        if self.reads != "graph" and self.args.tower:
+            return parse_tower_document(_read(self.args.tower))
+        if self.reads != "tower" and self.args.graph:
+            return parse_graph_document(_read(self.args.graph))
+        raise InputError(f"this command needs --{'tower' if self.reads == 'tower' else 'graph'} FILE")
+
+    @property
+    def graph(self) -> DualGraph:
+        return self.doc.graph
+
+    def cycle(self, spec: str) -> Cycle:
+        """A named cycle of the graph document, or an inline one on its graph."""
+        if spec in self.doc.cycles:
+            return self.doc.cycles[spec]
+        return parse_inline_cycle(spec, self.graph)
+
+    def ideal_reps(self, *specs: str) -> list[ideals.IdealRep]:
+        """The ideals of the named or inline cycles on the document's model.
+        A graph document is first minimalized: its graph becomes the top of
+        the resulting tower, its cycles live on that level, and --level does
+        not apply."""
+        doc, level = self.doc, self.args.level
+        c = _doc_cohom(doc)
+        if isinstance(doc, GraphDocument):
+            tower, c = _minimalize(doc.graph, c or zero_cycle(doc.graph))
+            c = None if c.is_zero else c  # a zero cycle declares none
+            cycles = {name: (tower.height, z) for name, z in doc.cycles.items()}
+            doc, level = TowerDocument(doc.name, tower, cycles, doc.model), None
         margs = doc.model or {}
-        c_base = _doc_cohom(doc.model, doc.cycles, base)
-        model = singularity_model(
-            base, pg=margs.get("pg"), gorenstein=margs.get("gorenstein", False), c_base=c_base
+        model = ideals.singularity_model(
+            doc.tower.levels[0], pg=margs.get("pg"), gorenstein=margs.get("gorenstein", False), c_base=c
         )
-        level, z = _tower_cycle(z_spec, doc, getattr(args, "level", None))
-        return represent(model, doc.tower, level, z, h1=h1)
-    doc = _graph_doc(args)
-    g = doc.graph
-    margs = doc.model or {}
-    c_top = _doc_cohom(doc.model, doc.cycles, g) or zero_cycle(g)
-    tower, c_base = _minimalize(g, c_top)
-    model = singularity_model(
-        tower.levels[0],
-        pg=margs.get("pg"),
-        gorenstein=margs.get("gorenstein", False),
-        c_base=c_base if not c_base.is_zero else None,
-    )
-    z = _graph_cycle(z_spec, doc)
-    return represent(model, tower, tower.height, z, h1=h1)
+        return [ideals.represent(model, doc.tower, *_tower_cycle(doc, spec, level), h1=self.args.h1) for spec in specs]
 
 
-# --- commands ---------------------------------------------------------------
+# --- rendering -------------------------------------------------------------------
 
 
-def cmd_validate(args) -> int:
-    doc = _graph_doc(args)
-    report = validate_graph(doc.graph)
-    _emit(
-        args,
-        {
-            "connected": report.connected,
-            "negative_definite": report.negative_definite,
-            "adjunction_ok": report.adjunction_ok,
-            "ok": report.ok,
-            "failures": list(report.failures),
-        },
-    )
-    return 0 if report.ok else 2
+def _fields(obj, *names: str) -> dict:
+    return {name: getattr(obj, name) for name in names}
 
 
-def cmd_fundamental_cycle(args) -> int:
-    doc = _graph_doc(args)
-    zf = fundamental_cycle(doc.graph, on_step=_closure_trace(args))
-    _emit(args, {"fundamental_cycle": _cycle_json(zf)})
-    return 0
+def _plain(value: Any) -> Any:
+    """A cycle as a coefficient map, a rational as coeff_out gives it, a
+    tuple as a list."""
+    if isinstance(value, Cycle):
+        return {vid: coeff_out(c) for vid, c in value.coeffs}
+    if isinstance(value, tuple):
+        return list(value)
+    return coeff_out(value) if isinstance(value, Fraction) else value
 
 
-def cmd_canonical_cycle(args) -> int:
-    doc = _graph_doc(args)
-    zk = canonical_cycle(doc.graph)
-    _emit(args, {"canonical_cycle": _cycle_json(zk)})
-    return 0
+def _emit(args, fields: dict) -> None:
+    """Print result fields as JSON (--json) or as key = value lines."""
+    fields = {key: _plain(value) for key, value in fields.items()}
+    if args.json:
+        print(json.dumps(fields, separators=(",", ":")))
+        return
+    for key, value in fields.items():
+        if isinstance(value, dict):
+            value = ",".join(f"{k}:{v}" for k, v in value.items()) or "0"
+        elif isinstance(value, bool):
+            value = "true" if value else "false"
+        print(f"{key} = {value}")
 
 
-def cmd_is_rational(args) -> int:
-    doc = _graph_doc(args)
-    _emit(args, {"rational": is_rational(doc.graph)})
-    return 0
+def _graph_text(g: DualGraph) -> str:
+    return emit_graph_document(GraphDocument(name=g.name, graph=g))
 
 
-def cmd_antinef_closure(args) -> int:
-    doc = _graph_doc(args)
-    d = _graph_cycle(args.cycle, doc)
-    z = antinef_closure(d, on_step=_closure_trace(args))
-    _emit(args, {"closure": _cycle_json(z)})
-    return 0
+# --- commands that are more than one call ------------------------------------------
 
 
-def cmd_pa(args) -> int:
-    doc = _graph_doc(args)
-    z = _graph_cycle(args.cycle, doc)
-    _emit(args, {"pa": coeff_out(arithmetic_genus(z))})
-    return 0
+def _raises(args):
+    """--trace of a closure: one line per raise."""
+    return (lambda vid, coeff: print(f"# raise {vid} -> {coeff}")) if args.trace else None
 
 
-def cmd_multiplicity(args) -> int:
-    doc = _graph_doc(args)
-    z = _graph_cycle(args.cycle, doc)
-    _emit(args, {"multiplicity": coeff_out(multiplicity(z))})
-    return 0
+def _validate(args, src: _Input):
+    report = validate_graph(src.graph)
+    fields = _fields(report, "connected", "negative_definite", "adjunction_ok", "ok", "failures")
+    return fields, 0 if report.ok else 2
 
 
-def cmd_colength(args) -> int:
-    doc = _graph_doc(args)
-    z = _graph_cycle(args.cycle, doc)
-    _emit(args, {"colength": colength(z, pg=args.pg, h1=args.h1)})
-    return 0
+def _blowup(args, src: _Input) -> str:
+    new_id = vertex_id(args.new_id, "--new-id")
+    ids = [part.strip() for part in args.center.split(",") if part.strip()]
+    if len(ids) not in (1, 2):
+        raise InputError(f"--center wants one or two vertex ids, got {args.center!r}")
+    center = free_point(ids[0], new_id) if len(ids) == 1 else edge_point(ids[0], ids[1], new_id)
+    if isinstance(src.doc, TowerDocument):
+        return emit_tower_document(dataclasses.replace(src.doc, tower=src.doc.tower.blow_up(center)))
+    return _graph_text(blowup(src.graph, center)[0])
 
 
-def _parse_center(raw: str, new_id: str):
-    new_id = vertex_id(new_id, "--new-id")
-    ids = [part.strip() for part in raw.split(",") if part.strip()]
-    if len(ids) == 1:
-        return free_point(ids[0], new_id)
-    if len(ids) == 2:
-        return edge_point(ids[0], ids[1], new_id)
-    raise InputError(f"--center wants one or two vertex ids, got {raw!r}")
+def _transfer(args, src: _Input, move: Callable[[Cycle, int, int], Cycle], default_to: int) -> dict:
+    """Pull back or push forward --cycle (at --from) to --to."""
+    lv, c = _tower_cycle(src.doc, args.cycle, args.from_level)
+    to = default_to if args.to_level is None else args.to_level
+    return {"level": to, "cycle": move(c, lv, to)}
 
 
-def cmd_blowup(args) -> int:
-    center = _parse_center(args.center, args.new_id)
-    if getattr(args, "tower", None):
-        doc = _tower_doc(args)
-        t = doc.tower.blow_up(center)
-        sys.stdout.write(emit_tower_document(dataclasses.replace(doc, tower=t)))
-        return 0
-    doc = _graph_doc(args)
-    from .birational import blowup as _blowup
-
-    g2, _ = _blowup(doc.graph, center)
-    sys.stdout.write(emit_graph_document(GraphDocument(name=g2.name, graph=g2)))
-    return 0
+def _relative_canonical(args, src: _Input) -> dict:
+    top = src.doc.tower.height if args.top is None else args.top
+    return {"level": top, "cycle": relative_canonical(src.doc.tower, top_level=top, bottom_level=args.bottom)}
 
 
-def cmd_contract(args) -> int:
-    doc = _graph_doc(args)
-    lower, _ = contract(doc.graph, args.vertex)
-    sys.stdout.write(emit_graph_document(GraphDocument(name=lower.name, graph=lower)))
-    return 0
+def _pg_test(args, src: _Input) -> dict:
+    ideal = src.ideal_reps(args.cycle)[0]
+    return {"pg_numeric": ideal.pg_numeric, "pg": ideal.model.pg, "h1": ideal.h1, "cohom_cycle": ideal.c}
 
 
-def cmd_pullback(args) -> int:
-    doc = _tower_doc(args)
-    lv, c = _tower_cycle(args.cycle, doc, args.from_level)
-    to = doc.tower.height if args.to_level is None else args.to_level
-    out = doc.tower.pullback(c, lv, to)
-    _emit(args, {"level": to, "cycle": _cycle_json(out)})
-    return 0
+def _colon_core(args, src: _Input) -> dict:
+    rep = ideals.colon_and_core(src.ideal_reps(args.cycle)[0])
+    if args.trace:  # the contraction sequence, in the order the curves go
+        for step in reversed(rep.contraction_tower.steps):
+            print(f"# contract {step.new_id!r}")
+    return {
+        "Y": rep.y,
+        "colon": rep.colon_cycle,
+        "core": rep.core_cycle,
+        "good": rep.good,
+        "iterations": rep.iterations_to_good,
+    }
 
 
-def cmd_pushforward(args) -> int:
-    doc = _tower_doc(args)
-    lv, c = _tower_cycle(args.cycle, doc, args.from_level)
-    to = 0 if args.to_level is None else args.to_level
-    out = doc.tower.pushforward(c, lv, to)
-    _emit(args, {"level": to, "cycle": _cycle_json(out)})
-    return 0
+def _good_closure(args, src: _Input) -> dict:
+    closed = ideals.good_closure(src.ideal_reps(args.cycle)[0])
+    return {"level": closed.level, "cycle": closed.z, "good": True}
 
 
-def cmd_relative_canonical(args) -> int:
-    doc = _tower_doc(args)
-    top = doc.tower.height if args.top is None else args.top
-    k = relative_canonical(doc.tower, top_level=top, bottom_level=args.bottom)
-    _emit(args, {"level": top, "cycle": _cycle_json(k)})
-    return 0
-
-
-def cmd_pg_test(args) -> int:
-    ideal = _build_ideal(args, args.cycle)
-    _emit(
-        args,
-        {
-            "pg_numeric": ideal.pg_numeric,
-            "pg": ideal.model.pg,
-            "h1": ideal.h1,
-            "cohom_cycle": _cycle_json(ideal.c),
-        },
-    )
-    return 0
-
-
-def cmd_colon_core(args) -> int:
-    ideal = _build_ideal(args, args.cycle)
-    rep = colon_and_core(ideal, trace=_trace(args))
-    _emit(
-        args,
-        {
-            "Y": _cycle_json(rep.y),
-            "colon": _cycle_json(rep.colon_cycle),
-            "core": _cycle_json(rep.core_cycle),
-            "good": rep.good,
-            "iterations": rep.iterations_to_good,
-        },
-    )
-    return 0
-
-
-def cmd_good_test(args) -> int:
-    ideal = _build_ideal(args, args.cycle)
-    _emit(args, {"good": is_good(ideal)})
-    return 0
-
-
-def cmd_good_closure(args) -> int:
-    ideal = _build_ideal(args, args.cycle)
-    closed = good_closure(ideal)
-    _emit(args, {"level": closed.level, "cycle": _cycle_json(closed.z), "good": True})
-    return 0
-
-
-def cmd_core_monotone(args) -> int:
-    i1 = _build_ideal(args, args.cycle)
-    i2 = _build_ideal(args, args.cycle2)
-    if not includes(i2, i1):
+def _core_monotone(args, src: _Input) -> dict:
+    i1, i2 = src.ideal_reps(args.cycle, args.cycle2)
+    if not ideals.includes(i2, i1):
         raise PreconditionError("--cycle2 must dominate --cycle coefficientwise")
-    _emit(args, {"monotone": core_monotone_check(i1, i2)})
-    return 0
+    return {"monotone": ideals.core_monotone_check(i1, i2)}
 
 
-def cmd_cone(args) -> int:
-    model, ideal, stats = cone_model(args.e, args.g, args.a)
-    _emit(
-        args,
-        {
-            "colength": stats.colength,
-            "colength_expected": stats.colength_expected,
-            "mu": stats.mu,
-            "mu_expected": stats.mu_expected,
-            "mult_gap": stats.mult_gap,
-            "mult_gap_expected": stats.mult_gap_expected,
-            "all_ok": stats.all_ok,
-        },
-    )
-    return 0 if stats.all_ok else 3
+def _cone(args, src: _Input):
+    stats = ideals.cone_model(args.e, args.g, args.a)[2]
+    names = "colength", "colength_expected", "mu", "mu_expected", "mult_gap", "mult_gap_expected", "all_ok"
+    fields = _fields(stats, *names)
+    return fields, 0 if stats.all_ok else 3
 
 
 def _search_bound(args, z: Optional[Cycle] = None) -> oracle.SearchBound:
@@ -390,58 +248,28 @@ def _search_bound(args, z: Optional[Cycle] = None) -> oracle.SearchBound:
     return bound
 
 
-def cmd_oracle_max_y(args) -> int:
-    doc = _graph_doc(args)
-    z = _graph_cycle(args.cycle, doc)
-    c = _graph_cycle(args.cohom, doc) if args.cohom else zero_cycle(doc.graph)
+def _oracle_max_y(args, src: _Input):
+    z = src.cycle(args.cycle)
+    c = src.cycle(args.cohom) if args.cohom else zero_cycle(src.graph)
     y = oracle.enumerate_max_Y(z, c, bound=_search_bound(args, z))
-    if y is None:
-        _emit(args, {"max_y": None})
-        return 3
-    _emit(args, {"max_y": _cycle_json(y)})
-    return 0
+    return {"max_y": y}, 0 if y is not None else 3
 
 
-def cmd_oracle_zf(args) -> int:
-    doc = _graph_doc(args)
-    zf = oracle.fundamental_cycle_bruteforce(doc.graph, _search_bound(args))
-    _emit(args, {"fundamental_cycle": _cycle_json(zf)})
-    return 0
+def _corpus_list(args, src: _Input) -> str:
+    names = corpus.names()
+    return json.dumps(names) + "\n" if args.json else "".join(f"{name}\n" for name in names)
 
 
-def cmd_oracle_negdef(args) -> int:
-    doc = _graph_doc(args)
-    _emit(args, {"negative_definite": oracle.negdef_bruteforce(doc.graph, _search_bound(args))})
-    return 0
-
-
-def cmd_corpus_list(args) -> int:
-    entries = corpus.names()
-    if args.json:
-        print(json.dumps(entries))
-    else:
-        for name in entries:
-            print(name)
-    return 0
-
-
-def cmd_corpus_show(args) -> int:
+def _corpus_show(args, src: _Input) -> str:
     entry = corpus.get(args.name)
+    model = entry.model_args or None
     if entry.tower is not None and args.as_tower:
-        cycles = {
-            name: (entry.tower.height, c) for name, c in entry.cycles.items()
-        }
-        doc = TowerDocument(name=entry.name, tower=entry.tower, cycles=cycles, model=entry.model_args or None)
-        sys.stdout.write(emit_tower_document(doc))
-        return 0
-    doc = GraphDocument(
-        name=entry.name, graph=entry.graph, cycles=entry.cycles, model=entry.model_args or None
-    )
-    sys.stdout.write(emit_graph_document(doc))
-    return 0
+        cycles = {name: (entry.tower.height, c) for name, c in entry.cycles.items()}
+        return emit_tower_document(TowerDocument(entry.name, entry.tower, cycles, model))
+    return emit_graph_document(GraphDocument(entry.name, entry.graph, entry.cycles, model))
 
 
-def cmd_corpus_verify(args) -> int:
+def _corpus_verify(args, src: _Input):
     from . import verify  # the acceptance suite loads only for this command
 
     results = verify.run_all(
@@ -449,15 +277,104 @@ def cmd_corpus_verify(args) -> int:
         samples=verify.DEFAULT_SAMPLES if args.samples is None else args.samples,
     )
     if args.json:
-        print(json.dumps([dataclasses.asdict(r) for r in results]))
+        text = json.dumps([dataclasses.asdict(r) for r in results]) + "\n"
     else:
         width = max(len(name) for name in verify.CRITERIA)
-        for name, r in zip(verify.CRITERIA, results):
-            print(f"{'PASS' if r.ok else 'FAIL'}  {name:<{width}}  {r.detail}")
-    return 0 if all(r.ok for r in results) else 3
+        text = "".join(
+            f"{'PASS' if r.ok else 'FAIL'}  {name:<{width}}  {r.detail}\n"
+            for name, r in zip(verify.CRITERIA, results)
+        )
+    return text, 0 if all(r.ok for r in results) else 3
 
 
-# --- parser ------------------------------------------------------------------
+# --- the table ---------------------------------------------------------------------
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    """One extra argument, as ``add_argument`` takes it."""
+    return flags, options
+
+
+@dataclass(frozen=True)
+class Command:
+    """One command: ``run(args, src)`` turns the parsed arguments and the
+    document (``src``, an ``_Input``) into result fields to render or text
+    to write, optionally paired with an exit code other than 0."""
+
+    name: str  # a command of a group is "group name", e.g. "oracle zf"
+    run: Callable[[argparse.Namespace, _Input], Any]
+    reads: Optional[str] = None  # the document: "graph", "tower" or "either"
+    cycle: bool = False  # takes --cycle
+    args: tuple = ()  # extra arguments, from _arg
+    help: Optional[str] = None
+    graph_required: bool = False  # --graph is a required option
+
+
+_IDEAL = dict(reads="either", cycle=True, args=(
+    _arg("--level", type=int, default=None, help="level of an inline cycle on a tower"),
+    _arg("--h1", type=int, default=None),
+))
+_TRANSFER = dict(reads="tower", cycle=True, args=(
+    _arg("--from", dest="from_level", type=int, default=None),
+    _arg("--to", dest="to_level", type=int, default=None),
+))
+_ORACLE = dict(reads="graph", graph_required=True)
+_MAX_SEARCH = _arg("--max-search", type=int, default=None, metavar="N")
+_MAX_COEFF = _arg("--max-coeff", type=int, default=6)
+
+COMMANDS: tuple[Command, ...] = (
+    Command("validate", _validate, reads="graph", help="check graph invariants"),
+    Command("fundamental-cycle",
+            lambda a, s: {"fundamental_cycle": lattice.fundamental_cycle(s.graph, on_step=_raises(a))}, reads="graph"),
+    Command("canonical-cycle", lambda a, s: {"canonical_cycle": lattice.canonical_cycle(s.graph)}, reads="graph"),
+    Command("is-rational", lambda a, s: {"rational": lattice.is_rational(s.graph)}, reads="graph"),
+    Command("antinef-closure",
+            lambda a, s: {"closure": lattice.antinef_closure(s.cycle(a.cycle), on_step=_raises(a))},
+            reads="graph", cycle=True),
+    Command("pa", lambda a, s: {"pa": lattice.arithmetic_genus(s.cycle(a.cycle))}, reads="graph", cycle=True,
+            help="arithmetic genus of a cycle"),
+    Command("multiplicity", lambda a, s: {"multiplicity": lattice.multiplicity(s.cycle(a.cycle))},
+            reads="graph", cycle=True),
+    Command("colength", lambda a, s: {"colength": lattice.colength(s.cycle(a.cycle), pg=a.pg, h1=a.h1)},
+            reads="graph", cycle=True, args=(_arg("--pg", type=int, default=0), _arg("--h1", type=int, default=0))),
+    Command("blowup", _blowup, reads="either", args=(
+        _arg("--center", required=True, metavar="V|A,B", help="one curve (free point) or two (edge point)"),
+        _arg("--new-id", required=True),
+    )),
+    Command("contract", lambda a, s: _graph_text(contract(s.graph, a.vertex)[0]), reads="graph",
+            args=(_arg("--vertex", required=True),)),
+    Command("pullback", lambda a, s: _transfer(a, s, s.doc.tower.pullback, s.doc.tower.height), **_TRANSFER),
+    Command("pushforward", lambda a, s: _transfer(a, s, s.doc.tower.pushforward, 0), **_TRANSFER),
+    Command("relative-canonical", _relative_canonical, reads="tower",
+            args=(_arg("--top", type=int, default=None), _arg("--bottom", type=int, default=0))),
+    Command("pg-test", _pg_test, **_IDEAL),
+    Command("colon-core", _colon_core, **_IDEAL),
+    Command("good-test", lambda a, s: {"good": ideals.is_good(s.ideal_reps(a.cycle)[0])}, **_IDEAL),
+    Command("good-closure", _good_closure, **_IDEAL),
+    Command("core-monotone", _core_monotone, reads="either", cycle=True,
+            args=(_arg("--cycle2", required=True, metavar="NAME|INLINE"), *_IDEAL["args"])),
+    Command("cone", _cone, args=(
+        _arg("--e", type=int, required=True),
+        _arg("--g", type=int, required=True),
+        _arg("--a", type=int, required=True),
+    )),
+    Command("oracle max-y", _oracle_max_y, cycle=True, **_ORACLE,
+            args=(_arg("--cohom", default=None, metavar="NAME|INLINE"), _MAX_SEARCH)),
+    Command("oracle zf",
+            lambda a, s: {"fundamental_cycle": oracle.fundamental_cycle_bruteforce(s.graph, _search_bound(a))},
+            args=(_MAX_COEFF, _MAX_SEARCH), **_ORACLE),
+    Command("oracle negdef", lambda a, s: {"negative_definite": oracle.negdef_bruteforce(s.graph, _search_bound(a))},
+            args=(_MAX_COEFF, _MAX_SEARCH), **_ORACLE),
+    Command("corpus list", _corpus_list),
+    Command("corpus show", _corpus_show, args=(
+        _arg("name"), _arg("--as-tower", action="store_true", help="emit the tower document when one exists"),
+    )),
+    Command("corpus verify", _corpus_verify,
+            args=(_arg("--seed", type=int, default=None), _arg("--samples", type=int, default=None))),
+)
+
+
+# --- parser and dispatcher -----------------------------------------------------------
 
 
 class _Parser(argparse.ArgumentParser):
@@ -471,105 +388,38 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--trace", action="store_true", help="step-by-step log")
 
-    p = _Parser(prog="antinef", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add(name, fn, *, graph=False, tower=False, cyc=False, parents=(common,), help=None):
-        sp = sub.add_parser(name, parents=list(parents), help=help)
-        if graph:
-            sp.add_argument("--graph", metavar="FILE", help="graph document (JSON)")
-        if tower:
+    parser = _Parser(prog="antinef", description=__doc__)
+    groups = {"": parser.add_subparsers(dest="command", required=True, parser_class=_Parser)}
+    for cmd in COMMANDS:
+        group, _, name = cmd.name.rpartition(" ")
+        if group not in groups:
+            groups[group] = groups[""].add_parser(group, parents=[common]).add_subparsers(
+                dest=f"{group}_command", required=True, parser_class=_Parser
+            )
+        sp = groups[group].add_parser(name, parents=[common], help=cmd.help)
+        if cmd.reads in ("graph", "either"):
+            sp.add_argument("--graph", metavar="FILE", required=cmd.graph_required, help="graph document (JSON)")
+        if cmd.reads in ("tower", "either"):
             sp.add_argument("--tower", metavar="FILE", help="tower document (JSON)")
-        if cyc:
+        if cmd.cycle:
             sp.add_argument("--cycle", required=True, metavar="NAME|INLINE", help='named cycle or inline "E0:2,E1:3"')
-        sp.set_defaults(fn=fn)
-        return sp
-
-    add("validate", cmd_validate, graph=True, help="check graph invariants")
-    add("fundamental-cycle", cmd_fundamental_cycle, graph=True)
-    add("canonical-cycle", cmd_canonical_cycle, graph=True)
-    add("is-rational", cmd_is_rational, graph=True)
-    add("antinef-closure", cmd_antinef_closure, graph=True, cyc=True)
-    add("pa", cmd_pa, graph=True, cyc=True, help="arithmetic genus of a cycle")
-    add("multiplicity", cmd_multiplicity, graph=True, cyc=True)
-    sp = add("colength", cmd_colength, graph=True, cyc=True)
-    sp.add_argument("--pg", type=int, default=0)
-    sp.add_argument("--h1", type=int, default=0)
-
-    sp = add("blowup", cmd_blowup, graph=True, tower=True)
-    sp.add_argument("--center", required=True, metavar="V|A,B", help="one curve (free point) or two (edge point)")
-    sp.add_argument("--new-id", required=True)
-    sp = add("contract", cmd_contract, graph=True)
-    sp.add_argument("--vertex", required=True)
-
-    for name, fn in [("pullback", cmd_pullback), ("pushforward", cmd_pushforward)]:
-        sp = add(name, fn, tower=True, cyc=True)
-        sp.add_argument("--from", dest="from_level", type=int, default=None)
-        sp.add_argument("--to", dest="to_level", type=int, default=None)
-    sp = add("relative-canonical", cmd_relative_canonical, tower=True)
-    sp.add_argument("--top", type=int, default=None)
-    sp.add_argument("--bottom", type=int, default=0)
-
-    for name, fn in [
-        ("pg-test", cmd_pg_test),
-        ("colon-core", cmd_colon_core),
-        ("good-test", cmd_good_test),
-        ("good-closure", cmd_good_closure),
-    ]:
-        sp = add(name, fn, graph=True, tower=True, cyc=True)
-        sp.add_argument("--level", type=int, default=None, help="level of an inline cycle on a tower")
-        sp.add_argument("--h1", type=int, default=None)
-    sp = add("core-monotone", cmd_core_monotone, graph=True, tower=True, cyc=True)
-    sp.add_argument("--cycle2", required=True, metavar="NAME|INLINE")
-    sp.add_argument("--level", type=int, default=None)
-    sp.add_argument("--h1", type=int, default=None)
-
-    sp = add("cone", cmd_cone)
-    sp.add_argument("--e", type=int, required=True)
-    sp.add_argument("--g", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-
-    osub = sub.add_parser("oracle", parents=[common]).add_subparsers(
-        dest="oracle_command", required=True, parser_class=_Parser
-    )
-
-    def oadd(name, fn, cyc=False):
-        sp = osub.add_parser(name, parents=[common])
-        sp.add_argument("--graph", metavar="FILE", required=True)
-        if cyc:
-            sp.add_argument("--cycle", required=True, metavar="NAME|INLINE")
-            sp.add_argument("--cohom", default=None, metavar="NAME|INLINE")
-        else:
-            sp.add_argument("--max-coeff", type=int, default=6)
-        sp.add_argument("--max-search", type=int, default=None, metavar="N")
-        sp.set_defaults(fn=fn)
-
-    oadd("max-y", cmd_oracle_max_y, cyc=True)
-    oadd("zf", cmd_oracle_zf)
-    oadd("negdef", cmd_oracle_negdef)
-
-    csub = sub.add_parser("corpus", parents=[common]).add_subparsers(
-        dest="corpus_command", required=True, parser_class=_Parser
-    )
-    sp = csub.add_parser("list", parents=[common])
-    sp.set_defaults(fn=cmd_corpus_list)
-    sp = csub.add_parser("show", parents=[common])
-    sp.add_argument("name")
-    sp.add_argument("--as-tower", action="store_true", help="emit the tower document when one exists")
-    sp.set_defaults(fn=cmd_corpus_show)
-    sp = csub.add_parser("verify", parents=[common])
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.set_defaults(fn=cmd_corpus_verify)
-
-    return p
+        for flags, options in cmd.args:
+            sp.add_argument(*flags, **options)
+        sp.set_defaults(cmd=cmd)
+    return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args)
+        out = args.cmd.run(args, _Input(args, args.cmd.reads))
+        result, code = out if isinstance(out, tuple) else (out, 0)
+        if isinstance(result, str):
+            sys.stdout.write(result)
+        else:
+            _emit(args, result)
+        return code
     except LatticeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -40,10 +40,20 @@ def _fail(path: str, msg: str):
     raise InputError(f"{path}: {msg}")
 
 
+def _object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        _fail(path, f"expected an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        _fail(path, f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def _need(obj: dict, key: str, path: str) -> Any:
-    if not isinstance(obj, dict):
-        _fail(path, f"expected an object, got {type(obj).__name__}")
-    if key not in obj:
+    if key not in _object(obj, path):
         _fail(path, f"missing required field {key!r}")
     return obj[key]
 
@@ -68,7 +78,7 @@ def _coeff(value: Any, path: str) -> Coeff:
             _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
         try:
             return Fraction(value)
-        except ZeroDivisionError:
+        except (ZeroDivisionError, ValueError):  # ValueError: past int's digit limit
             _fail(path, f"cannot parse rational {value!r}")
     _fail(path, f"expected an integer or 'p/q' string, got {value!r}")
 
@@ -90,9 +100,9 @@ def coeff_out(value: Coeff) -> Any:
 
 
 def _parse_vertices_edges(obj: dict, path: str) -> DualGraph:
-    name = obj.get("name", "graph")
+    name = _object(obj, path).get("name", "graph")
     vs = []
-    for i, v in enumerate(_need(obj, "vertices", path)):
+    for i, v in enumerate(_list(_need(obj, "vertices", path), path + ".vertices")):
         vp = f"{path}.vertices[{i}]"
         vid = vertex_id(_need(v, "id", vp), vp + ".id")
         self_int = _int(_need(v, "self_int", vp), vp + ".self_int")
@@ -106,7 +116,7 @@ def _parse_vertices_edges(obj: dict, path: str) -> DualGraph:
             _fail(vp, "give exactly one of 'kappa' or 'genus'")
         vs.append((vid, self_int, kappa))
     es = []
-    for i, e in enumerate(obj.get("edges", [])):
+    for i, e in enumerate(_list(obj.get("edges", []), path + ".edges")):
         ep = f"{path}.edges[{i}]"
         a = str(_need(e, "a", ep))
         b = str(_need(e, "b", ep))
@@ -148,7 +158,7 @@ def parse_graph_document(text: str | dict) -> GraphDocument:
     g = _parse_vertices_edges(obj, "$")
     cycles = {
         str(name): _parse_coeff_map(data, g, f"$.cycles.{name}")
-        for name, data in obj.get("cycles", {}).items()
+        for name, data in _object(obj.get("cycles", {}), "$.cycles").items()
     }
     return GraphDocument(
         name=g.name, graph=g, cycles=cycles, model=_parse_model(obj.get("model"), "$.model")
@@ -182,7 +192,7 @@ def parse_tower_document(text: str | dict) -> TowerDocument:
         _fail("$.format", f"expected {FORMAT}, got {obj.get('format')!r}")
     base = _parse_vertices_edges(_need(obj, "base", "$"), "$.base")
     t = Tower.base(base)
-    for i, s in enumerate(obj.get("steps", [])):
+    for i, s in enumerate(_list(obj.get("steps", []), "$.steps")):
         sp = f"$.steps[{i}]"
         op = _need(s, "op", sp)
         if op == "blowup_free":
@@ -199,7 +209,7 @@ def parse_tower_document(text: str | dict) -> TowerDocument:
         else:
             _fail(sp, f"unknown op {op!r}")
     cycles: dict[str, tuple[int, Cycle]] = {}
-    for name, data in obj.get("cycles", {}).items():
+    for name, data in _object(obj.get("cycles", {}), "$.cycles").items():
         cp = f"$.cycles.{name}"
         level = _int(_need(data, "level", cp), cp + ".level")
         if not 0 <= level <= t.height:
@@ -253,8 +263,10 @@ def _load(text: str | dict) -> dict:
         return text
     try:
         obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise InputError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise InputError("document root must be a JSON object")
     return obj

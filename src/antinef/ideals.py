@@ -194,7 +194,7 @@ def _row(g: DualGraph, coeffs: dict[str, int], vid: str) -> int:
     )
 
 
-def colon_and_core(ideal: IdealRep, trace=None) -> CoreReport:
+def colon_and_core(ideal: IdealRep) -> CoreReport:
     """Compute Q:I and core(I) for a numerically-p_g ideal.
 
     One pass over the contraction sequence (:func:`~antinef.birational.contract_all`)
@@ -217,9 +217,6 @@ def colon_and_core(ideal: IdealRep, trace=None) -> CoreReport:
     # graph of the sequence
     cc = ideal.c.as_dict()
     local = contract_all(g, lambda h, vid: vid not in cc and _row(h, cc, vid) == 0)
-    if trace is not None:
-        for step in reversed(local.steps):
-            trace(f"contract {step.new_id!r}")
     if Tower.from_steps(local.levels[0], local.steps).top != g:
         raise TheoremViolationError("contraction sequence did not replay to the input graph")
     zc = z.as_dict()

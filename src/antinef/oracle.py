@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import PreconditionError, TheoremViolationError
-from .graph import Cycle, DualGraph, cycle
+from .graph import Cycle, DualGraph, cycle, zero_cycle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -145,6 +145,27 @@ def _admissible(z: Cycle, y: Cycle, c: Cycle) -> bool:
     return all(row_pairing(z - y, vid) == 0 for vid in c.support)
 
 
+def antinef_closure_bruteforce(d: Cycle, bound: SearchBound) -> Optional[Cycle]:
+    """Pointwise minimum of the nonzero anti-nef cycles X >= d with every
+    coefficient <= max_coeff, by exhaustive search; None when the box holds
+    none.  The definition-level cross-check of ``lattice.antinef_closure``."""
+    import numpy as np
+
+    g = d.graph
+    lows = [max(c, 0) for c in d.vector()]
+    ranges = [max(bound.max_coeff + 1 - lo, 0) for lo in lows]
+    _guard(g, ranges, bound, bound.max_coeff)
+    m = np.array(g.matrix(), dtype=np.int64)
+    best = None
+    for xs in _boxes(ranges, lows):
+        keep = ((xs @ m) <= 0).all(axis=1) & (xs != 0).any(axis=1)
+        kept = xs[keep]
+        if kept.size:
+            low = kept.min(axis=0)
+            best = low if best is None else np.minimum(best, low)
+    return None if best is None else cycle(g, dict(zip(g.ids, (int(v) for v in best))))
+
+
 def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
     """Pointwise-minimal nonzero anti-nef cycle by exhaustive search.
 
@@ -154,22 +175,12 @@ def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
     """
     import numpy as np
 
-    ranges = [bound.max_coeff + 1] * len(g.vertices)
-    _guard(g, ranges, bound, bound.max_coeff)
-    m = np.array(g.matrix(), dtype=np.int64)
-    best = None
-    for ys in _boxes(ranges):
-        keep = ((ys @ m) <= 0).all(axis=1) & (ys != 0).any(axis=1)
-        kept = ys[keep]
-        if kept.size:
-            low = kept.min(axis=0)
-            best = low if best is None else np.minimum(best, low)
-    if best is None:
+    z = antinef_closure_bruteforce(zero_cycle(g), bound)
+    if z is None:
         raise PreconditionError(
             f"no anti-nef cycle with coefficients <= {bound.max_coeff}; raise the bound"
         )
-    z = cycle(g, dict(zip(g.ids, (int(v) for v in best))))
-    rows = np.array(z.vector(), dtype=np.int64) @ m
+    rows = np.array(z.vector(), dtype=np.int64) @ np.array(g.matrix(), dtype=np.int64)
     if (rows > 0).any() or z.is_zero:
         raise TheoremViolationError(
             "pointwise minimum of anti-nef candidates is not anti-nef"

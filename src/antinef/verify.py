@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from . import corpus
 from .birational import Tower, edge_point, free_point, relative_canonical
@@ -42,7 +42,7 @@ from .lattice import (
     pair,
     row_pairing,
 )
-from .oracle import SearchBound, enumerate_max_Y, fundamental_cycle_bruteforce
+from .oracle import SearchBound, antinef_closure_bruteforce, enumerate_max_Y, fundamental_cycle_bruteforce
 
 DEFAULT_SEED = 244
 DEFAULT_SAMPLES = 200
@@ -365,26 +365,9 @@ def _lattice_properties(seed: int, samples: int) -> str:
             if antinef_closure(z) != z:
                 _fail(f"closure not idempotent on {g.name}")
             # exhaustive minimality: no anti-nef cycle >= d is smaller anywhere
-            if _enumerated_closure(g, d) != z:
+            if antinef_closure_bruteforce(d, SearchBound(max_coeff=8)) != z:
                 _fail(f"closure of {d} on {g.name} disagrees with enumeration")
     return f"{len(small)} graphs pass closure/fundamental/canonical properties"
-
-
-def _enumerated_closure(g: DualGraph, d: Cycle, bound: int = 8) -> Optional[Cycle]:
-    """Pointwise minimum of all nonzero anti-nef cycles >= d with every
-    coefficient <= ``bound``; exhaustive cross-check for ``antinef_closure``."""
-    import numpy as np
-
-    m = np.array(g.matrix(), dtype=np.int64)
-    lows = [max(d.coeff(v), 0) for v in g.ids]
-    grids = np.meshgrid(*[np.arange(lo, bound + 1) for lo in lows], indexing="ij")
-    cand = np.stack([a.ravel() for a in grids], axis=1)
-    cand = cand[cand.sum(axis=1) > 0]
-    keep = cand[(cand @ m <= 0).all(axis=1)]
-    if keep.shape[0] == 0:
-        return None
-    best = keep.min(axis=0)
-    return cycle(g, {vid: int(c) for vid, c in zip(g.ids, best)})
 
 
 CRITERIA: dict[str, Callable[..., CheckResult]] = {

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from antinef import corpus
-from antinef.cli import main
+from antinef.cli import _read, main
+from antinef.errors import InputError
 from antinef.formats import emit_graph_document, emit_tower_document, GraphDocument, TowerDocument
 from antinef.graph import cycle, dual_graph
 from antinef.lattice import fundamental_cycle, is_rational
@@ -99,6 +100,22 @@ class TestDeclaredCohomologicalCycle:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "not a minimal resolution" in captured.err
+
+
+class TestOneParse:
+    @pytest.mark.parametrize("reads", ["graph", "tower"])
+    def test_core_monotone_parses_its_document_once(self, capsys, tmp_path, ex244_tower_file, monkeypatch,
+                                                    reads):
+        import antinef.cli as cli
+
+        parses = []
+        name = f"parse_{reads}_document"
+        parse = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda text: parses.append(1) or parse(text))
+        path = ex244_tower_file if reads == "tower" else _ex244_graph_file(tmp_path, {"E0": 1})
+        z2 = "E0:4,E1:6,E2:6,E3:6,E4:6"
+        code, out = run(capsys, "core-monotone", f"--{reads}", path, "--cycle", "Z", "--cycle2", z2)
+        assert (code, out, len(parses)) == (0, "monotone = true\n", 1)
 
 
 class TestThinWrapper:
@@ -240,3 +257,41 @@ class TestCorpus:
 
     def test_unknown_name_is_input_error(self, capsys):
         assert run(capsys, "corpus", "show", "Z99")[0] == 1
+
+
+class TestMalformedDocuments:
+    """Each of these once ended in a Python traceback instead of `error:`."""
+
+    @pytest.mark.parametrize("doc", [
+        {"format": 1, "vertices": 5},
+        {"format": 1, "vertices": [{"id": "E", "self_int": -2, "kappa": 0}], "edges": 5},
+        {"format": 1, "vertices": [{"id": "E", "self_int": -2, "kappa": 0}], "cycles": [1]},
+    ], ids=["vertices", "edges", "cycles"])
+    def test_graph_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", "--graph", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("doc", [
+        {"format": 1, "base": {"vertices": []}, "steps": 5},
+        {"format": 1, "base": 5},
+    ], ids=["steps", "base"])
+    def test_tower_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(doc))
+        assert main(["colon-core", "--tower", str(path), "--cycle", "Z"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_read_refuses_text_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b"\xff\xfe{")
+        with pytest.raises(InputError, match="cannot read"):
+            _read(str(path))
+
+    @pytest.mark.parametrize("data", [b"[" * 100_000, b"\xff\xfe{"], ids=["deep", "not-utf8"])
+    def test_unreadable_text(self, capsys, tmp_path, data):
+        path = tmp_path / "g.json"
+        path.write_bytes(data)
+        assert main(["validate", "--graph", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")

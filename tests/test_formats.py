@@ -196,3 +196,46 @@ class TestInputGrammar:
         obj = {"format": 1, "base": json.loads(emit_graph_document(_graph_doc("A2"))), "steps": [step]}
         with pytest.raises(InputError, match="inline cycles cannot name"):
             parse_tower_document(obj)
+
+
+_VERTEX = {"id": "E", "self_int": -2, "kappa": 0}
+
+# documents whose malformed part once escaped as TypeError, AttributeError,
+# RecursionError or ValueError instead of an InputError
+MALFORMED_GRAPHS = {
+    "vertices-not-a-list": {"format": 1, "vertices": 5},
+    "edges-not-a-list": {"format": 1, "vertices": [_VERTEX], "edges": 5},
+    "cycles-not-an-object": {"format": 1, "vertices": [_VERTEX], "cycles": [1]},
+}
+MALFORMED_TOWERS = {
+    "steps-not-a-list": {"format": 1, "base": {"vertices": [_VERTEX]}, "steps": 5},
+    "base-not-an-object": {"format": 1, "base": 5},
+    "tower-cycles-not-an-object": {"format": 1, "base": {"vertices": [_VERTEX]}, "cycles": [1]},
+}
+MALFORMED_TEXTS = {
+    "nested-100000-deep": "[" * 100_000,
+    "int-past-digit-limit": '{"format": 1, "vertices": [], "x": 1' + "0" * 5000 + "}",
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("doc", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS)
+    def test_graph_document(self, doc):
+        with pytest.raises(InputError):
+            parse_graph_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc", MALFORMED_TOWERS.values(), ids=MALFORMED_TOWERS)
+    def test_tower_document(self, doc):
+        with pytest.raises(InputError):
+            parse_tower_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", MALFORMED_TEXTS.values(), ids=MALFORMED_TEXTS)
+    @pytest.mark.parametrize("parse", [parse_graph_document, parse_tower_document])
+    def test_text(self, parse, text):
+        with pytest.raises(InputError, match="invalid JSON"):
+            parse(text)
+
+    def test_coefficient_past_digit_limit(self):
+        g = corpus.get("A1").graph
+        with pytest.raises(InputError):
+            parse_inline_cycle("E1:" + "1" * 5000, g)

@@ -1,5 +1,5 @@
-"""Import hygiene of the package: no unused imports, no numpy or acceptance
-suite at CLI start."""
+"""Hygiene of the package: no unused imports, no unreferenced private
+module-level names, no numpy or acceptance suite at CLI start."""
 
 import ast
 import os
@@ -29,20 +29,58 @@ def _unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def test_no_unused_imports():
-    found = {
-        path.name: unused
+def _dead_private_names(source: str) -> list[str]:
+    """Module-level private functions, classes and constants that nothing in
+    the module refers to."""
+    tree = ast.parse(source)
+    defined: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    used |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return [
+        f"{name} (line {line})" for name, line in defined.items()
+        if name.startswith("_") and not name.startswith("__") and name not in used
+    ]
+
+
+def _scan(find) -> dict[str, list[str]]:
+    return {
+        path.name: found
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"  # its imports are the public re-exports
-        and (unused := _unused_imports(path.read_text(encoding="utf-8")))
+        and (found := find(path.read_text(encoding="utf-8")))
     }
-    assert found == {}
+
+
+def test_no_unused_imports():
+    assert _scan(_unused_imports) == {}
 
 
 def test_unused_import_scan_sees_an_unused_name():
     assert _unused_imports("import os\nfrom x import a, b as c\nprint(a)\n") == [
         "os (line 1)", "c (line 2)"
     ]
+
+
+def test_no_unreferenced_private_names():
+    assert _scan(_dead_private_names) == {}
+
+
+def test_private_name_scan_sees_a_dead_name():
+    source = (
+        "_USED = 1\n_DEAD = 2\n__all__ = []\n"
+        "def _helper():\n    return _USED\n"
+        "def _left_behind():\n    return _helper()\n"
+        "class _Unused:\n    pass\n"
+        "def public():\n    return _helper()\n"
+    )
+    assert _dead_private_names(source) == ["_DEAD (line 2)", "_left_behind (line 6)", "_Unused (line 8)"]
 
 
 def test_cli_import_leaves_numpy_and_the_acceptance_suite_unloaded():

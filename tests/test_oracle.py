@@ -7,9 +7,10 @@ from antinef.birational import Tower, free_point
 from antinef.errors import PreconditionError
 from antinef.graph import cycle, dual_graph, unit_cycle, zero_cycle
 from antinef.ideals import colon_and_core, represent, singularity_model
-from antinef.lattice import fundamental_cycle, is_antinef
+from antinef.lattice import antinef_closure, fundamental_cycle, is_antinef
 from antinef.oracle import (
     SearchBound,
+    antinef_closure_bruteforce,
     enumerate_max_Y,
     fundamental_cycle_bruteforce,
     negdef_bruteforce,
@@ -28,6 +29,23 @@ class TestFundamentalCycleOracle:
         g = corpus.get("E8").graph
         with pytest.raises(PreconditionError):
             fundamental_cycle_bruteforce(g, SearchBound(max_coeff=6, max_candidates=100))
+
+
+class TestClosureOracle:
+    @pytest.mark.parametrize("name", ["A3", "D5", "HJ(7,3)"])
+    def test_matches_laufer_closure(self, name):
+        g = corpus.get(name).graph
+        for d in [unit_cycle(g, g.ids[0]), cycle(g, {g.ids[-1]: 3, g.ids[1]: 1})]:
+            assert antinef_closure_bruteforce(d, SearchBound(max_coeff=8)) == antinef_closure(d)
+
+    def test_seed_above_the_box_finds_none(self):
+        g = corpus.get("A3").graph
+        assert antinef_closure_bruteforce(cycle(g, {"E1": 4}), SearchBound(max_coeff=3)) is None
+
+    def test_refuses_int64_overflow(self):
+        g = dual_graph("huge", [("E", -(2**62), 2**62 - 2)])
+        with pytest.raises(PreconditionError, match="overflow"):
+            antinef_closure_bruteforce(unit_cycle(g, "E"), SearchBound(max_coeff=2))
 
 
 class TestNegdefOracle:
