@@ -2,7 +2,6 @@
 dual graphs, anti-nef cycles, and the core/colon calculus of p_g-ideals."""
 
 from .birational import (
-    BlowupCenter,
     Tower,
     TowerStep,
     associated_pg_cycle,
@@ -38,7 +37,6 @@ from .ideals import (
     good_gorenstein_crosscheck,
     includes,
     is_good,
-    is_pg_numeric,
     product,
     represent,
     singularity_model,

@@ -1,9 +1,14 @@
 """Blow-ups, contractions, towers, and cycle transport between levels.
 
 A tower is a bottom-up chain of dual graphs in which each level adds one
-exceptional curve.  Blow-ups extend a tower upward; contracting a rational
+exceptional curve, described by a :class:`TowerStep`: a blow-up is a step
+whose curves all meet the new one once (:func:`free_point`,
+:func:`edge_point`).  Blow-ups extend a tower upward; contracting a rational
 (-1)-curve produces the lower graph together with the step that rebuilds the
-upper one, so contraction sequences become towers read in reverse.
+upper one, so contraction sequences become towers read in reverse.  Both
+directions are one signed surgery, and cycles move up the steps by one rule,
+:func:`lift` for total transforms and :func:`transported` for the
+cohomological cycle.
 """
 
 from __future__ import annotations
@@ -13,30 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
-from .graph import Coeff, Cycle, DualGraph, Vertex, cycle, unit_cycle
-from .lattice import is_antinef, pair, row_pairing
-
-
-@dataclass(frozen=True)
-class BlowupCenter:
-    """A point to blow up: on one curve (free) or on an intersection of two."""
-
-    new_id: str
-    at: tuple[str, ...]
-
-    @property
-    def is_free(self) -> bool:
-        return len(self.at) == 1
-
-
-def free_point(vid: str, new_id: str) -> BlowupCenter:
-    return BlowupCenter(new_id=new_id, at=(vid,))
-
-
-def edge_point(a: str, b: str, new_id: str) -> BlowupCenter:
-    if a == b:
-        raise InputError("edge point needs two distinct curves")
-    return BlowupCenter(new_id=new_id, at=(a, b))
+from .graph import Coeff, Cycle, DualGraph, Vertex, cycle
+from .lattice import contracts_to_smooth, is_antinef, row_pairing
 
 
 @dataclass(frozen=True)
@@ -49,6 +32,18 @@ class TowerStep:
 
     new_id: str
     attach: tuple[tuple[str, int], ...]
+
+
+def free_point(vid: str, new_id: str) -> TowerStep:
+    """The blow-up of a free point on the curve vid."""
+    return TowerStep(new_id=new_id, attach=((vid, 1),))
+
+
+def edge_point(a: str, b: str, new_id: str) -> TowerStep:
+    """The blow-up of an intersection point of the curves a and b."""
+    if a == b:
+        raise InputError("edge point needs two distinct curves")
+    return TowerStep(new_id=new_id, attach=((a, 1), (b, 1)))
 
 
 def apply_step(g: DualGraph, step: TowerStep) -> DualGraph:
@@ -65,53 +60,46 @@ def apply_step(g: DualGraph, step: TowerStep) -> DualGraph:
             raise InputError("attach multiplicities must be >= 1")
     if g.has_vertex(step.new_id):
         raise InputError(f"vertex id {step.new_id!r} already exists on {g.name!r}")
-    att = dict(step.attach)
+    return _surgery(g, step.new_id, step.attach, 1)
+
+
+def _surgery(g: DualGraph, new_id: str, attach: Sequence[tuple[str, int]], sign: int) -> DualGraph:
+    """Insert (sign +1) or remove (sign -1) the (-1)-curve new_id meeting
+    each (u, m) of attach m times.  Each u gains -sign.m^2 in self-intersection
+    and sign.m in kappa, and each pair u, w of attach loses sign.mu.mw from
+    their edge; an edge that would go negative refuses the blow-up."""
+    att = dict(attach)
     verts = [
-        v if v.id not in att else Vertex(v.id, v.self_int - att[v.id] ** 2, v.kappa + att[v.id])
+        v if v.id not in att else Vertex(v.id, v.self_int - sign * att[v.id] ** 2, v.kappa + sign * att[v.id])
         for v in g.vertices
+        if v.id != new_id
     ]
-    verts.insert(bisect_left(g.ids, step.new_id), Vertex(step.new_id, -1, -1))
-    elist, inner = _split_edges(g.edges, att)
-    pairs = step.attach
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            (u, mu), (v, mv) = pairs[i], pairs[j]
-            key = (u, v) if u < v else (v, u)
+    elist, inner = [], {}
+    for e in g.edges:
+        if e[0] in att and e[1] in att:
+            inner[e[0], e[1]] = e[2]
+        elif new_id != e[0] and new_id != e[1]:
+            elist.append(e)
+    for i in range(len(attach)):
+        for j in range(i + 1, len(attach)):
+            (u, mu), (w, mw) = attach[i], attach[j]
+            key = (u, w) if u < w else (w, u)
             have = inner.get(key, 0)
-            if have < mu * mv:
+            if have < sign * mu * mw:
                 raise PreconditionError(
-                    f"cannot blow up: edge {key} has multiplicity {have} < {mu * mv}"
+                    f"cannot blow up: edge {key} has multiplicity {have} < {mu * mw}"
                 )
-            inner[key] = have - mu * mv
+            inner[key] = have - sign * mu * mw
     elist += [(a, b, m) for (a, b), m in inner.items() if m > 0]
-    new = step.new_id
-    elist += [(vid, new, m) if vid < new else (new, vid, m) for vid, m in step.attach]
+    if sign > 0:
+        verts.insert(bisect_left(g.ids, new_id), Vertex(new_id, -1, -1))
+        elist += [(u, new_id, m) if u < new_id else (new_id, u, m) for u, m in attach]
     elist.sort()
     return DualGraph(g.name, tuple(verts), tuple(elist))
 
 
-def _split_edges(edges, ends) -> tuple[list, dict]:
-    """The edges with an end outside ``ends``, kept as they are, and the
-    multiplicities of the edges with both ends in it, by (a, b)."""
-    kept, inner = [], {}
-    for e in edges:
-        if e[0] in ends and e[1] in ends:
-            inner[e[0], e[1]] = e[2]
-        else:
-            kept.append(e)
-    return kept, inner
-
-
-def blowup(g: DualGraph, center: BlowupCenter) -> tuple[DualGraph, TowerStep]:
+def blowup(g: DualGraph, step: TowerStep) -> tuple[DualGraph, TowerStep]:
     """Blow up a free point on one curve or the intersection point of two."""
-    for vid in center.at:
-        if not g.has_vertex(vid):
-            raise InputError(f"blow-up center names unknown vertex {vid!r}")
-    if not center.is_free and g.edge_mult(*center.at) < 1:
-        raise PreconditionError(
-            f"no edge between {center.at[0]!r} and {center.at[1]!r} to blow up"
-        )
-    step = TowerStep(new_id=center.new_id, attach=tuple((vid, 1) for vid in center.at))
     return apply_step(g, step), step
 
 
@@ -127,21 +115,7 @@ def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
     if len(g.vertices) == 1:
         raise PreconditionError("cannot contract the last curve of a graph")
     attach = g.adjacency[vid]
-    att = dict(attach)
-    verts = tuple(
-        w if w.id not in att else Vertex(w.id, w.self_int + att[w.id] ** 2, w.kappa - att[w.id])
-        for w in g.vertices
-        if w.id != vid
-    )
-    elist, inner = _split_edges([e for e in g.edges if vid != e[0] and vid != e[1]], att)
-    for i in range(len(attach)):
-        for j in range(i + 1, len(attach)):
-            (u, mu), (w, mw) = attach[i], attach[j]
-            key = (u, w) if u < w else (w, u)
-            inner[key] = inner.get(key, 0) + mu * mw
-    elist += [(a, b, m) for (a, b), m in inner.items()]
-    elist.sort()
-    lower = DualGraph(g.name, verts, tuple(elist))
+    lower = _surgery(g, vid, attach, -1)
     # seed the cached adjacency: only the curves vid met change neighbours
     adj = dict(g.adjacency)
     del adj[vid]
@@ -211,9 +185,8 @@ class Tower:
             raise InputError(f"tower has levels 0..{self.height}, not {level}")
         return self.levels[level]
 
-    def blow_up(self, center: BlowupCenter) -> "Tower":
-        new_graph, step = blowup(self.top, center)
-        return Tower(levels=self.levels + (new_graph,), steps=self.steps + (step,))
+    def blow_up(self, step: TowerStep) -> "Tower":
+        return Tower(levels=self.levels + (apply_step(self.top, step),), steps=self.steps + (step,))
 
     def pullback(self, w: Cycle, from_level: int, to_level: int) -> Cycle:
         """Total transform: the unique lift pairing to zero with every
@@ -270,7 +243,7 @@ def relative_canonical(t: Tower, top_level: Optional[int] = None, bottom_level: 
         raise PreconditionError(f"bottom level {bottom_level} is above top level {top_level}")
     steps = t.steps[bottom_level:top_level]
     k = cycle(top, lift({}, steps, [1] * len(steps)))
-    if not k.is_zero and (-pair(k, k) + sum(c * top.vertex(v).kappa for v, c in k.coeffs)) != 0:
+    if not contracts_to_smooth(k):
         raise TheoremViolationError("relative canonical cycle fails -K^2 + K.K_X = 0")
     return k
 
@@ -351,20 +324,17 @@ def associated_pg_cycle(
                 f"-Z.E = {want}"
             )
     live = [vid for vid, n in counts.items() for _ in range(n)]
-    track = transport_cohom(t0, c_base)
-    c = track[-1]
+    zc, cc = z.as_dict(), transport_cohom(t0, c_base)[-1].as_dict()
     t = t0
     while True:
         for i, vid in enumerate(live):
-            if c.coeff(vid) > 0:
+            if cc.get(vid, 0) > 0:
                 break
         else:
-            return t, z
-        new_id = _fresh_id(set(t.top.ids) | {b for b in live})
-        t = t.blow_up(free_point(vid, new_id))
-        lvl = t.height
-        z = t.pullback(z, lvl - 1, lvl) + unit_cycle(t.top, new_id)
-        c = t.pullback(c, lvl - 1, lvl) - unit_cycle(t.top, new_id)
-        if not c.is_effective:
-            raise TheoremViolationError("cohomological cycle turned negative during blow-up")
-        live[i] = new_id
+            return t, cycle(t.top, zc)
+        step = free_point(vid, _fresh_id(set(t.top.ids) | set(live)))
+        t = t.blow_up(step)
+        # Z' = pullback + E_new, C' = pullback - E_new (the center is on supp C)
+        zc = lift(zc, [step], [1])
+        cc[step.new_id] = transported(cc, step.attach)
+        live[i] = step.new_id

@@ -183,10 +183,10 @@ def _blowup(args, src: _Input) -> str:
     ids = [part.strip() for part in args.center.split(",") if part.strip()]
     if len(ids) not in (1, 2):
         raise InputError(f"--center wants one or two vertex ids, got {args.center!r}")
-    center = free_point(ids[0], new_id) if len(ids) == 1 else edge_point(ids[0], ids[1], new_id)
+    step = free_point(ids[0], new_id) if len(ids) == 1 else edge_point(ids[0], ids[1], new_id)
     if isinstance(src.doc, TowerDocument):
-        return emit_tower_document(dataclasses.replace(src.doc, tower=src.doc.tower.blow_up(center)))
-    return _graph_text(blowup(src.graph, center)[0])
+        return emit_tower_document(dataclasses.replace(src.doc, tower=src.doc.tower.blow_up(step)))
+    return _graph_text(blowup(src.graph, step)[0])
 
 
 def _transfer(args, src: _Input, move: Callable[[Cycle, int, int], Cycle], default_to: int) -> dict:

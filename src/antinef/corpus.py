@@ -87,10 +87,6 @@ def ex244_tower() -> Tower:
     return t
 
 
-def ex244_blown() -> DualGraph:
-    return ex244_tower().top
-
-
 _NAME_RE = re.compile(r"^(A[1-9]\d*|D(?:[4-9]|[1-9]\d+)|E[678]|HJ\((\d+),(\d+)\)|ex244min|ex244blown)$")
 
 

@@ -153,8 +153,6 @@ def _parse_model(obj: Any, path: str) -> Optional[dict]:
 
 def parse_graph_document(text: str | dict) -> GraphDocument:
     obj = _load(text)
-    if obj.get("format") != FORMAT:
-        _fail("$.format", f"expected {FORMAT}, got {obj.get('format')!r}")
     g = _parse_vertices_edges(obj, "$")
     cycles = {
         str(name): _parse_coeff_map(data, g, f"$.cycles.{name}")
@@ -188,8 +186,6 @@ def emit_graph_document(doc: GraphDocument) -> str:
 
 def parse_tower_document(text: str | dict) -> TowerDocument:
     obj = _load(text)
-    if obj.get("format") != FORMAT:
-        _fail("$.format", f"expected {FORMAT}, got {obj.get('format')!r}")
     base = _parse_vertices_edges(_need(obj, "base", "$"), "$.base")
     t = Tower.base(base)
     for i, s in enumerate(_list(obj.get("steps", []), "$.steps")):
@@ -259,16 +255,22 @@ def emit_tower_document(doc: TowerDocument) -> str:
 
 
 def _load(text: str | dict) -> dict:
+    """The document's root object, once its "format" is checked."""
     if isinstance(text, dict):
-        return text
-    try:
-        obj = json.loads(text, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
-        raise InputError(f"invalid JSON: {exc}") from None
-    except RecursionError:
-        raise InputError("invalid JSON: nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise InputError("document root must be a JSON object")
+        obj = text
+    else:
+        try:
+            obj = json.loads(text, object_pairs_hook=_unique_keys)
+        except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+            raise InputError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise InputError("invalid JSON: nested too deeply") from None
+        if not isinstance(obj, dict):
+            raise InputError("document root must be a JSON object")
+    fmt = obj.get("format")
+    # true == 1 and 1.0 == 1 in Python, so the type is compared as well
+    if type(fmt) is not int or fmt != FORMAT:
+        _fail("$.format", f"expected {FORMAT}, got {fmt!r}")
     return obj
 
 

@@ -226,13 +226,17 @@ def cycle(graph: DualGraph, data: Mapping[str, Coeff] | Iterable[tuple[str, Coef
     for vid, c in items:
         if not graph.has_vertex(vid):
             raise InputError(f"cycle names unknown vertex {vid!r} on graph {graph.name!r}")
-        if isinstance(c, Fraction):
-            c = int(c) if c.denominator == 1 else c
-        elif not isinstance(c, int) or isinstance(c, bool):
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
             raise InputError(f"coefficient for {vid!r} must be an integer or Fraction, got {type(c).__name__}")
         acc[vid] = acc.get(vid, 0) + c
     order = graph._index
-    return Cycle(graph=graph, coeffs=tuple(sorted(((v, c) for v, c in acc.items() if c != 0), key=lambda it: order[it[0]])))
+    return Cycle(graph=graph, coeffs=tuple(sorted(((v, normal(c)) for v, c in acc.items() if c != 0), key=lambda it: order[it[0]])))
+
+
+def normal(c: Coeff) -> Coeff:
+    """The one normal form of a coefficient: a Fraction with denominator 1
+    becomes an int, anything else is returned as it is."""
+    return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
 def zero_cycle(graph: DualGraph) -> Cycle:

@@ -19,6 +19,7 @@ from .birational import Tower, associated_pg_cycle, contract_all, lift, transpor
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
 from .lattice import (
+    _row,
     canonical_cycle,
     colength,
     contracts_to_smooth,
@@ -150,12 +151,6 @@ def _pg_numeric(z: Cycle, c: Cycle) -> bool:
     return all(row_pairing(z, vid) == 0 for vid in c.support)
 
 
-def is_pg_numeric(ideal: IdealRep) -> bool:
-    """Degree-zero test on the cohomological cycle's support (the numerical
-    half of the p_g-cycle criterion; exact on rational models)."""
-    return ideal.pg_numeric
-
-
 def product(i1: IdealRep, i2: IdealRep) -> IdealRep:
     """I_Z . I_Z' = I_{Z+Z'}; valid when at least one factor is p_g-numeric."""
     if i1.model != i2.model or i1.tower != i2.tower:
@@ -185,13 +180,6 @@ class CoreReport:
     colength_core: int
     contraction_tower: Tower
     good_cycle: Cycle  # pushforward of Z to the bottom of the contraction tower
-
-
-def _row(g: DualGraph, coeffs: dict[str, int], vid: str) -> int:
-    """W.E for the curve vid of g, where W has the given coefficients on g's curves."""
-    return coeffs.get(vid, 0) * g.vertex(vid).self_int + sum(
-        m * coeffs.get(u, 0) for u, m in g.adjacency[vid]
-    )
 
 
 def colon_and_core(ideal: IdealRep) -> CoreReport:
@@ -282,10 +270,6 @@ def good_gorenstein_crosscheck(ideal: IdealRep) -> bool:
     return multiplicity(ideal.z) == 2 * colength(ideal.z, pg, pg)
 
 
-def _same_lattice(g1: DualGraph, g2: DualGraph) -> bool:
-    return set(g1.vertices) == set(g2.vertices) and set(g1.edges) == set(g2.edges)
-
-
 def good_closure(ideal: IdealRep) -> IdealRep:
     """The minimal good ideal containing I: push Z to the level where every
     remaining (-1)-curve meets the cohomological cycle."""
@@ -294,7 +278,9 @@ def good_closure(ideal: IdealRep) -> IdealRep:
     # extend the contraction all the way down to the model base so the
     # result lives on a tower over the base
     lower = contract_all(local.graph(0), lambda h, vid: True)
-    if not _same_lattice(lower.levels[0], ideal.model.base):
+    # contraction keeps the canonical order and the base's name, so the
+    # bottom graph equals the base exactly when it is the same lattice
+    if lower.levels[0] != ideal.model.base:
         raise TheoremViolationError(
             "contracting all (-1)-curves did not reach the model base"
         )

@@ -1,16 +1,19 @@
 """Intersection pairing, fundamental and canonical cycles, numerical formulas.
 
 All operations are pure functions over immutable graphs and cycles, and all
-arithmetic is exact.
+arithmetic is exact.  One row of the pairing, W.E_i from a coefficient dict,
+is :func:`_row`; :func:`row_pairing` and the contraction rules of
+:mod:`antinef.ideals` read it there.  Every result passes through
+:func:`antinef.graph.normal`, so an integral value is an int.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .errors import PreconditionError, TheoremViolationError
-from .graph import Coeff, Cycle, DualGraph, cycle, eliminate, unit_cycle
+from .graph import Coeff, Cycle, DualGraph, cycle, eliminate, normal, unit_cycle
 
 
 def pair(w: Cycle, v: Cycle) -> Coeff:
@@ -26,20 +29,19 @@ def pair(w: Cycle, v: Cycle) -> Coeff:
         total += c * g.vertex(vid).self_int * vm.get(vid, 0)
     for a, b, m in g.edges:
         total += m * (wm.get(a, 0) * vm.get(b, 0) + wm.get(b, 0) * vm.get(a, 0))
-    if isinstance(total, Fraction) and total.denominator == 1:
-        return int(total)
-    return total
+    return normal(total)
+
+
+def _row(g: DualGraph, coeffs: Mapping[str, Coeff], vid: str) -> Coeff:
+    """W.E for the curve vid of g, where W has the given coefficients on g's curves."""
+    return coeffs.get(vid, 0) * g.vertex(vid).self_int + sum(
+        m * coeffs.get(u, 0) for u, m in g.adjacency[vid]
+    )
 
 
 def row_pairing(z: Cycle, vid: str) -> Coeff:
     """Z.E_i for a single vertex, without building a unit cycle."""
-    g = z.graph
-    total: Coeff = z.coeff(vid) * g.vertex(vid).self_int
-    for other, m in g.adjacency[vid]:
-        total += m * z.coeff(other)
-    if isinstance(total, Fraction) and total.denominator == 1:
-        return int(total)
-    return total
+    return normal(_row(z.graph, z._map, vid))
 
 
 def k_dot(w: Cycle) -> Coeff:
@@ -47,9 +49,7 @@ def k_dot(w: Cycle) -> Coeff:
     total: Coeff = 0
     for vid, c in w.coeffs:
         total += c * w.graph.vertex(vid).kappa
-    if isinstance(total, Fraction) and total.denominator == 1:
-        return int(total)
-    return total
+    return normal(total)
 
 
 def canonical_cycle(g: DualGraph) -> Cycle:
@@ -71,8 +71,7 @@ def is_numerically_gorenstein(g: DualGraph) -> bool:
 
 def arithmetic_genus(z: Cycle) -> Coeff:
     """p_a(Z) = (Z^2 + K.Z)/2 + 1."""
-    val = Fraction(pair(z, z) + k_dot(z), 2) + 1
-    return int(val) if val.denominator == 1 else val
+    return normal(Fraction(pair(z, z) + k_dot(z), 2) + 1)
 
 
 def is_antinef(z: Cycle) -> bool:

@@ -22,7 +22,14 @@ from antinef.cli import _minimalize
 from antinef.errors import InputError, PreconditionError
 from antinef.graph import Vertex, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
 from antinef.ideals import _row, colon_and_core, represent, singularity_model
-from antinef.lattice import arithmetic_genus, contracts_to_smooth, fundamental_cycle, pair
+from antinef.lattice import (
+    antinef_closure,
+    arithmetic_genus,
+    contracts_to_smooth,
+    fundamental_cycle,
+    pair,
+    row_pairing,
+)
 from towers import grow
 
 
@@ -344,3 +351,52 @@ def test_transport_is_pullback_minus_the_new_curve_on_supp(data):
         if any(track[k].coeff(u) > 0 for u, _ in step.attach):
             want = want - unit_cycle(t.graph(k + 1), step.new_id)
         assert track[k + 1] == want
+
+
+# --- associated_pg_cycle's loop as it was written on Cycles ------------------
+
+
+def _reference_associated_pg_cycle(t, z, branches, c_base):
+    """Blow up a live branch through supp C, pull Z and C back over the new
+    curve, add it to Z and take it off C; repeat until no branch meets C."""
+    counts = {}
+    for vid, n in branches:
+        counts[vid] = counts.get(vid, 0) + n
+    live = [vid for vid, n in counts.items() for _ in range(n)]
+    c = transport_cohom(t, c_base)[-1]
+    while True:
+        for i, vid in enumerate(live):
+            if c.coeff(vid) > 0:
+                break
+        else:
+            return t, z
+        n = 1
+        while f"P{n}" in set(t.top.ids) | set(live):
+            n += 1
+        t = t.blow_up(free_point(vid, f"P{n}"))
+        lvl = t.height
+        z = t.pullback(z, lvl - 1, lvl) + unit_cycle(t.top, f"P{n}")
+        c = t.pullback(c, lvl - 1, lvl) - unit_cycle(t.top, f"P{n}")
+        assert c.is_effective
+        live[i] = f"P{n}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_associated_pg_cycle_matches_the_cycle_loop(data):
+    if data.draw(st.booleans()):
+        # a cone base: one curve of genus g and degree e, with C = kE
+        e, genus = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+        base = dual_graph("cone", [("E", -e, 2 * genus - 2 + e)])
+        t = Tower.base(base)
+        c_base = data.draw(st.integers(1, 3)) * unit_cycle(base, "E")
+    else:
+        base = corpus.get("ex244min").graph
+        t = grow(data, Tower.base(base), data.draw(st.integers(0, 6)))
+        c_base = unit_cycle(base, "E0")
+    g = t.top
+    z = antinef_closure(cycle(g, data.draw(st.dictionaries(st.sampled_from(g.ids), st.integers(1, 3), min_size=1))))
+    # balanced: -Z.E_i branches on each E_i, in records of any order
+    branches = data.draw(st.permutations([(vid, -row_pairing(z, vid)) for vid in g.ids]))
+    want = _reference_associated_pg_cycle(t, z, branches, c_base)
+    assert associated_pg_cycle(t, z, branches, c_base) == want

@@ -1,6 +1,7 @@
 """Command-line surface: thin-wrapper behavior and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -295,3 +296,39 @@ class TestMalformedDocuments:
         path.write_bytes(data)
         assert main(["validate", "--graph", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+class TestFormatField:
+    @pytest.mark.parametrize("fmt", ["true", "1.0"])
+    def test_graph_document(self, capsys, a1b_file, tmp_path, fmt):
+        path = tmp_path / "g.json"
+        path.write_text(Path(a1b_file).read_text().replace('"format": 1', f'"format": {fmt}'))
+        assert main(["validate", "--graph", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: $.format: expected 1, got {fmt.capitalize()}")
+
+    @pytest.mark.parametrize("fmt", ["true", "1.0"])
+    def test_tower_document(self, capsys, ex244_tower_file, tmp_path, fmt):
+        path = tmp_path / "t.json"
+        path.write_text(Path(ex244_tower_file).read_text().replace('"format": 1', f'"format": {fmt}'))
+        assert main(["colon-core", "--tower", str(path), "--cycle", "Z"]) == 1
+        assert capsys.readouterr().err.startswith("error: $.format")
+
+
+class TestBlowupRefusals:
+    """The step's own surgery refuses a bad center (apply_step)."""
+
+    def test_unknown_curve_is_input_error(self, capsys, a1b_file):
+        assert main(["blowup", "--graph", a1b_file, "--center", "X", "--new-id", "P"]) == 1
+        assert capsys.readouterr().err == "error: step attaches to unknown vertex 'X'\n"
+
+    def test_edge_point_without_an_edge_is_precondition_error(self, capsys, tmp_path):
+        path = tmp_path / "d4.json"
+        path.write_text(emit_graph_document(GraphDocument(name="D4", graph=corpus.get("D4").graph)))
+        assert main(["blowup", "--graph", str(path), "--center", "E3,E4", "--new-id", "P"]) == 2
+        assert capsys.readouterr().err == (
+            "error: cannot blow up: edge ('E3', 'E4') has multiplicity 0 < 1\n"
+        )
+
+    def test_on_a_tower_document(self, capsys, ex244_tower_file):
+        assert main(["blowup", "--tower", ex244_tower_file, "--center", "E1,E2", "--new-id", "P"]) == 2
+        assert main(["blowup", "--tower", ex244_tower_file, "--center", "X", "--new-id", "P"]) == 1

@@ -4,8 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from antinef import corpus
+from antinef.birational import Tower
 from antinef.errors import InputError
 from antinef.formats import (
     GraphDocument,
@@ -17,6 +19,7 @@ from antinef.formats import (
     parse_tower_document,
 )
 from antinef.graph import cycle
+from towers import grow
 
 
 def _graph_doc(name):
@@ -239,3 +242,80 @@ class TestMalformedDocuments:
         g = corpus.get("A1").graph
         with pytest.raises(InputError):
             parse_inline_cycle("E1:" + "1" * 5000, g)
+
+
+class TestFormatField:
+    """A JSON true or 1.0 equals 1 in Python; neither is format 1."""
+
+    @pytest.mark.parametrize("fmt", [True, 1.0, "1", None])
+    def test_graph_document(self, fmt):
+        obj = json.loads(emit_graph_document(_graph_doc("A2")))
+        obj["format"] = fmt
+        with pytest.raises(InputError, match=r"\$\.format: expected 1"):
+            parse_graph_document(json.dumps(obj))
+
+    @pytest.mark.parametrize("fmt", [True, 1.0, "1", None])
+    def test_tower_document(self, fmt):
+        obj = {"format": fmt, "base": json.loads(emit_graph_document(_graph_doc("A2")))}
+        with pytest.raises(InputError, match=r"\$\.format: expected 1"):
+            parse_tower_document(json.dumps(obj))
+
+
+_IDS = ("A", "B", "C", "D", "E1", "E2")
+
+
+@st.composite
+def _graph_texts(draw):
+    """A graph document with repeated and multiple edges, integer and 'p/q'
+    coefficients, and perhaps a model."""
+    ids = draw(st.lists(st.sampled_from(_IDS), min_size=1, max_size=len(_IDS), unique=True))
+    obj = {"format": 1, "name": draw(st.sampled_from(["g", "A2", "x y"]))}
+    obj["vertices"] = [
+        {"id": vid, "self_int": draw(st.integers(-9, 0)), "kappa": draw(st.integers(-2, 9))} for vid in ids
+    ]
+    if len(ids) > 1:
+        pairs = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+        obj["edges"] = [
+            {"a": a, "b": b, "mult": draw(st.integers(1, 3))} for a, b in draw(st.lists(pairs, max_size=8))
+        ]
+    coeff = st.one_of(
+        st.integers(-20, 20),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(-20, 20), st.integers(1, 6)),
+    )
+    names = st.sampled_from(["Z", "C", "W"])
+    obj["cycles"] = draw(st.dictionaries(names, st.dictionaries(st.sampled_from(ids), coeff), max_size=3))
+    if draw(st.booleans()):
+        obj["model"] = draw(st.fixed_dictionaries({}, optional={
+            "pg": st.integers(0, 3), "gorenstein": st.booleans(), "cohom_cycle": names,
+        }))
+    return json.dumps(obj)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_graph_texts())
+def test_graph_document_round_trip(text):
+    doc = parse_graph_document(text)
+    again = parse_graph_document(emit_graph_document(doc))
+    assert again == doc
+    assert emit_graph_document(again) == emit_graph_document(doc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tower_document_round_trip(data):
+    base = corpus.get(data.draw(st.sampled_from(["A1", "D4", "HJ(7,3)", "ex244min"]))).graph
+    t = grow(data, Tower.base(base), data.draw(st.integers(0, 8)))
+    cycles = {}
+    for name in data.draw(st.lists(st.sampled_from(["Z", "C"]), unique=True)):
+        level = data.draw(st.integers(0, t.height))
+        g = t.graph(level)
+        coeffs = data.draw(st.dictionaries(
+            st.sampled_from(g.ids), st.fractions(min_value=-9, max_value=9, max_denominator=4)
+        ))
+        cycles[name] = (level, cycle(g, coeffs))
+    model = data.draw(st.one_of(st.none(), st.just({"pg": 1, "gorenstein": True})))
+    text = emit_tower_document(TowerDocument(name="t", tower=t, cycles=cycles, model=model))
+    doc = parse_tower_document(text)
+    again = parse_tower_document(emit_tower_document(doc))
+    assert again == doc
+    assert emit_tower_document(again) == text

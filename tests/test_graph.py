@@ -122,6 +122,11 @@ class TestCycles:
         assert not z.is_integral
         assert (2 * z).is_integral
 
+    def test_repeated_fractions_summing_to_an_integer_are_integral(self):
+        g = corpus.get("A2").graph
+        z = cycle(g, [("E1", Fraction(1, 2)), ("E1", Fraction(1, 2))])
+        assert z.is_integral and type(z.coeff("E1")) is int
+
     def test_dominates(self):
         g = corpus.get("A2").graph
         big = cycle(g, {"E1": 2, "E2": 1})

@@ -1,5 +1,6 @@
 """Hygiene of the package: no unused imports, no unreferenced private
-module-level names, no numpy or acceptance suite at CLI start."""
+module-level names, one home for the int-if-integral rule, no numpy or
+acceptance suite at CLI start."""
 
 import ast
 import os
@@ -49,6 +50,18 @@ def _dead_private_names(source: str) -> list[str]:
     ]
 
 
+def _integral_tests(source: str) -> list[str]:
+    """Comparisons ``x.denominator == 1``: the rule that an integral Fraction
+    becomes an int, which graph.normal owns."""
+    return [
+        f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and isinstance(node.left, ast.Attribute) and node.left.attr == "denominator"
+        and isinstance(node.ops[0], ast.Eq)
+        and isinstance(node.comparators[0], ast.Constant) and node.comparators[0].value == 1
+    ]
+
+
 def _scan(find) -> dict[str, list[str]]:
     return {
         path.name: found
@@ -81,6 +94,19 @@ def test_private_name_scan_sees_a_dead_name():
         "def public():\n    return _helper()\n"
     )
     assert _dead_private_names(source) == ["_DEAD (line 2)", "_left_behind (line 6)", "_Unused (line 8)"]
+
+
+def test_int_if_integral_rule_lives_in_graph_only():
+    assert {name: len(found) for name, found in _scan(_integral_tests).items()} == {"graph.py": 1}
+
+
+def test_integral_test_scan_sees_a_planted_copy():
+    source = (
+        "def f(total):\n"
+        "    if total.denominator != 1:\n        return total\n"
+        "    return int(total) if total.denominator == 1 else total\n"
+    )
+    assert _integral_tests(source) == ["line 4"]
 
 
 def test_cli_import_leaves_numpy_and_the_acceptance_suite_unloaded():
