@@ -1,24 +1,20 @@
 """Brute-force verifiers for the main algorithms on small instances.
 
-These deliberately work from the definitions (exhaustive enumeration over a
-coefficient box) rather than reusing the production algorithms, so that the
-test suite can play the two against each other.  numpy is used only to make
-the enumeration fast; every comparison is integer-exact.  numpy is imported on
-the first oracle call, so importing this module (and the CLI) does not load it.
+These deliberately work from the definitions rather than reusing the
+production algorithms, so that the test suite can play the two against each
+other.  Each oracle is a predicate over one depth-first search of a
+coefficient box in exact Python integers, which visits every box point or
+rejects it by a literal check of the definition.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import PreconditionError, TheoremViolationError
-from .graph import Cycle, DualGraph, cycle, zero_cycle
-
-if TYPE_CHECKING:
-    import numpy as np
-
-_CHUNK = 1 << 18
+from .graph import Cycle, DualGraph, _graph_mismatch, cycle, zero_cycle
 
 
 @dataclass(frozen=True)
@@ -37,133 +33,146 @@ def default_bound(z: Cycle) -> SearchBound:
     return SearchBound(max_coeff=2 * top + 2)
 
 
-def _guard(g: DualGraph, ranges: list[int], bound: SearchBound, max_abs: int) -> int:
-    """Check the search bounds, and that no W.M.W + K.W over the box, with
-    |W_i| <= max_abs, can overflow the int64 enumeration."""
+def _guard(g: DualGraph, ranges: list[int], bound: SearchBound) -> None:
+    """Check the search bounds; the candidate count is the whole box."""
     n = len(g.vertices)
     if n > bound.max_vertices:
         raise PreconditionError(
             f"graph has {n} vertices, oracle bound allows {bound.max_vertices}"
         )
-    total = 1
-    for r in ranges:
-        total *= r
+    total = math.prod(ranges)
     if total > bound.max_candidates:
         raise PreconditionError(
             f"{total} candidates exceed the oracle search bound {bound.max_candidates}"
         )
-    m_max = max([abs(v.self_int) for v in g.vertices] + [m for _, _, m in g.edges])
-    k_max = max(abs(v.kappa) for v in g.vertices)
-    if n * n * max_abs * max_abs * m_max + n * max_abs * k_max >= 1 << 63:
-        raise PreconditionError(
-            "intersection numbers over the search box would overflow the oracle's int64 arithmetic"
-        )
-    return total
 
 
-def _boxes(ranges: list[int], offsets: Optional[list[int]] = None) -> Iterator[np.ndarray]:
-    """Yield chunks of the integer box prod(range(r_i)) (+ offsets) as arrays."""
-    import numpy as np
+def _search(
+    g: DualGraph,
+    lows: list[int],
+    highs: list[int],
+    row_ok: Callable[[int, int], bool],
+    visit: Callable[[list[int], int], bool],
+) -> bool:
+    """Depth-first search of the box lows <= x <= highs (vertex order).
 
-    r = len(ranges)
-    total = 1
-    for n in ranges:
-        total *= n
-    strides = [1] * r
-    for i in range(r - 2, -1, -1):
-        strides[i] = strides[i + 1] * ranges[i + 1]
-    for lo in range(0, total, _CHUNK):
-        hi = min(lo + _CHUNK, total)
-        idx = np.arange(lo, hi, dtype=np.int64)
-        out = np.empty((hi - lo, r), dtype=np.int64)
-        for i in range(r):
-            out[:, i] = (idx // strides[i]) % ranges[i]
-            if offsets is not None:
-                out[:, i] += offsets[i]
-        yield out
+    Vertices are assigned in breadth-first order, each component from a
+    vertex of highest degree.  Row i, (M x)_i, goes to ``row_ok(i, row)`` at
+    the depth where x_i and all its neighbours are set, and the branch is cut
+    when it fails.  Every surviving point goes to ``visit(x, x.M.x)``; the
+    search stops, returning True, as soon as a visit returns True.  ``x`` is
+    the search's own buffer, so a visit copies what it keeps.
+    """
+    n = len(g.vertices)
+    diag = [v.self_int for v in g.vertices]
+    # column i of M as (row, entry) pairs: the diagonal, then the neighbours
+    column = [[(i, diag[i])] + [(g._index[b], m) for b, m in g.adjacency[vid]]
+              for i, vid in enumerate(g.ids)]
+    order: list[int] = []
+    for start in sorted(range(n), key=lambda i: -len(column[i])):
+        if start not in order:
+            order.append(start)
+            for i in order:  # grows as it goes: breadth-first
+                order += [j for j, _ in column[i] if j not in order]
+    depth = [order.index(i) for i in range(n)]
+    # row i is complete at the depth of the last of i and its neighbours
+    due = [[i for i in range(n) if max(depth[j] for j, _ in column[i]) == d] for d in range(n)]
+
+    x = [0] * n
+    rows = [0] * n  # M x, with every vertex not yet assigned at 0
+    quad = [0] * n  # quad[d]: x.M.x over the first d vertices
+
+    def move(i: int, delta: int) -> None:
+        x[i] += delta
+        for j, m in column[i]:
+            rows[j] += m * delta
+
+    d = 0
+    move(order[0], lows[order[0]])
+    while d >= 0:
+        i = order[d]
+        v = x[i]
+        if v > highs[i]:
+            move(i, -v)
+            d -= 1
+            if d >= 0:
+                move(order[d], 1)
+            continue
+        for k in due[d]:
+            if not row_ok(k, rows[k]):
+                break
+        else:
+            q = quad[d] + v * (2 * rows[i] - diag[i] * v)
+            if d < n - 1:
+                d += 1
+                quad[d] = q
+                move(order[d], lows[order[d]])
+                continue
+            if visit(x, q):
+                return True
+        move(i, 1)
+    return False
 
 
-def enumerate_max_Y(
-    z: Cycle, c: Cycle, bound: Optional[SearchBound] = None
-) -> Optional[Cycle]:
+def enumerate_max_Y(z: Cycle, c: Cycle, bound: Optional[SearchBound] = None) -> Optional[Cycle]:
     """Definition-level search for the maximal cycle Y with 0 <= Y <= Z,
     -Y^2 + K.Y = 0, Z - Y anti-nef, and Z - Y of degree zero on supp C.
 
     Returns the coefficient-wise maximum among the admissible candidates, or
     None when no unique maximum exists (a theorem violation on valid input).
     """
-    import numpy as np
-
     g = z.graph
+    if c.graph != g:
+        raise _graph_mismatch(g, c.graph)
     if bound is None:
         bound = default_bound(z)
     if not z.is_effective or not z.is_integral:
         raise PreconditionError("oracle needs an effective integral Z")
     zv = z.vector()
-    ranges = [min(v, bound.max_coeff) + 1 for v in zv]
-    _guard(g, ranges, bound, max(zv))
-    zv = np.array(zv, dtype=np.int64)
-    m = np.array(g.matrix(), dtype=np.int64)
-    kappa = np.array([v.kappa for v in g.vertices], dtype=np.int64)
-    supp_c = [g._index[vid] for vid in c.support] if not c.is_zero else []
-    best = None
-    for ys in _boxes(ranges):
-        ym = ys @ m
-        quad = (ym * ys).sum(axis=1)
-        smooth = (-quad + ys @ kappa) == 0
-        rows = (zv - ys) @ m
-        antinef = (rows <= 0).all(axis=1)
-        keep = smooth & antinef
-        if supp_c:
-            keep &= (rows[:, supp_c] == 0).all(axis=1)
-        keep |= (ys == 0).all(axis=1)  # Y = 0 is always admissible
-        kept = ys[keep]
-        if kept.size:
-            cand = kept.max(axis=0)
-            best = cand if best is None else np.maximum(best, cand)
+    highs = [min(v, bound.max_coeff) for v in zv]
+    _guard(g, [h + 1 for h in highs], bound)
+    z_rows = [sum(m * v for m, v in zip(row, zv)) for row in g.matrix()]
+    on_c = [vid in c.support for vid in g.ids]
+    kappa = [v.kappa for v in g.vertices]
+
+    def row_ok(i: int, r: int) -> bool:  # row i of Z - Y, given row i of Y
+        return z_rows[i] - r == 0 if on_c[i] else z_rows[i] - r <= 0
+
+    def smooth(y: list[int], q: int) -> bool:
+        return -q + sum(k * v for k, v in zip(kappa, y)) == 0
+
+    best = [0] * len(zv)  # Y = 0 is always admissible
+
+    def keep(y: list[int], q: int) -> bool:
+        if smooth(y, q):
+            best[:] = map(max, best, y)
+        return False
+
+    _search(g, [0] * len(zv), highs, row_ok, keep)
     # if the admissible set has a maximum it equals the coefficient-wise max,
     # so admissibility of that vector decides uniqueness
-    if best is None:
+    if any(best) and not _search(g, best, best, row_ok, smooth):
         return None
-    y = cycle(g, dict(zip(g.ids, (int(v) for v in best))))
-    if _admissible(z, y, c):
-        return y
-    return None
-
-
-def _admissible(z: Cycle, y: Cycle, c: Cycle) -> bool:
-    from .lattice import is_antinef, k_dot, pair, row_pairing
-
-    if y.is_zero:
-        return True
-    if not (z - y).is_effective:
-        return False
-    if -pair(y, y) + k_dot(y) != 0:
-        return False
-    if not is_antinef(z - y):
-        return False
-    return all(row_pairing(z - y, vid) == 0 for vid in c.support)
+    return cycle(g, dict(zip(g.ids, best)))
 
 
 def antinef_closure_bruteforce(d: Cycle, bound: SearchBound) -> Optional[Cycle]:
     """Pointwise minimum of the nonzero anti-nef cycles X >= d with every
     coefficient <= max_coeff, by exhaustive search; None when the box holds
     none.  The definition-level cross-check of ``lattice.antinef_closure``."""
-    import numpy as np
-
     g = d.graph
-    lows = [max(c, 0) for c in d.vector()]
-    ranges = [max(bound.max_coeff + 1 - lo, 0) for lo in lows]
-    _guard(g, ranges, bound, bound.max_coeff)
-    m = np.array(g.matrix(), dtype=np.int64)
-    best = None
-    for xs in _boxes(ranges, lows):
-        keep = ((xs @ m) <= 0).all(axis=1) & (xs != 0).any(axis=1)
-        kept = xs[keep]
-        if kept.size:
-            low = kept.min(axis=0)
-            best = low if best is None else np.minimum(best, low)
-    return None if best is None else cycle(g, dict(zip(g.ids, (int(v) for v in best))))
+    lows = [max(math.ceil(c), 0) for c in d.vector()]
+    _guard(g, [max(bound.max_coeff + 1 - lo, 0) for lo in lows], bound)
+    best: Optional[list[int]] = None
+
+    def keep(x: list[int], q: int) -> bool:
+        nonlocal best
+        if any(x):
+            best = list(x) if best is None else list(map(min, best, x))
+        return False
+
+    _search(g, lows, [bound.max_coeff] * len(lows), lambda i, r: r <= 0, keep)
+    return None if best is None else cycle(g, dict(zip(g.ids, best)))
 
 
 def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
@@ -173,15 +182,12 @@ def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
     lies below it, hence inside the box, so the pointwise minimum over the
     admissible set is exact whenever the search finds anything at all.
     """
-    import numpy as np
-
     z = antinef_closure_bruteforce(zero_cycle(g), bound)
     if z is None:
         raise PreconditionError(
             f"no anti-nef cycle with coefficients <= {bound.max_coeff}; raise the bound"
         )
-    rows = np.array(z.vector(), dtype=np.int64) @ np.array(g.matrix(), dtype=np.int64)
-    if (rows > 0).any() or z.is_zero:
+    if z.is_zero or not _search(g, z.vector(), z.vector(), lambda i, r: r <= 0, lambda x, q: True):
         raise TheoremViolationError(
             "pointwise minimum of anti-nef candidates is not anti-nef"
         )
@@ -190,16 +196,7 @@ def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
 
 def negdef_bruteforce(g: DualGraph, bound: SearchBound) -> bool:
     """Check W.W < 0 for every nonzero W with |coefficients| <= max_coeff."""
-    import numpy as np
-
-    b = bound.max_coeff
-    ranges = [2 * b + 1] * len(g.vertices)
-    _guard(g, ranges, bound, b)
-    m = np.array(g.matrix(), dtype=np.int64)
-    offsets = [-b] * len(g.vertices)
-    for ws in _boxes(ranges, offsets):
-        quad = ((ws @ m) * ws).sum(axis=1)
-        nonzero = (ws != 0).any(axis=1)
-        if (quad[nonzero] >= 0).any():
-            return False
-    return True
+    b, n = bound.max_coeff, len(g.vertices)
+    _guard(g, [2 * b + 1] * n, bound)
+    # W.W = (-W).(-W), so the W with a nonnegative first coefficient suffice
+    return not _search(g, [0] + [-b] * (n - 1), [b] * n, lambda i, r: True, lambda w, q: q >= 0 and any(w))

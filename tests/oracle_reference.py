@@ -1,0 +1,205 @@
+"""The brute-force oracles as numpy box enumerations, kept as a reference.
+
+This is the numpy implementation that ``antinef.oracle`` replaced with one
+pruned depth-first search in exact integers; the code below is unchanged
+apart from its imports.  ``test_oracle_reference.py`` checks that both give
+the same answers on small random graphs and towers.  It enumerates the box
+in int64, so it refuses inputs whose intersection numbers could overflow.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterator, Optional
+
+from antinef.errors import PreconditionError, TheoremViolationError
+from antinef.graph import Cycle, DualGraph, cycle, zero_cycle
+
+if TYPE_CHECKING:
+    import numpy as np
+
+_CHUNK = 1 << 18
+
+
+@dataclass(frozen=True)
+class SearchBound:
+    max_coeff: int = 6
+    max_vertices: int = 12
+    max_candidates: int = 20_000_000
+
+    def __post_init__(self):
+        if self.max_coeff < 1 or self.max_vertices < 1:
+            raise PreconditionError("search bounds must be positive")
+
+
+def default_bound(z: Cycle) -> SearchBound:
+    top = max((c for _, c in z.coeffs), default=1)
+    return SearchBound(max_coeff=2 * top + 2)
+
+
+def _guard(g: DualGraph, ranges: list[int], bound: SearchBound, max_abs: int) -> int:
+    """Check the search bounds, and that no W.M.W + K.W over the box, with
+    |W_i| <= max_abs, can overflow the int64 enumeration."""
+    n = len(g.vertices)
+    if n > bound.max_vertices:
+        raise PreconditionError(
+            f"graph has {n} vertices, oracle bound allows {bound.max_vertices}"
+        )
+    total = 1
+    for r in ranges:
+        total *= r
+    if total > bound.max_candidates:
+        raise PreconditionError(
+            f"{total} candidates exceed the oracle search bound {bound.max_candidates}"
+        )
+    m_max = max([abs(v.self_int) for v in g.vertices] + [m for _, _, m in g.edges])
+    k_max = max(abs(v.kappa) for v in g.vertices)
+    if n * n * max_abs * max_abs * m_max + n * max_abs * k_max >= 1 << 63:
+        raise PreconditionError(
+            "intersection numbers over the search box would overflow the oracle's int64 arithmetic"
+        )
+    return total
+
+
+def _boxes(ranges: list[int], offsets: Optional[list[int]] = None) -> Iterator[np.ndarray]:
+    """Yield chunks of the integer box prod(range(r_i)) (+ offsets) as arrays."""
+    import numpy as np
+
+    r = len(ranges)
+    total = 1
+    for n in ranges:
+        total *= n
+    strides = [1] * r
+    for i in range(r - 2, -1, -1):
+        strides[i] = strides[i + 1] * ranges[i + 1]
+    for lo in range(0, total, _CHUNK):
+        hi = min(lo + _CHUNK, total)
+        idx = np.arange(lo, hi, dtype=np.int64)
+        out = np.empty((hi - lo, r), dtype=np.int64)
+        for i in range(r):
+            out[:, i] = (idx // strides[i]) % ranges[i]
+            if offsets is not None:
+                out[:, i] += offsets[i]
+        yield out
+
+
+def enumerate_max_Y(
+    z: Cycle, c: Cycle, bound: Optional[SearchBound] = None
+) -> Optional[Cycle]:
+    """Definition-level search for the maximal cycle Y with 0 <= Y <= Z,
+    -Y^2 + K.Y = 0, Z - Y anti-nef, and Z - Y of degree zero on supp C.
+
+    Returns the coefficient-wise maximum among the admissible candidates, or
+    None when no unique maximum exists (a theorem violation on valid input).
+    """
+    import numpy as np
+
+    g = z.graph
+    if bound is None:
+        bound = default_bound(z)
+    if not z.is_effective or not z.is_integral:
+        raise PreconditionError("oracle needs an effective integral Z")
+    zv = z.vector()
+    ranges = [min(v, bound.max_coeff) + 1 for v in zv]
+    _guard(g, ranges, bound, max(zv))
+    zv = np.array(zv, dtype=np.int64)
+    m = np.array(g.matrix(), dtype=np.int64)
+    kappa = np.array([v.kappa for v in g.vertices], dtype=np.int64)
+    supp_c = [g._index[vid] for vid in c.support] if not c.is_zero else []
+    best = None
+    for ys in _boxes(ranges):
+        ym = ys @ m
+        quad = (ym * ys).sum(axis=1)
+        smooth = (-quad + ys @ kappa) == 0
+        rows = (zv - ys) @ m
+        antinef = (rows <= 0).all(axis=1)
+        keep = smooth & antinef
+        if supp_c:
+            keep &= (rows[:, supp_c] == 0).all(axis=1)
+        keep |= (ys == 0).all(axis=1)  # Y = 0 is always admissible
+        kept = ys[keep]
+        if kept.size:
+            cand = kept.max(axis=0)
+            best = cand if best is None else np.maximum(best, cand)
+    # if the admissible set has a maximum it equals the coefficient-wise max,
+    # so admissibility of that vector decides uniqueness
+    if best is None:
+        return None
+    y = cycle(g, dict(zip(g.ids, (int(v) for v in best))))
+    if _admissible(z, y, c):
+        return y
+    return None
+
+
+def _admissible(z: Cycle, y: Cycle, c: Cycle) -> bool:
+    from antinef.lattice import is_antinef, k_dot, pair, row_pairing
+
+    if y.is_zero:
+        return True
+    if not (z - y).is_effective:
+        return False
+    if -pair(y, y) + k_dot(y) != 0:
+        return False
+    if not is_antinef(z - y):
+        return False
+    return all(row_pairing(z - y, vid) == 0 for vid in c.support)
+
+
+def antinef_closure_bruteforce(d: Cycle, bound: SearchBound) -> Optional[Cycle]:
+    """Pointwise minimum of the nonzero anti-nef cycles X >= d with every
+    coefficient <= max_coeff, by exhaustive search; None when the box holds
+    none.  The definition-level cross-check of ``lattice.antinef_closure``."""
+    import numpy as np
+
+    g = d.graph
+    lows = [max(c, 0) for c in d.vector()]
+    ranges = [max(bound.max_coeff + 1 - lo, 0) for lo in lows]
+    _guard(g, ranges, bound, bound.max_coeff)
+    m = np.array(g.matrix(), dtype=np.int64)
+    best = None
+    for xs in _boxes(ranges, lows):
+        keep = ((xs @ m) <= 0).all(axis=1) & (xs != 0).any(axis=1)
+        kept = xs[keep]
+        if kept.size:
+            low = kept.min(axis=0)
+            best = low if best is None else np.minimum(best, low)
+    return None if best is None else cycle(g, dict(zip(g.ids, (int(v) for v in best))))
+
+
+def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
+    """Pointwise-minimal nonzero anti-nef cycle by exhaustive search.
+
+    If any anti-nef cycle exists within the box, the true fundamental cycle
+    lies below it, hence inside the box, so the pointwise minimum over the
+    admissible set is exact whenever the search finds anything at all.
+    """
+    import numpy as np
+
+    z = antinef_closure_bruteforce(zero_cycle(g), bound)
+    if z is None:
+        raise PreconditionError(
+            f"no anti-nef cycle with coefficients <= {bound.max_coeff}; raise the bound"
+        )
+    rows = np.array(z.vector(), dtype=np.int64) @ np.array(g.matrix(), dtype=np.int64)
+    if (rows > 0).any() or z.is_zero:
+        raise TheoremViolationError(
+            "pointwise minimum of anti-nef candidates is not anti-nef"
+        )
+    return z
+
+
+def negdef_bruteforce(g: DualGraph, bound: SearchBound) -> bool:
+    """Check W.W < 0 for every nonzero W with |coefficients| <= max_coeff."""
+    import numpy as np
+
+    b = bound.max_coeff
+    ranges = [2 * b + 1] * len(g.vertices)
+    _guard(g, ranges, bound, b)
+    m = np.array(g.matrix(), dtype=np.int64)
+    offsets = [-b] * len(g.vertices)
+    for ws in _boxes(ranges, offsets):
+        quad = ((ws @ m) * ws).sum(axis=1)
+        nonzero = (ws != 0).any(axis=1)
+        if (quad[nonzero] >= 0).any():
+            return False
+    return True

@@ -212,12 +212,12 @@ class TestExitCodes:
         code = main(["blowup", "--graph", a1b_file, "--center", "E", "--new-id", "X,1"])
         assert code == 1 and capsys.readouterr().err.startswith("error:")
 
-    def test_oracle_overflow_is_precondition_error(self, capsys, tmp_path):
+    def test_oracle_is_exact_beyond_int64(self, capsys, tmp_path):
         g = {"format": 1, "name": "g", "vertices": [{"id": "E", "self_int": -(2**62), "kappa": 2**62 - 2}]}
         path = tmp_path / "g.json"
         path.write_text(json.dumps(g))
         code = main(["oracle", "negdef", "--graph", str(path), "--json"])
-        assert code == 2 and capsys.readouterr().err.startswith("error:")
+        assert code == 0 and capsys.readouterr().out.strip() == '{"negative_definite":true}'
 
 
 class TestCone:

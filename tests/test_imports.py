@@ -1,6 +1,7 @@
 """Hygiene of the package: no unused imports, no unreferenced private
-module-level names, one home for the int-if-integral rule, no numpy or
-acceptance suite at CLI start."""
+module-level names, one home for the int-if-integral rule, no numpy
+anywhere, an oracle that imports only errors and graph, and no acceptance
+suite at CLI start."""
 
 import ast
 import os
@@ -62,11 +63,34 @@ def _integral_tests(source: str) -> list[str]:
     ]
 
 
-def _scan(find) -> dict[str, list[str]]:
+def _imports(source: str) -> list[tuple[str, int]]:
+    """Every module the source imports, at any depth, with its line; a
+    module of this package keeps its leading dot, as in ``.graph``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+            found += [("." + alias.name, node.lineno) for alias in node.names]  # from . import x
+        elif isinstance(node, ast.ImportFrom):
+            found.append(("." * node.level + node.module, node.lineno))
+    return found
+
+
+def _numpy_imports(source: str) -> list[str]:
+    return [f"line {line}" for name, line in _imports(source) if name.split(".")[0] == "numpy"]
+
+
+def _package_imports(source: str) -> list[str]:
+    """The modules of this package that the source imports from."""
+    return sorted({name[1:].split(".")[0] for name, _ in _imports(source) if name.startswith(".")})
+
+
+def _scan(find, with_init: bool = False) -> dict[str, list[str]]:
     return {
         path.name: found
         for path in sorted(PACKAGE.glob("*.py"))
-        if path.name != "__init__.py"  # its imports are the public re-exports
+        if (with_init or path.name != "__init__.py")  # its imports are the public re-exports
         and (found := find(path.read_text(encoding="utf-8")))
     }
 
@@ -107,6 +131,28 @@ def test_integral_test_scan_sees_a_planted_copy():
         "    return int(total) if total.denominator == 1 else total\n"
     )
     assert _integral_tests(source) == ["line 4"]
+
+
+def test_no_module_imports_numpy():
+    assert _scan(_numpy_imports, with_init=True) == {}
+
+
+def test_oracle_imports_only_errors_and_graph():
+    assert _package_imports((PACKAGE / "oracle.py").read_text(encoding="utf-8")) == ["errors", "graph"]
+
+
+def test_import_scans_see_a_planted_copy():
+    source = (
+        "import numpy as np\n"
+        "from .graph import cycle\n"
+        "from . import corpus\n"
+        "def f():\n"
+        "    from numpy.linalg import det\n"
+        "    from .lattice import pair\n"
+        "    return det, pair, np, cycle, corpus\n"
+    )
+    assert _numpy_imports(source) == ["line 1", "line 5"]
+    assert _package_imports(source) == ["corpus", "graph", "lattice"]
 
 
 def test_cli_import_leaves_numpy_and_the_acceptance_suite_unloaded():

@@ -1,5 +1,7 @@
 """Brute-force oracles: independent checks of the fast algorithms."""
 
+from fractions import Fraction
+
 import pytest
 
 from antinef import corpus
@@ -42,10 +44,15 @@ class TestClosureOracle:
         g = corpus.get("A3").graph
         assert antinef_closure_bruteforce(cycle(g, {"E1": 4}), SearchBound(max_coeff=3)) is None
 
-    def test_refuses_int64_overflow(self):
+    def test_fractional_seed_counts_as_its_ceiling(self):
+        g = corpus.get("A3").graph
+        d = cycle(g, {"E1": Fraction(1, 2), "E3": Fraction(5, 3)})
+        assert antinef_closure_bruteforce(d, SearchBound(max_coeff=4)) == antinef_closure(cycle(g, {"E1": 1, "E3": 2}))
+
+    def test_exact_on_huge_weights(self):
         g = dual_graph("huge", [("E", -(2**62), 2**62 - 2)])
-        with pytest.raises(PreconditionError, match="overflow"):
-            antinef_closure_bruteforce(unit_cycle(g, "E"), SearchBound(max_coeff=2))
+        closure = antinef_closure_bruteforce(unit_cycle(g, "E"), SearchBound(max_coeff=2))
+        assert str(closure) == "1*E"
 
 
 class TestNegdefOracle:
@@ -62,14 +69,13 @@ class TestNegdefOracle:
             assert negdef_bruteforce(g, SearchBound(max_coeff=4)) == is_negative_definite(g.matrix())
 
 
-    def test_refuses_int64_overflow(self):
-        # exactly negative definite, but W.M.W overflows int64 once |W_i| >= 2
+    def test_exact_on_huge_weights(self):
+        # W.M.W leaves int64 once |W_i| >= 2; the search is in exact integers
         g = dual_graph("huge", [("E", -(2**62), 2**62 - 2)])
-        with pytest.raises(PreconditionError, match="overflow"):
-            negdef_bruteforce(g, SearchBound(max_coeff=2))
-        assert negdef_bruteforce(g, SearchBound(max_coeff=1))
-        with pytest.raises(PreconditionError, match="overflow"):
-            enumerate_max_Y(cycle(g, {"E": 3}), zero_cycle(g), bound=SearchBound(max_coeff=3))
+        assert negdef_bruteforce(g, SearchBound(max_coeff=2)) is True
+        assert negdef_bruteforce(g, SearchBound(max_coeff=1)) is True
+        y = enumerate_max_Y(cycle(g, {"E": 3}), zero_cycle(g), bound=SearchBound(max_coeff=3))
+        assert str(y) == "0"
 
 
 class TestEnumerateMaxY:
@@ -97,6 +103,13 @@ class TestEnumerateMaxY:
         z = ex244.cycles["Z"]
         c = unit_cycle(t.top, "E0")
         assert enumerate_max_Y(z, c) == zero_cycle(t.top)
+
+    def test_cohom_cycle_on_another_graph(self):
+        g, other = corpus.get("A2").graph, corpus.get("A3").graph
+        # E3 is not on A2; E1 is, but the cycle still lives on A3
+        for vid in ("E3", "E1"):
+            with pytest.raises(PreconditionError, match="cycles live on different graphs"):
+                enumerate_max_Y(fundamental_cycle(g), unit_cycle(other, vid))
 
     def test_candidate_guard(self):
         g = corpus.get("E8").graph
