@@ -20,6 +20,7 @@ import pytest
 from antinef.cli import main
 
 RECORD = Path(__file__).with_name("data") / "cli_golden.json"
+COLUMNS = 80  # argparse wraps usage and help to the terminal width
 
 _IDEAL = ["pg-test", "colon-core", "good-test", "good-closure"]
 
@@ -104,6 +105,11 @@ CASES = [argv + mode for argv in CALLS for mode in ([], ["--json"])] + [
     ["cone", "--e", "x", "--g", "1", "--a", "0"],
     ["validate", "--graph", "a1b.json", "--bogus"],
     ["oracle", "zf", "--max-coeff", "2"],
+    # help: the text goes to stdout, exit 0
+    ["--help"],
+    ["oracle", "--help"],
+    ["validate", "--help"],
+    ["colon-core", "--help"],
 ]
 
 
@@ -145,7 +151,10 @@ def _documents() -> dict[str, str]:
 def _run(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help exits from inside argparse
+            code = exc.code
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -159,6 +168,7 @@ def in_documents(record, tmp_path, monkeypatch):
     for name, text in record["documents"].items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", str(COLUMNS))
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
@@ -187,6 +197,7 @@ def test_every_command_has_a_case_in_both_modes(capsys):
 
 
 if __name__ == "__main__":
+    os.environ["COLUMNS"] = str(COLUMNS)
     with tempfile.TemporaryDirectory() as work:
         docs = _documents()
         for name, text in docs.items():
