@@ -14,16 +14,14 @@ cohomological cycle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
 from .graph import Coeff, Cycle, DualGraph, Vertex, cycle
 from .lattice import contracts_to_smooth, is_antinef, row_pairing
 
 
-@dataclass(frozen=True)
-class TowerStep:
+class TowerStep(NamedTuple):
     """One level of a tower: a new (-1, kappa -1) curve and its attachments.
 
     ``attach`` lists (existing vertex, multiplicity); blow-ups always attach
@@ -152,8 +150,7 @@ def contract_all(g: DualGraph, may_contract: Callable[[DualGraph, str], bool]) -
     return Tower(levels=tuple(reversed(graphs)), steps=tuple(reversed(steps)))
 
 
-@dataclass(frozen=True)
-class Tower:
+class Tower(NamedTuple):
     """Chain of graphs; level 0 is the bottom (most contracted) graph and
     levels[k+1] = apply_step(levels[k], steps[k])."""
 
@@ -257,6 +254,25 @@ def transported(coeffs: Mapping[str, Coeff], attach: Sequence[tuple[str, int]]) 
     return lifted - 1 if any(c > 0 for c in on_curves) else lifted
 
 
+def cohom_coeffs(t: Tower, c_base: Cycle) -> dict[str, Coeff]:
+    """The cohomological cycle's coefficients on every curve of the tower,
+    by one pass of :func:`transported` up the steps.  A step only adds the
+    new curve's coefficient, so the cycle at a level is the restriction to
+    that level's curves; each new coefficient is checked to be >= 0."""
+    if not c_base.is_effective:
+        raise PreconditionError("cohomological cycle must be effective")
+    if c_base.graph != t.levels[0]:
+        raise PreconditionError("cohomological cycle must live on the tower's bottom level")
+    coeffs = c_base.as_dict()
+    for k, step in enumerate(t.steps):
+        c = coeffs[step.new_id] = transported(coeffs, step.attach)
+        if c < 0:
+            raise PreconditionError(
+                f"cohomological cycle turned negative at level {k + 1}; inconsistent input"
+            )
+    return coeffs
+
+
 def transport_cohom(t: Tower, c_base: Cycle) -> tuple[Cycle, ...]:
     """Transport the cohomological cycle from the bottom level to every level.
 
@@ -265,21 +281,8 @@ def transport_cohom(t: Tower, c_base: Cycle) -> tuple[Cycle, ...]:
     back unchanged.  A center on two crossing curves counts as 'on supp C'
     when either endpoint carries a positive coefficient.
     """
-    if not c_base.is_effective:
-        raise PreconditionError("cohomological cycle must be effective")
-    if c_base.graph != t.levels[0]:
-        raise PreconditionError("cohomological cycle must live on the tower's bottom level")
-    track = [c_base]
-    for k, step in enumerate(t.steps):
-        coeffs = track[-1].as_dict()
-        coeffs[step.new_id] = transported(coeffs, step.attach)
-        nxt = cycle(t.graph(k + 1), coeffs)
-        if not nxt.is_effective:
-            raise PreconditionError(
-                f"cohomological cycle turned negative at level {k + 1}; inconsistent input"
-            )
-        track.append(nxt)
-    return tuple(track)
+    coeffs = cohom_coeffs(t, c_base)
+    return tuple(cycle(g, {vid: coeffs[vid] for vid in g.ids if vid in coeffs}) for g in t.levels)
 
 
 def _fresh_id(taken, stem: str = "P") -> str:
@@ -324,7 +327,7 @@ def associated_pg_cycle(
                 f"-Z.E = {want}"
             )
     live = [vid for vid, n in counts.items() for _ in range(n)]
-    zc, cc = z.as_dict(), transport_cohom(t0, c_base)[-1].as_dict()
+    zc, cc = z.as_dict(), cohom_coeffs(t0, c_base)
     t = t0
     while True:
         for i, vid in enumerate(live):

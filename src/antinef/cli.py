@@ -9,16 +9,12 @@ internal theorem violation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 
-from . import corpus, ideals, lattice, oracle
-from .birational import Tower, blowup, contract, contract_all, edge_point, free_point, relative_canonical, transported
 from .errors import InputError, LatticeError, PreconditionError
 from .formats import (
     GraphDocument,
@@ -32,6 +28,13 @@ from .formats import (
     vertex_id,
 )
 from .graph import Cycle, DualGraph, validate_graph, zero_cycle
+
+# lattice, birational, ideals, oracle and corpus load inside the commands
+# that use them, so that a call imports only what its command runs
+if TYPE_CHECKING:
+    from .birational import Tower
+    from .ideals import IdealRep
+    from .oracle import SearchBound
 
 
 # --- the document of one call --------------------------------------------------
@@ -77,6 +80,8 @@ def _minimalize(g: DualGraph, c: Cycle) -> tuple[Tower, Cycle]:
     cohomological cycle consistent; returns the tower with g on top and the
     cycle on the bottom graph.  A curve may go only if transport along its
     re-insertion gives back C's coefficient on it."""
+    from .birational import contract_all, transported
+
     cc = c.as_dict()
     tower = contract_all(g, lambda h, vid: cc.get(vid, 0) == transported(cc, h.adjacency[vid]))
     return tower, c.restricted_to(tower.levels[0])
@@ -110,11 +115,13 @@ class _Input:
             return self.doc.cycles[spec]
         return parse_inline_cycle(spec, self.graph)
 
-    def ideal_reps(self, *specs: str) -> list[ideals.IdealRep]:
+    def ideal_reps(self, *specs: str) -> list[IdealRep]:
         """The ideals of the named or inline cycles on the document's model.
         A graph document is first minimalized: its graph becomes the top of
         the resulting tower, its cycles live on that level, and --level does
         not apply."""
+        from . import ideals
+
         doc, level = self.doc, self.args.level
         c = _doc_cohom(doc)
         if isinstance(doc, GraphDocument):
@@ -167,6 +174,12 @@ def _graph_text(g: DualGraph) -> str:
 # --- commands that are more than one call ------------------------------------------
 
 
+def _lattice():
+    from . import lattice  # validate runs without it
+
+    return lattice
+
+
 def _raises(args):
     """--trace of a closure: one line per raise."""
     return (lambda vid, coeff: print(f"# raise {vid} -> {coeff}")) if args.trace else None
@@ -179,14 +192,22 @@ def _validate(args, src: _Input):
 
 
 def _blowup(args, src: _Input) -> str:
+    from .birational import blowup, edge_point, free_point
+
     new_id = vertex_id(args.new_id, "--new-id")
     ids = [part.strip() for part in args.center.split(",") if part.strip()]
     if len(ids) not in (1, 2):
         raise InputError(f"--center wants one or two vertex ids, got {args.center!r}")
     step = free_point(ids[0], new_id) if len(ids) == 1 else edge_point(ids[0], ids[1], new_id)
     if isinstance(src.doc, TowerDocument):
-        return emit_tower_document(dataclasses.replace(src.doc, tower=src.doc.tower.blow_up(step)))
+        return emit_tower_document(src.doc._replace(tower=src.doc.tower.blow_up(step)))
     return _graph_text(blowup(src.graph, step)[0])
+
+
+def _contract(args, src: _Input) -> str:
+    from .birational import contract
+
+    return _graph_text(contract(src.graph, args.vertex)[0])
 
 
 def _transfer(args, src: _Input, move: Callable[[Cycle, int, int], Cycle], default_to: int) -> dict:
@@ -197,6 +218,8 @@ def _transfer(args, src: _Input, move: Callable[[Cycle, int, int], Cycle], defau
 
 
 def _relative_canonical(args, src: _Input) -> dict:
+    from .birational import relative_canonical
+
     top = src.doc.tower.height if args.top is None else args.top
     return {"level": top, "cycle": relative_canonical(src.doc.tower, top_level=top, bottom_level=args.bottom)}
 
@@ -207,7 +230,9 @@ def _pg_test(args, src: _Input) -> dict:
 
 
 def _colon_core(args, src: _Input) -> dict:
-    rep = ideals.colon_and_core(src.ideal_reps(args.cycle)[0])
+    from .ideals import colon_and_core
+
+    rep = colon_and_core(src.ideal_reps(args.cycle)[0])
     if args.trace:  # the contraction sequence, in the order the curves go
         for step in reversed(rep.contraction_tower.steps):
             print(f"# contract {step.new_id!r}")
@@ -220,28 +245,44 @@ def _colon_core(args, src: _Input) -> dict:
     }
 
 
+def _good_test(args, src: _Input) -> dict:
+    from .ideals import is_good
+
+    return {"good": is_good(src.ideal_reps(args.cycle)[0])}
+
+
 def _good_closure(args, src: _Input) -> dict:
-    closed = ideals.good_closure(src.ideal_reps(args.cycle)[0])
+    from .ideals import good_closure
+
+    closed = good_closure(src.ideal_reps(args.cycle)[0])
     return {"level": closed.level, "cycle": closed.z, "good": True}
 
 
 def _core_monotone(args, src: _Input) -> dict:
+    from .ideals import core_monotone_check, includes
+
     i1, i2 = src.ideal_reps(args.cycle, args.cycle2)
-    if not ideals.includes(i2, i1):
+    if not includes(i2, i1):
         raise PreconditionError("--cycle2 must dominate --cycle coefficientwise")
-    return {"monotone": ideals.core_monotone_check(i1, i2)}
+    return {"monotone": core_monotone_check(i1, i2)}
 
 
 def _cone(args, src: _Input):
-    stats = ideals.cone_model(args.e, args.g, args.a)[2]
+    from .ideals import cone_model
+
+    stats = cone_model(args.e, args.g, args.a)[2]
     names = "colength", "colength_expected", "mu", "mu_expected", "mult_gap", "mult_gap_expected", "all_ok"
     fields = _fields(stats, *names)
     return fields, 0 if stats.all_ok else 3
 
 
-def _search_bound(args, z: Optional[Cycle] = None) -> oracle.SearchBound:
+def _search_bound(args, z: Optional[Cycle] = None) -> SearchBound:
     """The oracle's search box: the default for z, else --max-coeff; with
     --max-search, that many candidates at most."""
+    import dataclasses
+
+    from . import oracle
+
     bound = oracle.default_bound(z) if z is not None else oracle.SearchBound(max_coeff=args.max_coeff)
     if args.max_search is not None:
         bound = dataclasses.replace(bound, max_candidates=args.max_search)
@@ -249,18 +290,36 @@ def _search_bound(args, z: Optional[Cycle] = None) -> oracle.SearchBound:
 
 
 def _oracle_max_y(args, src: _Input):
+    from .oracle import enumerate_max_Y
+
     z = src.cycle(args.cycle)
     c = src.cycle(args.cohom) if args.cohom else zero_cycle(src.graph)
-    y = oracle.enumerate_max_Y(z, c, bound=_search_bound(args, z))
+    y = enumerate_max_Y(z, c, bound=_search_bound(args, z))
     return {"max_y": y}, 0 if y is not None else 3
 
 
+def _oracle_zf(args, src: _Input) -> dict:
+    from .oracle import fundamental_cycle_bruteforce
+
+    return {"fundamental_cycle": fundamental_cycle_bruteforce(src.graph, _search_bound(args))}
+
+
+def _oracle_negdef(args, src: _Input) -> dict:
+    from .oracle import negdef_bruteforce
+
+    return {"negative_definite": negdef_bruteforce(src.graph, _search_bound(args))}
+
+
 def _corpus_list(args, src: _Input) -> str:
+    from . import corpus
+
     names = corpus.names()
     return json.dumps(names) + "\n" if args.json else "".join(f"{name}\n" for name in names)
 
 
 def _corpus_show(args, src: _Input) -> str:
+    from . import corpus
+
     entry = corpus.get(args.name)
     model = entry.model_args or None
     if entry.tower is not None and args.as_tower:
@@ -270,6 +329,8 @@ def _corpus_show(args, src: _Input) -> str:
 
 
 def _corpus_verify(args, src: _Input):
+    import dataclasses
+
     from . import verify  # the acceptance suite loads only for this command
 
     results = verify.run_all(
@@ -295,8 +356,7 @@ def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
     return flags, options
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One command: ``run(args, src)`` turns the parsed arguments and the
     document (``src``, an ``_Input``) into result fields to render or text
     to write, optionally paired with an exit code other than 0."""
@@ -325,23 +385,24 @@ _MAX_COEFF = _arg("--max-coeff", type=int, default=6)
 COMMANDS: tuple[Command, ...] = (
     Command("validate", _validate, reads="graph", help="check graph invariants"),
     Command("fundamental-cycle",
-            lambda a, s: {"fundamental_cycle": lattice.fundamental_cycle(s.graph, on_step=_raises(a))}, reads="graph"),
-    Command("canonical-cycle", lambda a, s: {"canonical_cycle": lattice.canonical_cycle(s.graph)}, reads="graph"),
-    Command("is-rational", lambda a, s: {"rational": lattice.is_rational(s.graph)}, reads="graph"),
+            lambda a, s: {"fundamental_cycle": _lattice().fundamental_cycle(s.graph, on_step=_raises(a))},
+            reads="graph"),
+    Command("canonical-cycle", lambda a, s: {"canonical_cycle": _lattice().canonical_cycle(s.graph)}, reads="graph"),
+    Command("is-rational", lambda a, s: {"rational": _lattice().is_rational(s.graph)}, reads="graph"),
     Command("antinef-closure",
-            lambda a, s: {"closure": lattice.antinef_closure(s.cycle(a.cycle), on_step=_raises(a))},
+            lambda a, s: {"closure": _lattice().antinef_closure(s.cycle(a.cycle), on_step=_raises(a))},
             reads="graph", cycle=True),
-    Command("pa", lambda a, s: {"pa": lattice.arithmetic_genus(s.cycle(a.cycle))}, reads="graph", cycle=True,
+    Command("pa", lambda a, s: {"pa": _lattice().arithmetic_genus(s.cycle(a.cycle))}, reads="graph", cycle=True,
             help="arithmetic genus of a cycle"),
-    Command("multiplicity", lambda a, s: {"multiplicity": lattice.multiplicity(s.cycle(a.cycle))},
+    Command("multiplicity", lambda a, s: {"multiplicity": _lattice().multiplicity(s.cycle(a.cycle))},
             reads="graph", cycle=True),
-    Command("colength", lambda a, s: {"colength": lattice.colength(s.cycle(a.cycle), pg=a.pg, h1=a.h1)},
+    Command("colength", lambda a, s: {"colength": _lattice().colength(s.cycle(a.cycle), pg=a.pg, h1=a.h1)},
             reads="graph", cycle=True, args=(_arg("--pg", type=int, default=0), _arg("--h1", type=int, default=0))),
     Command("blowup", _blowup, reads="either", args=(
         _arg("--center", required=True, metavar="V|A,B", help="one curve (free point) or two (edge point)"),
         _arg("--new-id", required=True),
     )),
-    Command("contract", lambda a, s: _graph_text(contract(s.graph, a.vertex)[0]), reads="graph",
+    Command("contract", _contract, reads="graph",
             args=(_arg("--vertex", required=True),)),
     Command("pullback", lambda a, s: _transfer(a, s, s.doc.tower.pullback, s.doc.tower.height), **_TRANSFER),
     Command("pushforward", lambda a, s: _transfer(a, s, s.doc.tower.pushforward, 0), **_TRANSFER),
@@ -349,7 +410,7 @@ COMMANDS: tuple[Command, ...] = (
             args=(_arg("--top", type=int, default=None), _arg("--bottom", type=int, default=0))),
     Command("pg-test", _pg_test, **_IDEAL),
     Command("colon-core", _colon_core, **_IDEAL),
-    Command("good-test", lambda a, s: {"good": ideals.is_good(s.ideal_reps(a.cycle)[0])}, **_IDEAL),
+    Command("good-test", _good_test, **_IDEAL),
     Command("good-closure", _good_closure, **_IDEAL),
     Command("core-monotone", _core_monotone, reads="either", cycle=True,
             args=(_arg("--cycle2", required=True, metavar="NAME|INLINE"), *_IDEAL["args"])),
@@ -360,11 +421,8 @@ COMMANDS: tuple[Command, ...] = (
     )),
     Command("oracle max-y", _oracle_max_y, cycle=True, **_ORACLE,
             args=(_arg("--cohom", default=None, metavar="NAME|INLINE"), _MAX_SEARCH)),
-    Command("oracle zf",
-            lambda a, s: {"fundamental_cycle": oracle.fundamental_cycle_bruteforce(s.graph, _search_bound(a))},
-            args=(_MAX_COEFF, _MAX_SEARCH), **_ORACLE),
-    Command("oracle negdef", lambda a, s: {"negative_definite": oracle.negdef_bruteforce(s.graph, _search_bound(a))},
-            args=(_MAX_COEFF, _MAX_SEARCH), **_ORACLE),
+    Command("oracle zf", _oracle_zf, args=(_MAX_COEFF, _MAX_SEARCH), **_ORACLE),
+    Command("oracle negdef", _oracle_negdef, args=(_MAX_COEFF, _MAX_SEARCH), **_ORACLE),
     Command("corpus list", _corpus_list),
     Command("corpus show", _corpus_show, args=(
         _arg("name"), _arg("--as-tower", action="store_true", help="emit the tower document when one exists"),
@@ -383,18 +441,33 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _build_parser() -> _Parser:
+class _Retry(Exception):
+    """A usage error met by a one-command parser."""
+
+
+class _OneCommandParser(_Parser):
+    def error(self, message):  # the whole table reports it, with its usage line
+        raise _Retry
+
+
+def _build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The parser of the command that argv starts with, holding that command
+    alone, or of the whole table when argv starts with none.  A command's
+    help and usage do not depend on the other commands; only a usage error,
+    which the top-level parser may report, needs the whole table."""
+    named = [cmd for cmd in COMMANDS if cmd.name.split() == list(argv[: cmd.name.count(" ") + 1])]
+    cls = _OneCommandParser if named else _Parser
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--trace", action="store_true", help="step-by-step log")
 
-    parser = _Parser(prog="antinef", description=__doc__)
-    groups = {"": parser.add_subparsers(dest="command", required=True, parser_class=_Parser)}
-    for cmd in COMMANDS:
+    parser = cls(prog="antinef", description=__doc__)
+    groups = {"": parser.add_subparsers(dest="command", required=True, parser_class=cls)}
+    for cmd in named or COMMANDS:
         group, _, name = cmd.name.rpartition(" ")
         if group not in groups:
             groups[group] = groups[""].add_parser(group, parents=[common]).add_subparsers(
-                dest=f"{group}_command", required=True, parser_class=_Parser
+                dest=f"{group}_command", required=True, parser_class=cls
             )
         sp = groups[group].add_parser(name, parents=[common], help=cmd.help)
         if cmd.reads in ("graph", "either"):
@@ -410,9 +483,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = _build_parser(argv).parse_args(argv)
+        except _Retry:
+            args = _build_parser().parse_args(argv)
         out = args.cmd.run(args, _Input(args, args.cmd.reads))
         result, code = out if isinstance(out, tuple) else (out, 0)
         if isinstance(result, str):

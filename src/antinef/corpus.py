@@ -5,20 +5,22 @@ double-point example, and the graded cone.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from math import gcd
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional
 
 from .birational import Tower, free_point
 from .errors import InputError
 from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle
 
-@dataclass(frozen=True)
-class CorpusEntry:
+_EMPTY: Mapping = MappingProxyType({})  # a default that no caller can change
+
+
+class CorpusEntry(NamedTuple):
     name: str
     graph: DualGraph
-    cycles: dict[str, Cycle] = field(default_factory=dict)
-    model_args: dict = field(default_factory=dict)
+    cycles: Mapping[str, Cycle] = _EMPTY
+    model_args: Mapping = _EMPTY
     tower: Optional[Tower] = None
 
 

@@ -9,30 +9,31 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Any, Mapping, NamedTuple, Optional
 
-from .birational import Tower, edge_point, free_point
 from .errors import InputError
 from .graph import Coeff, Cycle, DualGraph, cycle, dual_graph
 
+if TYPE_CHECKING:
+    from .birational import Tower
+
 FORMAT = 1
+_EMPTY: Mapping = MappingProxyType({})  # a default that no caller can change
 
 
-@dataclass(frozen=True)
-class GraphDocument:
+class GraphDocument(NamedTuple):
     name: str
     graph: DualGraph
-    cycles: dict[str, Cycle] = field(default_factory=dict)
+    cycles: Mapping[str, Cycle] = _EMPTY
     model: Optional[dict] = None
 
 
-@dataclass(frozen=True)
-class TowerDocument:
+class TowerDocument(NamedTuple):
     name: str
     tower: Tower
-    cycles: dict[str, tuple[int, Cycle]] = field(default_factory=dict)
+    cycles: Mapping[str, tuple[int, Cycle]] = _EMPTY
     model: Optional[dict] = None
 
 
@@ -185,6 +186,8 @@ def emit_graph_document(doc: GraphDocument) -> str:
 
 
 def parse_tower_document(text: str | dict) -> TowerDocument:
+    from .birational import Tower, edge_point, free_point  # towers only: graph documents skip it
+
     obj = _load(text)
     base = _parse_vertices_edges(_need(obj, "base", "$"), "$.base")
     t = Tower.base(base)

@@ -10,7 +10,6 @@ arbitrary-precision integers or ``fractions.Fraction``; no floats anywhere.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -20,18 +19,54 @@ from .errors import InputError, PreconditionError
 Coeff = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Vertex:
-    id: str
-    self_int: int
-    kappa: int
+_set = object.__setattr__  # how the fields of a _Frozen are set, once, in __init__
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    name: str
-    vertices: tuple[Vertex, ...]
-    edges: tuple[tuple[str, str, int], ...]
+class _Frozen:
+    """Read-only attributes, as on a frozen dataclass.  Plain instance
+    attributes, not a tuple, because the lattice loops read them often;
+    ``cached_property`` still stores what it computes in ``__dict__``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Vertex(_Frozen):
+    def __init__(self, id: str, self_int: int, kappa: int):
+        _set(self, "id", id)
+        _set(self, "self_int", self_int)
+        _set(self, "kappa", kappa)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.id == other.id and self.self_int == other.self_int and self.kappa == other.kappa
+
+    def __hash__(self):
+        return hash((self.id, self.self_int, self.kappa))
+
+    def __repr__(self) -> str:
+        return f"Vertex(id={self.id!r}, self_int={self.self_int!r}, kappa={self.kappa!r})"
+
+
+class DualGraph(_Frozen):
+    def __init__(self, name: str, vertices: tuple[Vertex, ...], edges: tuple[tuple[str, str, int], ...]):
+        _set(self, "name", name)
+        _set(self, "vertices", vertices)
+        _set(self, "edges", edges)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (
+            self.name == other.name and self.vertices == other.vertices and self.edges == other.edges
+        )
+
+    def __hash__(self):
+        return hash((self.name, self.vertices, self.edges))
 
     @cached_property
     def ids(self) -> tuple[str, ...]:
@@ -57,13 +92,6 @@ class DualGraph:
             adj[a].append((b, m))
             adj[b].append((a, m))
         return {vid: tuple(nb) for vid, nb in adj.items()}
-
-    def edge_mult(self, a: str, b: str) -> int:
-        key = (a, b) if a < b else (b, a)
-        for u, v, m in self.edges:
-            if (u, v) == key:
-                return m
-        return 0
 
     def matrix(self) -> list[list[int]]:
         """Intersection matrix in vertex order."""
@@ -134,8 +162,7 @@ def dual_graph(
     return DualGraph(name=name, vertices=tuple(vs), edges=etup)
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(_Frozen):
     """Exact coefficient vector on the vertices of a dual graph.
 
     Coefficients are integers or Fractions in lowest terms; integral values
@@ -143,8 +170,17 @@ class Cycle:
     arithmetic returns fresh cycles.
     """
 
-    graph: DualGraph
-    coeffs: tuple[tuple[str, Coeff], ...]
+    def __init__(self, graph: DualGraph, coeffs: tuple[tuple[str, Coeff], ...]):
+        _set(self, "graph", graph)
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.graph == other.graph and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.graph, self.coeffs))
 
     @cached_property
     def _map(self) -> dict[str, Coeff]:
@@ -210,6 +246,9 @@ class Cycle:
         """Drop coefficients on vertices absent from *target*."""
         return cycle(target, {vid: c for vid, c in self.coeffs if target.has_vertex(vid)})
 
+    def __repr__(self) -> str:
+        return f"Cycle(graph={self.graph!r}, coeffs={self.coeffs!r})"
+
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -250,8 +289,7 @@ def unit_cycle(graph: DualGraph, vid: str) -> Cycle:
 # --- validation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     connected: bool
     negative_definite: bool
     adjunction_ok: bool

@@ -12,10 +12,9 @@ the steps, then Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
-from .birational import Tower, associated_pg_cycle, contract_all, lift, transport_cohom
+from .birational import Tower, associated_pg_cycle, cohom_coeffs, contract_all, lift
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
 from .lattice import (
@@ -32,8 +31,7 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class SingularityModel:
+class SingularityModel(NamedTuple):
     """A validated base graph at the minimal resolution plus the analytic
     inputs the lattice cannot infer (pg, Gorenstein flag, cohomological
     cycle)."""
@@ -95,8 +93,7 @@ def singularity_model(
     return SingularityModel(base=base, rational=rational, pg=pg, gorenstein=gorenstein, c_base=c_base)
 
 
-@dataclass(frozen=True)
-class IdealRep:
+class IdealRep(NamedTuple):
     """An integrally closed m-primary ideal: an anti-nef cycle at a tower
     level, with the cohomological cycle transported alongside."""
 
@@ -125,7 +122,8 @@ def represent(
         raise PreconditionError("an ideal needs an integral cycle Z > 0")
     if not is_antinef(z):
         raise PreconditionError(f"{z} is not anti-nef")
-    c = transport_cohom(tower, model.c_base)[level]
+    cc = cohom_coeffs(tower, model.c_base)
+    c = cycle(g, {vid: cc[vid] for vid in g.ids if vid in cc})
     numeric = _pg_numeric(z, c)
     if model.rational:
         if h1 not in (None, 0):
@@ -167,8 +165,7 @@ def product(i1: IdealRep, i2: IdealRep) -> IdealRep:
     return represent(i1.model, i1.tower, level, z1 + z2, h1=h1)
 
 
-@dataclass(frozen=True)
-class CoreReport:
+class CoreReport(NamedTuple):
     y: Cycle
     colon_cycle: Cycle
     core_cycle: Cycle
@@ -337,8 +334,7 @@ def stability_defect(
     return epsilon(pg, h1_z, h1_z, h1_2z)
 
 
-@dataclass(frozen=True)
-class ConeStats:
+class ConeStats(NamedTuple):
     colength: int
     colength_expected: int
     mu: int

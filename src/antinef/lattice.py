@@ -13,15 +13,13 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .errors import PreconditionError, TheoremViolationError
-from .graph import Coeff, Cycle, DualGraph, cycle, eliminate, normal, unit_cycle
+from .graph import Coeff, Cycle, DualGraph, _graph_mismatch, cycle, eliminate, normal, unit_cycle
 
 
 def pair(w: Cycle, v: Cycle) -> Coeff:
     """Intersection number W.V under the graph's bilinear form."""
     if w.graph != v.graph:
-        raise PreconditionError(
-            f"cycles live on different graphs ({w.graph.name!r} vs {v.graph.name!r})"
-        )
+        raise _graph_mismatch(w.graph, v.graph)
     g = w.graph
     wm, vm = w._map, v._map
     total: Coeff = 0

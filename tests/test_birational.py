@@ -33,6 +33,11 @@ from antinef.lattice import (
 from towers import grow
 
 
+def _mult(g, a, b):
+    """The multiplicity of the edge a--b of g, 0 when there is none."""
+    return sum(m for u, v, m in g.edges if {u, v} == {a, b})
+
+
 class TestBlowup:
     def test_free_point_surgery(self):
         g = corpus.get("A1").graph
@@ -40,14 +45,14 @@ class TestBlowup:
         assert g2.vertex("E1").self_int == -3
         assert g2.vertex("E1").kappa == 1
         assert g2.vertex("C").self_int == -1 and g2.vertex("C").kappa == -1
-        assert g2.edge_mult("E1", "C") == 1
+        assert _mult(g2, "E1", "C") == 1
         assert validate_graph(g2).ok
 
     def test_edge_point_surgery(self):
         g = corpus.get("A2").graph
         g2, _ = blowup(g, edge_point("E1", "E2", "C"))
-        assert g2.edge_mult("E1", "E2") == 0
-        assert g2.edge_mult("E1", "C") == 1 and g2.edge_mult("E2", "C") == 1
+        assert _mult(g2, "E1", "E2") == 0
+        assert _mult(g2, "E1", "C") == 1 and _mult(g2, "E2", "C") == 1
         assert g2.vertex("E1").self_int == -3 and g2.vertex("E2").self_int == -3
         assert validate_graph(g2).ok
 

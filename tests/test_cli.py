@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from antinef import corpus
-from antinef.cli import _read, main
+from antinef.cli import _build_parser, _read, main
 from antinef.errors import InputError
 from antinef.formats import emit_graph_document, emit_tower_document, GraphDocument, TowerDocument
 from antinef.graph import cycle, dual_graph
@@ -145,6 +145,22 @@ class TestThinWrapper:
         path.write_text(out)
         code, validated = run(capsys, "validate", "--graph", str(path), "--json")
         assert code == 0 and json.loads(validated)["ok"]
+
+
+class TestParser:
+    def test_a_call_builds_the_parser_of_its_command_alone(self):
+        assert "{validate}" in _build_parser(["validate", "--graph", "a.json"]).format_usage()
+        argv = ["oracle", "zf", "--graph", "a.json"]
+        assert _build_parser(argv).parse_args(argv).cmd.name == "oracle zf"
+
+    def test_no_command_builds_the_whole_table(self):
+        usage = _build_parser(["--help"]).format_usage()
+        assert "{validate,fundamental-cycle," in usage and ",oracle,corpus}" in usage
+
+    def test_usage_error_of_one_command_reports_the_whole_table(self, capsys):
+        assert main(["validate", "--graph", "a.json", "--bogus"]) == 1
+        err = capsys.readouterr().err
+        assert "{validate,fundamental-cycle," in err and "unrecognized arguments: --bogus" in err
 
 
 class TestExitCodes:

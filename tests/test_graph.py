@@ -20,6 +20,11 @@ from antinef.graph import (
 from antinef.lattice import canonical_cycle, row_pairing
 
 
+def _mult(g, a, b):
+    """The multiplicity of the edge a--b of g, 0 when there is none."""
+    return sum(m for u, v, m in g.edges if {u, v} == {a, b})
+
+
 class TestConstruction:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(InputError):
@@ -43,7 +48,7 @@ class TestConstruction:
 
     def test_parallel_edges_merge(self):
         g = dual_graph("g", [("A", -3, 1), ("B", -3, 1)], [("A", "B"), ("B", "A")])
-        assert g.edge_mult("A", "B") == 2
+        assert _mult(g, "A", "B") == 2
 
     def test_vertex_order_is_canonical(self):
         g1 = dual_graph("g", [("A", -2, 0), ("B", -2, 0)], [("A", "B")])

@@ -1,13 +1,16 @@
 """Hygiene of the package: no unused imports, no unreferenced private
-module-level names, one home for the int-if-integral rule, no numpy
-anywhere, an oracle that imports only errors and graph, and no acceptance
-suite at CLI start."""
+module-level names, one home for the int-if-integral rule and for the
+graph-mismatch message, no numpy anywhere, an oracle that imports only
+errors and graph, and a CLI call that loads only what its command runs."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import antinef
 
@@ -162,3 +165,120 @@ def test_cli_import_leaves_numpy_and_the_acceptance_suite_unloaded():
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
     )
     assert out.stdout.strip() == "set()"
+
+
+def _message_copies(source: str, text: str) -> list[str]:
+    """String literals, f-string parts included, that contain text."""
+    return [
+        f"line {line}" for line in sorted(
+            node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
+        )
+    ]
+
+
+MISMATCH = "cycles live on different graphs"
+
+
+def test_graph_mismatch_message_lives_in_graph_only():
+    assert {name: len(found) for name, found in _scan(lambda s: _message_copies(s, MISMATCH)).items()} == {
+        "graph.py": 1
+    }
+
+
+def test_message_scan_sees_a_planted_copy():
+    source = (
+        "def f(a, b):\n"
+        f"    raise ValueError(f'{MISMATCH} ({{a!r}} vs {{b!r}})')\n"
+        "def g():\n"
+        f"    return '{MISMATCH}'\n"
+    )
+    assert _message_copies(source, MISMATCH) == ["line 2", "line 4"]
+
+
+# --- what a CLI call loads ----------------------------------------------------------
+
+PUBLIC = sorted("""
+    ConeStats CoreReport Cycle DualGraph IdealRep InputError LatticeError PreconditionError SingularityModel
+    TheoremViolationError Tower TowerStep ValidationReport Vertex antinef_closure arithmetic_genus
+    associated_pg_cycle blowup canonical_cycle colength colon_and_core cone_model contract contract_all
+    contracts_to_smooth core_monotone_check cycle dual_graph edge_point epsilon free_point fundamental_cycle
+    good_closure good_gorenstein_crosscheck includes is_antinef is_good is_numerically_gorenstein is_rational
+    k_dot multiplicity pair product relative_canonical represent row_pairing singularity_model
+    stability_defect transport_cohom unit_cycle validate_graph zero_cycle
+""".split())
+# the modules whose loading a call is checked for
+WATCHED = sorted({f"antinef.{path.stem}" for path in PACKAGE.glob("*.py")} - {"antinef.__init__"}
+                 | {"dataclasses", "inspect"})
+ALWAYS = ["antinef.cli", "antinef.errors", "antinef.formats", "antinef.graph"]
+A3 = {
+    "format": 1, "name": "A3",
+    "vertices": [{"id": f"E{i}", "self_int": -2, "kappa": 0} for i in (1, 2, 3)],
+    "edges": [{"a": "E1", "b": "E2"}, {"a": "E2", "b": "E3"}],
+}
+# runs one call of main in a fresh interpreter; the last line of stderr lists
+# the watched modules that the call loaded and the start-up had not
+_CALL = (
+    "import json, sys\n"
+    "watch = set(json.loads(sys.argv[1])) - set(sys.modules)\n"
+    "from antinef.cli import main\n"
+    "code = main(sys.argv[2:])\n"
+    "print(json.dumps(sorted(watch & set(sys.modules))), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def _loaded_by(argv: list[str], cwd: Path) -> list[str]:
+    out = subprocess.run(
+        [sys.executable, "-c", _CALL, json.dumps(WATCHED), *argv],
+        capture_output=True, text=True, cwd=cwd, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+    )
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stderr.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    from antinef import corpus
+    from antinef.formats import TowerDocument, emit_tower_document
+
+    work = tmp_path_factory.mktemp("documents")
+    (work / "a3.json").write_text(json.dumps(A3), encoding="utf-8")
+    ex = corpus.get("ex244blown")
+    doc = TowerDocument(ex.name, ex.tower, {"Z": (ex.tower.height, ex.cycles["Z"])}, ex.model_args)
+    (work / "ex244.json").write_text(emit_tower_document(doc), encoding="utf-8")
+    return work
+
+
+# a call and the modules of the package, beyond ALWAYS, or of dataclasses it loads
+CALLS = [
+    (["validate", "--graph", "a3.json"], []),
+    (["fundamental-cycle", "--graph", "a3.json", "--json"], ["lattice"]),
+    (["canonical-cycle", "--graph", "a3.json"], ["lattice"]),
+    (["antinef-closure", "--graph", "a3.json", "--cycle", "E1:2", "--trace"], ["lattice"]),
+    (["pullback", "--tower", "ex244.json", "--cycle", "E0:1", "--from", "0"], ["birational", "lattice"]),
+    (["colon-core", "--tower", "ex244.json", "--cycle", "Z"], ["birational", "ideals", "lattice"]),
+    (["oracle", "zf", "--graph", "a3.json", "--max-coeff", "2"], ["oracle", "dataclasses", "inspect"]),
+]
+
+
+@pytest.mark.parametrize("argv, loads", CALLS, ids=[" ".join(argv[:2]).split(" --")[0] for argv, _ in CALLS])
+def test_a_call_loads_only_what_its_command_runs(argv, loads, documents):
+    expected = ALWAYS + [name if name in ("dataclasses", "inspect") else f"antinef.{name}" for name in loads]
+    assert _loaded_by(argv, documents) == sorted(expected)
+
+
+def test_package_exports_the_same_public_names():
+    assert sorted(antinef.__all__) == PUBLIC
+    submodules = {path.stem for path in PACKAGE.glob("*.py")}
+    listed = {name for name in dir(antinef) if not name.startswith("_")}
+    assert set(PUBLIC) <= listed and listed - set(PUBLIC) <= submodules
+    for name in PUBLIC:
+        value = getattr(antinef, name)
+        assert value is getattr(sys.modules[value.__module__], name), name
+
+
+def test_unknown_package_attribute_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="frobnicate"):
+        antinef.frobnicate  # noqa: B018
+    assert not hasattr(antinef, "edge_mult")
