@@ -153,15 +153,6 @@ class TestParser:
         argv = ["oracle", "zf", "--graph", "a.json"]
         assert _build_parser(argv).parse_args(argv).cmd.name == "oracle zf"
 
-    def test_no_command_builds_the_whole_table(self):
-        usage = _build_parser(["--help"]).format_usage()
-        assert "{validate,fundamental-cycle," in usage and ",oracle,corpus}" in usage
-
-    def test_usage_error_of_one_command_reports_the_whole_table(self, capsys):
-        assert main(["validate", "--graph", "a.json", "--bogus"]) == 1
-        err = capsys.readouterr().err
-        assert "{validate,fundamental-cycle," in err and "unrecognized arguments: --bogus" in err
-
 
 class TestExitCodes:
     def test_missing_file_is_input_error(self, capsys):
