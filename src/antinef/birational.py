@@ -13,7 +13,7 @@ cohomological cycle.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
@@ -48,52 +48,101 @@ def apply_step(g: DualGraph, step: TowerStep) -> DualGraph:
     """Insert the step's exceptional curve into g (upward surgery).
 
     g is in :func:`~antinef.graph.dual_graph`'s canonical order and so is the
-    result: untouched vertices and edges are reused, the new curve is
-    inserted by id, and only the edge tuple is sorted again.
+    result.  A step costs Python work in the number of curves it attaches
+    to, each found by bisection; the rest of g is copied as whole lists.
     """
-    for vid, m in step.attach:
-        if not g.has_vertex(vid):
-            raise InputError(f"step attaches to unknown vertex {vid!r}")
-        if m < 1:
-            raise InputError("attach multiplicities must be >= 1")
-    if g.has_vertex(step.new_id):
-        raise InputError(f"vertex id {step.new_id!r} already exists on {g.name!r}")
-    return _surgery(g, step.new_id, step.attach, 1)
+    s = _Surgery(g)
+    s.insert(step)
+    return s.graph()
 
 
-def _surgery(g: DualGraph, new_id: str, attach: Sequence[tuple[str, int]], sign: int) -> DualGraph:
-    """Insert (sign +1) or remove (sign -1) the (-1)-curve new_id meeting
-    each (u, m) of attach m times.  Each u gains -sign.m^2 in self-intersection
-    and sign.m in kappa, and each pair u, w of attach loses sign.mu.mw from
-    their edge; an edge that would go negative refuses the blow-up."""
-    att = dict(attach)
-    verts = [
-        v if v.id not in att else Vertex(v.id, v.self_int - sign * att[v.id] ** 2, v.kappa + sign * att[v.id])
-        for v in g.vertices
-        if v.id != new_id
-    ]
-    elist, inner = [], {}
-    for e in g.edges:
-        if e[0] in att and e[1] in att:
-            inner[e[0], e[1]] = e[2]
-        elif new_id != e[0] and new_id != e[1]:
-            elist.append(e)
-    for i in range(len(attach)):
-        for j in range(i + 1, len(attach)):
-            (u, mu), (w, mw) = attach[i], attach[j]
-            key = (u, w) if u < w else (w, u)
-            have = inner.get(key, 0)
-            if have < sign * mu * mw:
-                raise PreconditionError(
-                    f"cannot blow up: edge {key} has multiplicity {have} < {mu * mw}"
-                )
-            inner[key] = have - sign * mu * mw
-    elist += [(a, b, m) for (a, b), m in inner.items() if m > 0]
-    if sign > 0:
-        verts.insert(bisect_left(g.ids, new_id), Vertex(new_id, -1, -1))
-        elist += [(u, new_id, m) if u < new_id else (new_id, u, m) for u, m in attach]
-    elist.sort()
-    return DualGraph(g.name, tuple(verts), tuple(elist))
+def replay(base: DualGraph, steps: Iterable[TowerStep]) -> DualGraph:
+    """The top graph of ``Tower.from_steps(base, steps)``, built once: the
+    steps patch one set of lists, so no graph is made for the levels between.
+    Refuses a step exactly as :func:`apply_step` does."""
+    s = _Surgery(base)
+    for step in steps:
+        s.insert(step)
+    return s.graph()
+
+
+class _Surgery:
+    """A dual graph as mutable lists in canonical order, patched in place:
+    ``ids`` and ``verts`` sorted by id, ``edges`` as sorted (a, b, m) with
+    a < b.  :meth:`graph` freezes the lists into a DualGraph."""
+
+    __slots__ = ("name", "ids", "verts", "edges")
+
+    def __init__(self, g: DualGraph):
+        self.name = g.name
+        self.ids = list(g.ids)
+        self.verts = list(g.vertices)
+        self.edges = list(g.edges)
+
+    def _has(self, vid: str) -> bool:
+        ids = self.ids
+        k = bisect_left(ids, vid)
+        return k < len(ids) and ids[k] == vid
+
+    def insert(self, step: TowerStep) -> None:
+        """:func:`apply_step`'s checks, then the surgery with sign +1."""
+        for vid, m in step.attach:
+            if not self._has(vid):
+                raise InputError(f"step attaches to unknown vertex {vid!r}")
+            if m < 1:
+                raise InputError("attach multiplicities must be >= 1")
+        if self._has(step.new_id):
+            raise InputError(f"vertex id {step.new_id!r} already exists on {self.name!r}")
+        self.patch(step.new_id, step.attach, 1)
+
+    def patch(self, new_id: str, attach: Sequence[tuple[str, int]], sign: int) -> None:
+        """Insert (sign +1) or remove (sign -1) the (-1)-curve new_id meeting
+        each (u, m) of attach m times.  Each u gains -sign.m^2 in
+        self-intersection and sign.m in kappa, and each pair u, w of attach
+        loses sign.mu.mw from their edge; an edge that would go negative
+        refuses the blow-up.  Every vertex and edge touched is found by
+        bisection and replaced, inserted or deleted where it sits, so the
+        Python work is in len(attach)^2, and list insertions and deletions
+        move the rest in C."""
+        ids, verts, edges = self.ids, self.verts, self.edges
+        for i in range(len(attach)):
+            for j in range(i + 1, len(attach)):
+                (u, mu), (w, mw) = attach[i], attach[j]
+                a, b = (u, w) if u < w else (w, u)
+                k = bisect_left(edges, (a, b))
+                hit = k < len(edges) and edges[k][0] == a and edges[k][1] == b
+                have = edges[k][2] if hit else 0
+                if have < sign * mu * mw:
+                    raise PreconditionError(
+                        f"cannot blow up: edge {(a, b)} has multiplicity {have} < {mu * mw}"
+                    )
+                m = have - sign * mu * mw
+                if m == 0:
+                    del edges[k]
+                elif hit:
+                    edges[k] = (a, b, m)
+                else:
+                    edges.insert(k, (a, b, m))
+        for u, m in attach:
+            k = bisect_left(ids, u)
+            v = verts[k]
+            verts[k] = Vertex(u, v.self_int - sign * m * m, v.kappa + sign * m)
+            e = (u, new_id, m) if u < new_id else (new_id, u, m)
+            if sign > 0:
+                insort(edges, e)
+            else:
+                del edges[bisect_left(edges, e)]
+        k = bisect_left(ids, new_id)
+        if sign > 0:
+            ids.insert(k, new_id)
+            verts.insert(k, Vertex(new_id, -1, -1))
+        else:
+            del ids[k], verts[k]
+
+    def graph(self) -> DualGraph:
+        g = DualGraph(self.name, tuple(self.verts), tuple(self.edges))
+        g.__dict__["ids"] = tuple(self.ids)
+        return g
 
 
 def blowup(g: DualGraph, step: TowerStep) -> tuple[DualGraph, TowerStep]:
@@ -104,7 +153,9 @@ def blowup(g: DualGraph, step: TowerStep) -> tuple[DualGraph, TowerStep]:
 def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
     """Contract a rational (-1)-curve; returns the lower graph and the
     step that rebuilds g from it.  Like :func:`apply_step`, keeps g's
-    canonical order and reuses the untouched vertices and edges."""
+    canonical order and costs Python work in the curve's degree: the lower
+    graph's adjacency is g's, copied, with only the curve's neighbours
+    patched."""
     v = g.vertex(vid)
     if v.self_int != -1 or v.kappa != -1:
         raise PreconditionError(
@@ -113,7 +164,9 @@ def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
     if len(g.vertices) == 1:
         raise PreconditionError("cannot contract the last curve of a graph")
     attach = g.adjacency[vid]
-    lower = _surgery(g, vid, attach, -1)
+    s = _Surgery(g)
+    s.patch(vid, attach, -1)
+    lower = s.graph()
     # seed the cached adjacency: only the curves vid met change neighbours
     adj = dict(g.adjacency)
     del adj[vid]
@@ -163,10 +216,13 @@ class Tower(NamedTuple):
 
     @classmethod
     def from_steps(cls, base: DualGraph, steps: Iterable[TowerStep]) -> "Tower":
-        levels = [base]
+        """The tower the steps build on base: one set of lists patched
+        step by step (as in :func:`replay`), frozen at every level."""
+        s, levels = _Surgery(base), [base]
         steps = tuple(steps)
-        for s in steps:
-            levels.append(apply_step(levels[-1], s))
+        for step in steps:
+            s.insert(step)
+            levels.append(s.graph())
         return cls(levels=tuple(levels), steps=steps)
 
     @property

@@ -279,13 +279,11 @@ def _cone(args, src: _Input):
 def _search_bound(args, z: Optional[Cycle] = None) -> SearchBound:
     """The oracle's search box: the default for z, else --max-coeff; with
     --max-search, that many candidates at most."""
-    import dataclasses
-
     from . import oracle
 
     bound = oracle.default_bound(z) if z is not None else oracle.SearchBound(max_coeff=args.max_coeff)
     if args.max_search is not None:
-        bound = dataclasses.replace(bound, max_candidates=args.max_search)
+        bound = bound._replace(max_candidates=args.max_search)
     return bound
 
 

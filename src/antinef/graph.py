@@ -74,7 +74,7 @@ class DualGraph(_Frozen):
 
     @cached_property
     def _index(self) -> dict[str, int]:
-        return {v.id: k for k, v in enumerate(self.vertices)}
+        return dict(zip(self.ids, range(len(self.vertices))))
 
     def has_vertex(self, vid: str) -> bool:
         return vid in self._index

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .birational import Tower, associated_pg_cycle, cohom_coeffs, contract_all, lift
+from .birational import Tower, associated_pg_cycle, cohom_coeffs, contract_all, lift, replay
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
 from .lattice import (
@@ -202,7 +202,7 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
     # graph of the sequence
     cc = ideal.c.as_dict()
     local = contract_all(g, lambda h, vid: vid not in cc and _row(h, cc, vid) == 0)
-    if Tower.from_steps(local.levels[0], local.steps).top != g:
+    if replay(local.levels[0], local.steps) != g:
         raise TheoremViolationError("contraction sequence did not replay to the input graph")
     zc = z.as_dict()
     b: list[int] = []

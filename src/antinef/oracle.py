@@ -10,22 +10,19 @@ rejects it by a literal check of the definition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, _graph_mismatch, cycle, zero_cycle
 
 
-@dataclass(frozen=True)
-class SearchBound:
+class SearchBound(NamedTuple):
+    """An oracle's search box; the oracle call refuses one that is not
+    positive (:func:`_positive`)."""
+
     max_coeff: int = 6
     max_vertices: int = 12
     max_candidates: int = 20_000_000
-
-    def __post_init__(self):
-        if self.max_coeff < 1 or self.max_vertices < 1:
-            raise PreconditionError("search bounds must be positive")
 
 
 def default_bound(z: Cycle) -> SearchBound:
@@ -33,8 +30,14 @@ def default_bound(z: Cycle) -> SearchBound:
     return SearchBound(max_coeff=2 * top + 2)
 
 
+def _positive(bound: SearchBound) -> None:
+    if bound.max_coeff < 1 or bound.max_vertices < 1:
+        raise PreconditionError("search bounds must be positive")
+
+
 def _guard(g: DualGraph, ranges: list[int], bound: SearchBound) -> None:
     """Check the search bounds; the candidate count is the whole box."""
+    _positive(bound)
     n = len(g.vertices)
     if n > bound.max_vertices:
         raise PreconditionError(
@@ -126,6 +129,7 @@ def enumerate_max_Y(z: Cycle, c: Cycle, bound: Optional[SearchBound] = None) -> 
         raise _graph_mismatch(g, c.graph)
     if bound is None:
         bound = default_bound(z)
+    _positive(bound)  # before Z's own check, as when the bound refused itself
     if not z.is_effective or not z.is_integral:
         raise PreconditionError("oracle needs an effective integral Z")
     zv = z.vector()

@@ -15,6 +15,7 @@ from antinef.birational import (
     edge_point,
     free_point,
     relative_canonical,
+    replay,
     transport_cohom,
     transported,
 )
@@ -254,15 +255,38 @@ def test_surgery_keeps_canonical_order(data):
     t = grow(data, Tower.base(base), data.draw(st.integers(min_value=1, max_value=40)))
     for k, step in enumerate(t.steps):
         g = t.levels[k + 1]
-        assert g == dual_graph(g.name, g.vertices, g.edges)
+        _assert_canonical(g)
         assert g == _reference_apply_step(t.levels[k], step)
         for v in g.vertices:
             if v.self_int == -1 and v.kappa == -1:
                 lower, back = contract(g, v.id)
-                assert lower == dual_graph(lower.name, lower.vertices, lower.edges)
+                _assert_canonical(lower)
                 assert (lower, back) == _reference_contract(g, v.id)
-                assert lower.adjacency == dual_graph(lower.name, lower.vertices, lower.edges).adjacency
                 assert apply_step(lower, back) == g
+    # the one-graph replay and the tower built level by level agree
+    assert Tower.from_steps(base, t.steps).levels == t.levels
+    k = data.draw(st.integers(min_value=0, max_value=t.height))
+    assert replay(base, t.steps[:k]) == Tower.from_steps(base, t.steps[:k]).top == t.levels[k]
+    # ... and refuse a bad step alike, wherever it comes
+    a, b, m = t.levels[k].edges[0] if t.levels[k].edges else (t.levels[k].ids[0], t.levels[k].ids[0], 0)
+    for bad in (TowerStep("Q", (("nowhere", 1),)),  # an unknown vertex
+                TowerStep(t.levels[k].ids[-1], ((t.levels[k].ids[0], 1),)),  # a taken id
+                TowerStep("Q", ((a, m + 1), (b, 1)))):  # an edge that would go negative
+        assert _refusal(lambda: replay(base, t.steps[:k] + (bad,))) == _refusal(lambda: apply_step(t.levels[k], bad))
+
+
+def _assert_canonical(g):
+    """g is in dual_graph's canonical order, and its seeded caches are what
+    dual_graph's graph computes."""
+    ref = dual_graph(g.name, g.vertices, g.edges)
+    assert g == ref
+    assert g.ids == ref.ids and g._index == ref._index and g.adjacency == ref.adjacency
+
+
+def _refusal(call):
+    with pytest.raises((InputError, PreconditionError)) as err:
+        call()
+    return err.type, str(err.value)
 
 
 # --- the contraction loops as they were written before contract_all --------

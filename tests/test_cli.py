@@ -254,6 +254,13 @@ class TestOracle:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["zf", "--max-coeff", "0"], ["negdef", "--max-coeff", "-1"], ["max-y", "--cycle", "E:-1,C1:-2"],
+    ])
+    def test_a_bound_that_is_not_positive_exits_2(self, capsys, a1b_file, argv):
+        code = main(["oracle", argv[0], "--graph", a1b_file, *argv[1:]])
+        assert (code, capsys.readouterr().err) == (2, "error: search bounds must be positive\n")
+
 
 class TestCorpus:
     def test_list_contains_families(self, capsys):

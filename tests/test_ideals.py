@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from antinef import corpus
+from antinef import birational, corpus
 from antinef.birational import Tower, contract, free_point, relative_canonical
 from antinef.errors import PreconditionError, TheoremViolationError
 from antinef.graph import cycle, dual_graph, unit_cycle
@@ -312,3 +312,23 @@ def test_colon_core_and_relative_canonical_match_pullback_formulas(data):
     assert rep.contraction_tower == local
     assert is_good(ideal) == rep.good
     assert relative_canonical(t) == _reference_relative_canonical(t)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_colon_and_core_builds_no_tower_to_replay_its_contractions(data):
+    base = corpus.get(data.draw(st.sampled_from(["A3", "D5", "E6"]))).graph
+    t = grow(data, Tower.base(base), data.draw(st.integers(min_value=40, max_value=60)))
+    z = t.pullback(fundamental_cycle(base), 0, t.height)
+    ideal = represent(singularity_model(base), t, t.height, z)
+    calls = []
+
+    def counted(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(birational, "apply_step", counted(birational.apply_step))
+        mp.setattr(Tower, "from_steps", classmethod(counted(Tower.from_steps.__func__)))
+        rep = colon_and_core(ideal)
+    assert rep.contraction_tower.height >= 40  # every curve above the base contracts
+    assert calls == []

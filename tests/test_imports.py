@@ -260,7 +260,7 @@ CALLS = [
      ["antinef.birational", "antinef.lattice"]),
     (["colon-core", "--tower", "ex244.json", "--cycle", "Z"],
      ["antinef.birational", "antinef.ideals", "antinef.lattice"]),
-    (["oracle", "zf", "--graph", "a3.json", "--max-coeff", "2"], ["antinef.oracle", "dataclasses", "inspect"]),
+    (["oracle", "zf", "--graph", "a3.json", "--max-coeff", "2"], ["antinef.oracle"]),
 ]
 
 

@@ -116,3 +116,15 @@ class TestEnumerateMaxY:
         z = 6 * fundamental_cycle(g)
         with pytest.raises(PreconditionError):
             enumerate_max_Y(z, zero_cycle(g), bound=SearchBound(max_candidates=10))
+
+
+@pytest.mark.parametrize("bound", [SearchBound(max_coeff=0), SearchBound(max_coeff=-1), SearchBound(max_vertices=0)])
+def test_every_oracle_refuses_a_bound_that_is_not_positive(bound):
+    g = corpus.get("A3").graph
+    z = fundamental_cycle(g)
+    for call in (lambda: enumerate_max_Y(z, zero_cycle(g), bound=bound),
+                 lambda: antinef_closure_bruteforce(z, bound),
+                 lambda: fundamental_cycle_bruteforce(g, bound),
+                 lambda: negdef_bruteforce(g, bound)):
+        with pytest.raises(PreconditionError, match="^search bounds must be positive$"):
+            call()

@@ -62,5 +62,5 @@ def test_max_y_matches_the_reference_on_towers(data):
     if not z.is_zero and data.draw(st.integers(0, 3)):
         z = antinef_closure(z)
     c = cycle(g, {vid: 1 for vid in data.draw(st.lists(st.sampled_from(base.ids), max_size=2, unique=True))})
-    box = data.draw(st.none() | st.builds(oracle.SearchBound, max_coeff=st.integers(1, 4)))
+    box = data.draw(st.none() | st.integers(1, 4).map(lambda k: oracle.SearchBound(max_coeff=k)))
     assert _answer(oracle.enumerate_max_Y, z, c, box) == _answer(reference.enumerate_max_Y, z, c, box)
