@@ -268,11 +268,12 @@ def test_surgery_keeps_canonical_order(data):
     k = data.draw(st.integers(min_value=0, max_value=t.height))
     assert replay(base, t.steps[:k]) == Tower.from_steps(base, t.steps[:k]).top == t.levels[k]
     # ... and refuse a bad step alike, wherever it comes
-    a, b, m = t.levels[k].edges[0] if t.levels[k].edges else (t.levels[k].ids[0], t.levels[k].ids[0], 0)
+    g = t.levels[k]
+    a, b, m = g.edges[0] if g.edges else (g.ids[0], g.ids[0], 0)
     for bad in (TowerStep("Q", (("nowhere", 1),)),  # an unknown vertex
-                TowerStep(t.levels[k].ids[-1], ((t.levels[k].ids[0], 1),)),  # a taken id
+                TowerStep(g.ids[-1], ((g.ids[0], 1),)),  # a taken id
                 TowerStep("Q", ((a, m + 1), (b, 1)))):  # an edge that would go negative
-        assert _refusal(lambda: replay(base, t.steps[:k] + (bad,))) == _refusal(lambda: apply_step(t.levels[k], bad))
+        assert _refusal(lambda: replay(base, t.steps[:k] + (bad,))) == _refusal(lambda: apply_step(g, bad))
 
 
 def _assert_canonical(g):
