@@ -152,10 +152,7 @@ def blowup(g: DualGraph, step: TowerStep) -> tuple[DualGraph, TowerStep]:
 
 def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
     """Contract a rational (-1)-curve; returns the lower graph and the
-    step that rebuilds g from it.  Like :func:`apply_step`, keeps g's
-    canonical order and costs Python work in the curve's degree: the lower
-    graph's adjacency is g's, copied, with only the curve's neighbours
-    patched."""
+    step that rebuilds g from it: :func:`contract_all` limited to vid."""
     v = g.vertex(vid)
     if v.self_int != -1 or v.kappa != -1:
         raise PreconditionError(
@@ -163,43 +160,50 @@ def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
         )
     if len(g.vertices) == 1:
         raise PreconditionError("cannot contract the last curve of a graph")
-    attach = g.adjacency[vid]
-    s = _Surgery(g)
-    s.patch(vid, attach, -1)
-    lower = s.graph()
-    # seed the cached adjacency: only the curves vid met change neighbours
-    adj = dict(g.adjacency)
-    del adj[vid]
-    for u, mu in attach:
-        nb = {w: m for w, m in adj[u] if w != vid}
-        for w, mw in attach:
-            if w != u:
-                nb[w] = nb.get(w, 0) + mu * mw
-        adj[u] = tuple(sorted(nb.items()))
-    lower.__dict__["adjacency"] = adj
-    return lower, TowerStep(new_id=vid, attach=attach)
+    t = contract_all(g, lambda step: step.new_id == vid)
+    return t.levels[0], t.steps[0]
 
 
-def contract_all(g: DualGraph, may_contract: Callable[[DualGraph, str], bool]) -> Tower:
+def excess(coeffs: Mapping[str, Coeff], step: TowerStep) -> Coeff:
+    """W[E] - sum m.W[u] over the step's attachments, for the curve E the
+    step inserts: -W.E, since E^2 = -1 and E meets each u m times."""
+    return coeffs.get(step.new_id, 0) - sum(m * coeffs.get(u, 0) for u, m in step.attach)
+
+
+def contract_all(g: DualGraph, may_contract: Callable[[TowerStep], bool]) -> Tower:
     """Contract rational (-1)-curves of g while one may go; returns the
     sequence as a tower with g on top, bottom = most contracted.
 
     Each scan runs over the current graph's curves in canonical order and
     contracts the first rational (-1)-curve, other than the last curve, for
-    which ``may_contract(graph, vid)`` holds; then it scans again.  A
-    contraction keeps the survivors' coefficients, so a caller's coefficient
-    dict stays valid on every graph of the sequence.
+    which ``may_contract(step)`` holds, where step is the :class:`TowerStep`
+    that would re-insert it (its neighbours, sorted, as attachments); then it
+    scans again.  One set of lists is patched for the whole sequence, as in
+    :func:`replay`, with the neighbour tuples kept beside it.  A contraction
+    keeps the survivors' coefficients, so a caller's coefficient dict stays
+    valid on every graph of the sequence.
     """
+    s, adj = _Surgery(g), dict(g.adjacency)
     graphs, steps = [g], []
-    while len(g.vertices) > 1:
-        for v in g.vertices:
-            if v.self_int == -1 and v.kappa == -1 and may_contract(g, v.id):
-                g, step = contract(g, v.id)
-                graphs.append(g)
-                steps.append(step)
-                break
+    while len(s.ids) > 1:
+        for v in s.verts:
+            if v.self_int == -1 and v.kappa == -1:
+                step = TowerStep(v.id, adj[v.id])
+                if may_contract(step):
+                    break
         else:
             break
+        s.patch(step.new_id, step.attach, -1)
+        # only the curves the contracted one met change neighbours
+        del adj[step.new_id]
+        for u, mu in step.attach:
+            nb = {w: m for w, m in adj[u] if w != step.new_id}
+            for w, mw in step.attach:
+                if w != u:
+                    nb[w] = nb.get(w, 0) + mu * mw
+            adj[u] = tuple(sorted(nb.items()))
+        graphs.append(s.graph())
+        steps.append(step)
     return Tower(levels=tuple(reversed(graphs)), steps=tuple(reversed(steps)))
 
 

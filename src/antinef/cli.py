@@ -83,7 +83,7 @@ def _minimalize(g: DualGraph, c: Cycle) -> tuple[Tower, Cycle]:
     from .birational import contract_all, transported
 
     cc = c.as_dict()
-    tower = contract_all(g, lambda h, vid: cc.get(vid, 0) == transported(cc, h.adjacency[vid]))
+    tower = contract_all(g, lambda step: cc.get(step.new_id, 0) == transported(cc, step.attach))
     return tower, c.restricted_to(tower.levels[0])
 
 
@@ -327,8 +327,6 @@ def _corpus_show(args, src: _Input) -> str:
 
 
 def _corpus_verify(args, src: _Input):
-    import dataclasses
-
     from . import verify  # the acceptance suite loads only for this command
 
     results = verify.run_all(
@@ -336,7 +334,7 @@ def _corpus_verify(args, src: _Input):
         samples=verify.DEFAULT_SAMPLES if args.samples is None else args.samples,
     )
     if args.json:
-        text = json.dumps([dataclasses.asdict(r) for r in results]) + "\n"
+        text = json.dumps([r._asdict() for r in results]) + "\n"
     else:
         width = max(len(name) for name in verify.CRITERIA)
         text = "".join(

@@ -4,21 +4,20 @@ ideals, core, goodness, good closures, and the graded-cone model.
 A minimal reduction is never materialized; every colon/core output is
 computed at the cycle level via the contraction-sequence description:
 contract rational (-1)-curves E_i disjoint from the cohomological cycle,
-read b_i = -Z.F_i off each contraction step by the projection formula
-(Z.F_i = (pi_* Z).E_i on the graph E_i is contracted from, F_i its total
-transform), accumulate Y = sum of min(1, b_i) F_i in one bottom-up pass over
-the steps, then Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}.
+read b_i = -Z.F_i off the step that re-inserts E_i (F_i its total
+transform; by the projection formula b_i = Z[E_i] - sum m.Z[u] over the
+step's attachments), accumulate Y = sum of min(1, b_i) F_i in one bottom-up
+pass over the steps, then Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .birational import Tower, associated_pg_cycle, cohom_coeffs, contract_all, lift, replay
+from .birational import Tower, TowerStep, associated_pg_cycle, cohom_coeffs, contract_all, excess, lift, replay
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
 from .lattice import (
-    _row,
     canonical_cycle,
     colength,
     contracts_to_smooth,
@@ -179,15 +178,24 @@ class CoreReport(NamedTuple):
     good_cycle: Cycle  # pushforward of Z to the bottom of the contraction tower
 
 
+def _off_c(c: Cycle):
+    """colon/core's contraction rule: the curve is off supp C and C.E = 0."""
+    cc = c.as_dict()
+    # a contracted curve is off supp C, so C keeps its coefficients on every
+    # graph of the sequence
+    return lambda step: step.new_id not in cc and excess(cc, step) == 0
+
+
 def colon_and_core(ideal: IdealRep) -> CoreReport:
     """Compute Q:I and core(I) for a numerically-p_g ideal.
 
     One pass over the contraction sequence (:func:`~antinef.birational.contract_all`)
     of rational (-1)-curves E_1, E_2, ... disjoint from the cohomological
     cycle.  By the projection formula, b_i = -Z.F_i = -(pi_* Z).E_i on the
-    graph E_i is contracted from, where pi_* Z keeps Z's coefficients on that
-    graph's curves, so each b_i is one row pairing there.  Y = sum over b_i > 0 of F_i is one bottom-up accumulation over
-    the steps (:func:`~antinef.birational.lift`):
+    graph E_i is contracted from, which the step re-inserting E_i gives as
+    :func:`~antinef.birational.excess`: Z[E_i] - sum m.Z[u] over its
+    attachments.  Y = sum over b_i > 0 of F_i is one bottom-up accumulation
+    over the steps (:func:`~antinef.birational.lift`):
     Y[E_i] = sum m.Y[attach] + [b_i > 0].
 
     Any failure of the construction's guarantees (Z - Y not anti-nef, Y not
@@ -198,22 +206,15 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
         raise PreconditionError("colon_and_core needs a numerically-p_g ideal")
     g = ideal.tower.graph(ideal.level)
     z = ideal.z
-    # a contracted curve is off supp C, so C keeps its coefficients on every
-    # graph of the sequence
-    cc = ideal.c.as_dict()
-    local = contract_all(g, lambda h, vid: vid not in cc and _row(h, cc, vid) == 0)
+    local = contract_all(g, _off_c(ideal.c))
     if replay(local.levels[0], local.steps) != g:
         raise TheoremViolationError("contraction sequence did not replay to the input graph")
     zc = z.as_dict()
     b: list[int] = []
-    for k in reversed(range(local.height)):  # top-down: E_i is contracted from levels[k + 1]
-        step = local.steps[k]
-        b_i = -_row(local.levels[k + 1], zc, step.new_id)  # -(pi_* Z).E_i there
-        if b_i < 0:
-            raise TheoremViolationError(
-                f"b_{len(b) + 1} = {b_i} < 0 for contracted curve {step.new_id!r}"
-            )
-        b.append(b_i)
+    for step in reversed(local.steps):  # top-down: E_1 is contracted first
+        b.append(excess(zc, step))
+        if b[-1] < 0:
+            raise TheoremViolationError(f"b_{len(b)} = {b[-1]} < 0 for contracted curve {step.new_id!r}")
     y = cycle(g, lift({}, local.steps, [int(b_i > 0) for b_i in reversed(b)]))
     if not y.is_zero:
         if not contracts_to_smooth(y):
@@ -248,13 +249,12 @@ def is_good(ideal: IdealRep) -> bool:
         raise PreconditionError("is_good needs a numerically-p_g ideal")
     # a contraction keeps the survivors' coefficients: pi_* Z and pi_* C are
     # Z and C read on the curves that are left
-    zc, cc = ideal.z.as_dict(), ideal.c.as_dict()
-    g = contract_all(ideal.tower.graph(ideal.level), lambda h, vid: _row(h, zc, vid) == 0).levels[0]
-    for v in g.vertices:
-        if v.self_int == -1 and v.kappa == -1:
-            if v.id not in cc and _row(g, cc, v.id) == 0:
-                return False
-    return True
+    zc = ideal.z.as_dict()
+    g = contract_all(ideal.tower.graph(ideal.level), lambda step: excess(zc, step) == 0).levels[0]
+    off_c = _off_c(ideal.c)
+    return not any(
+        v.self_int == -1 and v.kappa == -1 and off_c(TowerStep(v.id, g.adjacency[v.id])) for v in g.vertices
+    )
 
 
 def good_gorenstein_crosscheck(ideal: IdealRep) -> bool:
@@ -274,7 +274,7 @@ def good_closure(ideal: IdealRep) -> IdealRep:
     local = report.contraction_tower
     # extend the contraction all the way down to the model base so the
     # result lives on a tower over the base
-    lower = contract_all(local.graph(0), lambda h, vid: True)
+    lower = contract_all(local.graph(0), lambda step: True)
     # contraction keeps the canonical order and the base's name, so the
     # bottom graph equals the base exactly when it is the same lattice
     if lower.levels[0] != ideal.model.base:

@@ -18,7 +18,7 @@ from .graph import Cycle, DualGraph, _graph_mismatch, cycle, zero_cycle
 
 class SearchBound(NamedTuple):
     """An oracle's search box; the oracle call refuses one that is not
-    positive (:func:`_positive`)."""
+    positive (:func:`_guard`)."""
 
     max_coeff: int = 6
     max_vertices: int = 12
@@ -30,14 +30,10 @@ def default_bound(z: Cycle) -> SearchBound:
     return SearchBound(max_coeff=2 * top + 2)
 
 
-def _positive(bound: SearchBound) -> None:
-    if bound.max_coeff < 1 or bound.max_vertices < 1:
-        raise PreconditionError("search bounds must be positive")
-
-
 def _guard(g: DualGraph, ranges: list[int], bound: SearchBound) -> None:
     """Check the search bounds; the candidate count is the whole box."""
-    _positive(bound)
+    if bound.max_coeff < 1 or bound.max_vertices < 1:
+        raise PreconditionError("search bounds must be positive")
     n = len(g.vertices)
     if n > bound.max_vertices:
         raise PreconditionError(
@@ -127,11 +123,10 @@ def enumerate_max_Y(z: Cycle, c: Cycle, bound: Optional[SearchBound] = None) -> 
     g = z.graph
     if c.graph != g:
         raise _graph_mismatch(g, c.graph)
-    if bound is None:
-        bound = default_bound(z)
-    _positive(bound)  # before Z's own check, as when the bound refused itself
     if not z.is_effective or not z.is_integral:
         raise PreconditionError("oracle needs an effective integral Z")
+    if bound is None:
+        bound = default_bound(z)
     zv = z.vector()
     highs = [min(v, bound.max_coeff) for v in zv]
     _guard(g, [h + 1 for h in highs], bound)

@@ -8,9 +8,8 @@ are exact; random sampling is deterministic for a given seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from . import corpus
 from .birational import Tower, edge_point, free_point, relative_canonical
@@ -48,8 +47,7 @@ DEFAULT_SEED = 244
 DEFAULT_SAMPLES = 200
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

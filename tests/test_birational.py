@@ -13,6 +13,7 @@ from antinef.birational import (
     contract,
     contract_all,
     edge_point,
+    excess,
     free_point,
     relative_canonical,
     replay,
@@ -22,7 +23,7 @@ from antinef.birational import (
 from antinef.cli import _minimalize
 from antinef.errors import InputError, PreconditionError
 from antinef.graph import Vertex, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
-from antinef.ideals import _row, colon_and_core, represent, singularity_model
+from antinef.ideals import colon_and_core, represent, singularity_model
 from antinef.lattice import (
     antinef_closure,
     arithmetic_genus,
@@ -354,15 +355,15 @@ def test_contract_all_matches_the_four_loops(data):
     else:
         c_any = c
     zc, cc, ca = z.as_dict(), c.as_dict(), c_any.as_dict()
-    disjoint = contract_all(g, lambda h, vid: vid not in cc and _row(h, cc, vid) == 0)
+    disjoint = contract_all(g, lambda step: step.new_id not in cc and excess(cc, step) == 0)
     assert disjoint == _reference_loop(
         g, lambda cur, lower, step: c.coeff(step.new_id) == 0 and _pairs_to_zero(c)(cur, lower, step)
     )
-    assert contract_all(g, lambda h, vid: _row(h, zc, vid) == 0) == _reference_loop(g, _pairs_to_zero(z))
-    everything = contract_all(g, lambda h, vid: True)
+    assert contract_all(g, lambda step: excess(zc, step) == 0) == _reference_loop(g, _pairs_to_zero(z))
+    everything = contract_all(g, lambda step: True)
     assert everything == _reference_loop(g, lambda cur, lower, step: True)
     assert everything.levels[0] == t.levels[0]
-    minimal = contract_all(g, lambda h, vid: ca.get(vid, 0) == transported(ca, h.adjacency[vid]))
+    minimal = contract_all(g, lambda step: ca.get(step.new_id, 0) == transported(ca, step.attach))
     assert minimal == _reference_loop(g, _transports_back(c_any), spare_last=True)
     # the library and CLI paths run the same engine
     assert _minimalize(g, c_any) == (minimal, c_any.restricted_to(minimal.levels[0]))

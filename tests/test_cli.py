@@ -254,12 +254,15 @@ class TestOracle:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [
-        ["zf", "--max-coeff", "0"], ["negdef", "--max-coeff", "-1"], ["max-y", "--cycle", "E:-1,C1:-2"],
+    @pytest.mark.parametrize("argv, message", [
+        (["zf", "--max-coeff", "0"], "search bounds must be positive"),
+        (["negdef", "--max-coeff", "-1"], "search bounds must be positive"),
+        # with no bound given, the oracle blames Z, not the bound it sizes from Z
+        (["max-y", "--cycle", "E:-1,C1:-2"], "oracle needs an effective integral Z"),
     ])
-    def test_a_bound_that_is_not_positive_exits_2(self, capsys, a1b_file, argv):
+    def test_a_bound_that_is_not_positive_exits_2(self, capsys, a1b_file, argv, message):
         code = main(["oracle", argv[0], "--graph", a1b_file, *argv[1:]])
-        assert (code, capsys.readouterr().err) == (2, "error: search bounds must be positive\n")
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
 
 class TestCorpus:

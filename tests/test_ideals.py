@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from antinef import birational, corpus
-from antinef.birational import Tower, contract, free_point, relative_canonical
+from antinef.birational import Tower, TowerStep, contract, free_point, relative_canonical
 from antinef.errors import PreconditionError, TheoremViolationError
 from antinef.graph import cycle, dual_graph, unit_cycle
 from antinef.ideals import (
@@ -20,7 +20,7 @@ from antinef.ideals import (
     singularity_model,
     stability_defect,
 )
-from antinef.lattice import colength, fundamental_cycle, multiplicity, pair, row_pairing
+from antinef.lattice import antinef_closure, colength, fundamental_cycle, multiplicity, pair, row_pairing
 from towers import grow
 
 
@@ -332,3 +332,73 @@ def test_colon_and_core_builds_no_tower_to_replay_its_contractions(data):
         rep = colon_and_core(ideal)
     assert rep.contraction_tower.height >= 40  # every curve above the base contracts
     assert calls == []
+
+
+# --- metamorphic invariants at height ---------------------------------------------
+
+
+def _tall_ideal(data):
+    """A numerically p_g ideal on a random tower of height up to 120: Z is a
+    pulled-back fundamental cycle, raised on a few curves above the base and
+    closed to an anti-nef cycle, so that Y is seldom zero."""
+    name = data.draw(st.sampled_from(["A3", "D5", "E6", "HJ(7,3)", "ex244blown"]))
+    if name == "ex244blown":
+        t = corpus.get(name).tower
+        model = singularity_model(t.levels[0], pg=1, gorenstein=True)
+        z0, avoid = corpus.get(name).cycles["Z"], ("E0",)
+    else:
+        t = Tower.base(corpus.get(name).graph)
+        model = singularity_model(t.levels[0])
+        z0, avoid = fundamental_cycle(t.levels[0]), ()
+    level = t.height
+    t = grow(data, t, data.draw(st.integers(min_value=1, max_value=120)), avoid=avoid)
+    new = [step.new_id for step in t.steps[level:]]
+    raised = data.draw(st.dictionaries(st.sampled_from(new), st.integers(1, 3), min_size=1, max_size=3))
+    z = antinef_closure(t.pullback(z0, level, t.height) + cycle(t.top, raised))
+    ideal = represent(model, t, t.height, z, h1=model.pg)
+    assume(ideal.pg_numeric)
+    return ideal
+
+
+def _relabelled(ideal, rename):
+    """The same ideal with every curve id w renamed rename[w]."""
+    def moved(w, g):
+        return cycle(g, {rename[vid]: c for vid, c in w.coeffs})
+
+    model, base = ideal.model, ideal.model.base
+    base2 = dual_graph(base.name, [(rename[v.id], v.self_int, v.kappa) for v in base.vertices],
+                       [(rename[a], rename[b], m) for a, b, m in base.edges])
+    steps = [TowerStep(rename[s.new_id], tuple((rename[u], m) for u, m in s.attach)) for s in ideal.tower.steps]
+    t2 = Tower.from_steps(base2, steps)
+    model2 = singularity_model(base2, pg=model.pg, gorenstein=model.gorenstein, c_base=moved(model.c_base, base2))
+    return represent(model2, t2, ideal.level, moved(ideal.z, t2.top), h1=ideal.h1), moved
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_relabelling_the_curves_maps_colon_and_core_across(data):
+    ideal = _tall_ideal(data)
+    ids = ideal.tower.top.ids
+    rename = dict(zip(ids, data.draw(st.permutations(ids))))  # reorders contract_all's scan
+    ideal2, moved = _relabelled(ideal, rename)
+    rep, rep2 = colon_and_core(ideal), colon_and_core(ideal2)
+    g2 = ideal2.tower.top
+    assert rep2.y == moved(rep.y, g2)
+    assert rep2.colon_cycle == moved(rep.colon_cycle, g2)
+    assert rep2.core_cycle == moved(rep.core_cycle, g2)
+    assert (rep2.good, rep2.iterations_to_good) == (rep.good, rep.iterations_to_good)
+    assert sorted(rep2.b) == sorted(rep.b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_a_blowup_off_the_cohomological_cycle_pulls_colon_and_core_back(data):
+    ideal = _tall_ideal(data)
+    t, h = ideal.tower, ideal.level
+    vid = data.draw(st.sampled_from([vid for vid in t.top.ids if ideal.c.coeff(vid) == 0]))
+    t2 = t.blow_up(free_point(vid, "Q"))
+    rep = colon_and_core(ideal)
+    rep2 = colon_and_core(represent(ideal.model, t2, h + 1, t2.pullback(ideal.z, h, h + 1), h1=ideal.h1))
+    assert rep2.y == t2.pullback(rep.y, h, h + 1)
+    assert rep2.core_cycle == t2.pullback(rep.core_cycle, h, h + 1)
+    assert sorted(rep2.b) == sorted(rep.b + (0,))

@@ -1,7 +1,8 @@
 """Hygiene of the package: no unused imports, no unreferenced private
 module-level names, one home for the int-if-integral rule and for the
-graph-mismatch message, no numpy anywhere, an oracle that imports only
-errors and graph, and a CLI call that loads only what its command runs."""
+graph-mismatch message, no numpy or dataclasses anywhere, an oracle that
+imports only errors and graph, and a CLI call that loads only what its
+command runs."""
 
 import ast
 import json
@@ -80,8 +81,13 @@ def _imports(source: str) -> list[tuple[str, int]]:
     return found
 
 
-def _numpy_imports(source: str) -> list[str]:
-    return [f"line {line}" for name, line in _imports(source) if name.split(".")[0] == "numpy"]
+def _imports_of(top: str):
+    """A scan for the lines that import the module top or one below it."""
+    return lambda source: [f"line {line}" for name, line in _imports(source) if name.split(".")[0] == top]
+
+
+_numpy_imports = _imports_of("numpy")
+_dataclass_imports = _imports_of("dataclasses")
 
 
 def _package_imports(source: str) -> list[str]:
@@ -138,6 +144,20 @@ def test_integral_test_scan_sees_a_planted_copy():
 
 def test_no_module_imports_numpy():
     assert _scan(_numpy_imports, with_init=True) == {}
+
+
+def test_no_module_imports_dataclasses():
+    assert _scan(_dataclass_imports, with_init=True) == {}
+
+
+def test_dataclass_scan_sees_a_planted_copy():
+    source = (
+        "from dataclasses import dataclass\n"
+        "def f():\n"
+        "    import dataclasses as dc\n"
+        "    return dataclass, dc\n"
+    )
+    assert _dataclass_imports(source) == ["line 1", "line 3"]
 
 
 def test_oracle_imports_only_errors_and_graph():
