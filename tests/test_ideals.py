@@ -340,7 +340,7 @@ def test_colon_and_core_builds_no_tower_to_replay_its_contractions(data):
 def _tall_ideal(data):
     """A numerically p_g ideal on a random tower of height up to 120: Z is a
     pulled-back fundamental cycle, raised on a few curves above the base and
-    closed to an anti-nef cycle, so that Y is seldom zero."""
+    closed to an anti-nef cycle, so that Y is often not zero."""
     name = data.draw(st.sampled_from(["A3", "D5", "E6", "HJ(7,3)", "ex244blown"]))
     if name == "ex244blown":
         t = corpus.get(name).tower
@@ -360,18 +360,21 @@ def _tall_ideal(data):
     return ideal
 
 
-def _relabelled(ideal, rename):
-    """The same ideal with every curve id w renamed rename[w]."""
-    def moved(w, g):
-        return cycle(g, {rename[vid]: c for vid, c in w.coeffs})
+def _renamed(w, g, rename):
+    """The cycle w with every curve id v renamed rename[v], on g."""
+    return cycle(g, {rename[vid]: c for vid, c in w.coeffs})
 
+
+def _relabelled(ideal, rename):
+    """The same ideal with every curve id v renamed rename[v]."""
     model, base = ideal.model, ideal.model.base
     base2 = dual_graph(base.name, [(rename[v.id], v.self_int, v.kappa) for v in base.vertices],
                        [(rename[a], rename[b], m) for a, b, m in base.edges])
     steps = [TowerStep(rename[s.new_id], tuple((rename[u], m) for u, m in s.attach)) for s in ideal.tower.steps]
     t2 = Tower.from_steps(base2, steps)
-    model2 = singularity_model(base2, pg=model.pg, gorenstein=model.gorenstein, c_base=moved(model.c_base, base2))
-    return represent(model2, t2, ideal.level, moved(ideal.z, t2.top), h1=ideal.h1), moved
+    model2 = singularity_model(base2, pg=model.pg, gorenstein=model.gorenstein,
+                               c_base=_renamed(model.c_base, base2, rename))
+    return represent(model2, t2, ideal.level, _renamed(ideal.z, t2.top, rename), h1=ideal.h1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -380,12 +383,12 @@ def test_relabelling_the_curves_maps_colon_and_core_across(data):
     ideal = _tall_ideal(data)
     ids = ideal.tower.top.ids
     rename = dict(zip(ids, data.draw(st.permutations(ids))))  # reorders contract_all's scan
-    ideal2, moved = _relabelled(ideal, rename)
+    ideal2 = _relabelled(ideal, rename)
     rep, rep2 = colon_and_core(ideal), colon_and_core(ideal2)
     g2 = ideal2.tower.top
-    assert rep2.y == moved(rep.y, g2)
-    assert rep2.colon_cycle == moved(rep.colon_cycle, g2)
-    assert rep2.core_cycle == moved(rep.core_cycle, g2)
+    assert rep2.y == _renamed(rep.y, g2, rename)
+    assert rep2.colon_cycle == _renamed(rep.colon_cycle, g2, rename)
+    assert rep2.core_cycle == _renamed(rep.core_cycle, g2, rename)
     assert (rep2.good, rep2.iterations_to_good) == (rep.good, rep.iterations_to_good)
     assert sorted(rep2.b) == sorted(rep.b)
 

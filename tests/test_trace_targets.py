@@ -36,8 +36,8 @@ def _missing(targets) -> list[str]:
 
 @pytest.mark.parametrize("table", ["SPANS", "COUNTS"])
 def test_every_traced_target_resolves(table):
-    for path in Path(antinef.__file__).parent.glob("*.py"):
-        importlib.import_module(f"antinef.{path.stem}" if path.stem != "__init__" else "antinef")
+    for path in Path(antinef.__file__).parent.glob("[!_]*.py"):
+        importlib.import_module(f"antinef.{path.stem}")
     assert _missing(getattr(_tracing(), table)) == []
 
 
