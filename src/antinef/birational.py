@@ -45,21 +45,17 @@ def edge_point(a: str, b: str, new_id: str) -> TowerStep:
 
 
 def apply_step(g: DualGraph, step: TowerStep) -> DualGraph:
-    """Insert the step's exceptional curve into g (upward surgery).
-
-    g is in :func:`~antinef.graph.dual_graph`'s canonical order and so is the
-    result.  A step costs Python work in the number of curves it attaches
-    to, each found by bisection; the rest of g is copied as whole lists.
-    """
-    s = _Surgery(g)
-    s.insert(step)
-    return s.graph()
+    """Insert the step's exceptional curve into g (upward surgery):
+    ``replay(g, (step,))``."""
+    return replay(g, (step,))
 
 
 def replay(base: DualGraph, steps: Iterable[TowerStep]) -> DualGraph:
-    """The top graph of ``Tower.from_steps(base, steps)``, built once: the
-    steps patch one set of lists, so no graph is made for the levels between.
-    Refuses a step exactly as :func:`apply_step` does."""
+    """The graph the steps build on base, in
+    :func:`~antinef.graph.dual_graph`'s canonical order.  The steps patch one
+    set of lists, each by bisection in Python work of the curve's degree, and
+    only the result is frozen into a graph.  This is the one path by which a
+    tower's graphs are built."""
     s = _Surgery(base)
     for step in steps:
         s.insert(step)
@@ -161,7 +157,7 @@ def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
     if len(g.vertices) == 1:
         raise PreconditionError("cannot contract the last curve of a graph")
     t = contract_all(g, lambda step: step.new_id == vid)
-    return t.levels[0], t.steps[0]
+    return t.bottom, t.steps[0]
 
 
 def excess(coeffs: Mapping[str, Coeff], step: TowerStep) -> Coeff:
@@ -179,12 +175,12 @@ def contract_all(g: DualGraph, may_contract: Callable[[TowerStep], bool]) -> Tow
     which ``may_contract(step)`` holds, where step is the :class:`TowerStep`
     that would re-insert it (its neighbours, sorted, as attachments); then it
     scans again.  One set of lists is patched for the whole sequence, as in
-    :func:`replay`, with the neighbour tuples kept beside it.  A contraction
-    keeps the survivors' coefficients, so a caller's coefficient dict stays
-    valid on every graph of the sequence.
+    :func:`replay`, with the neighbour tuples kept beside it, and only the
+    bottom is frozen.  A contraction keeps the survivors' coefficients, so a
+    caller's coefficient dict stays valid on every graph of the sequence.
     """
     s, adj = _Surgery(g), dict(g.adjacency)
-    graphs, steps = [g], []
+    steps = []
     while len(s.ids) > 1:
         for v in s.verts:
             if v.self_int == -1 and v.kappa == -1:
@@ -202,48 +198,52 @@ def contract_all(g: DualGraph, may_contract: Callable[[TowerStep], bool]) -> Tow
                 if w != u:
                     nb[w] = nb.get(w, 0) + mu * mw
             adj[u] = tuple(sorted(nb.items()))
-        graphs.append(s.graph())
         steps.append(step)
-    return Tower(levels=tuple(reversed(graphs)), steps=tuple(reversed(steps)))
+    return Tower(s.graph(), tuple(reversed(steps)), g)
 
 
 class Tower(NamedTuple):
-    """Chain of graphs; level 0 is the bottom (most contracted) graph and
-    levels[k+1] = apply_step(levels[k], steps[k])."""
+    """A chain of graphs given by its bottom (level 0, the most contracted),
+    the steps up from it and its top: level k is ``replay(bottom,
+    steps[:k])``.  Only the two ends are stored; a level between is replayed
+    when asked for."""
 
-    levels: tuple[DualGraph, ...]
+    bottom: DualGraph
     steps: tuple[TowerStep, ...]
+    top: DualGraph
 
     @classmethod
     def base(cls, g: DualGraph) -> "Tower":
-        return cls(levels=(g,), steps=())
+        return cls(g, (), g)
 
     @classmethod
     def from_steps(cls, base: DualGraph, steps: Iterable[TowerStep]) -> "Tower":
-        """The tower the steps build on base: one set of lists patched
-        step by step (as in :func:`replay`), frozen at every level."""
-        s, levels = _Surgery(base), [base]
+        """The tower the steps build on base; only its top is built."""
         steps = tuple(steps)
-        for step in steps:
-            s.insert(step)
-            levels.append(s.graph())
-        return cls(levels=tuple(levels), steps=steps)
+        return cls(base, steps, replay(base, steps))
 
     @property
     def height(self) -> int:
-        return len(self.levels) - 1
+        return len(self.steps)
 
     @property
-    def top(self) -> DualGraph:
-        return self.levels[-1]
+    def levels(self) -> tuple[DualGraph, ...]:
+        """Every level's graph, bottom first, built in one pass up the steps."""
+        s, levels = _Surgery(self.bottom), [self.bottom]
+        for step in self.steps:
+            s.insert(step)
+            levels.append(s.graph())
+        return tuple(levels)
 
     def graph(self, level: int) -> DualGraph:
-        if not 0 <= level < len(self.levels):
+        if not 0 <= level <= self.height:
             raise InputError(f"tower has levels 0..{self.height}, not {level}")
-        return self.levels[level]
+        if level == self.height:
+            return self.top
+        return self.bottom if level == 0 else replay(self.bottom, self.steps[:level])
 
     def blow_up(self, step: TowerStep) -> "Tower":
-        return Tower(levels=self.levels + (apply_step(self.top, step),), steps=self.steps + (step,))
+        return Tower(self.bottom, self.steps + (step,), apply_step(self.top, step))
 
     def pullback(self, w: Cycle, from_level: int, to_level: int) -> Cycle:
         """Total transform: the unique lift pairing to zero with every
@@ -321,7 +321,7 @@ def cohom_coeffs(t: Tower, c_base: Cycle) -> dict[str, Coeff]:
     that level's curves; each new coefficient is checked to be >= 0."""
     if not c_base.is_effective:
         raise PreconditionError("cohomological cycle must be effective")
-    if c_base.graph != t.levels[0]:
+    if c_base.graph != t.bottom:
         raise PreconditionError("cohomological cycle must live on the tower's bottom level")
     coeffs = c_base.as_dict()
     for k, step in enumerate(t.steps):
@@ -366,8 +366,7 @@ def associated_pg_cycle(
     transverse branches of the strict transform pass through it.  They must
     balance the pairing: branches on E_i = -Z.E_i for every vertex.
     """
-    top = t0.height
-    g = t0.graph(top)
+    g = t0.top
     if z.graph != g:
         raise PreconditionError("cycle must live on the tower's top level")
     if not is_antinef(z):

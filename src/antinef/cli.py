@@ -84,7 +84,7 @@ def _minimalize(g: DualGraph, c: Cycle) -> tuple[Tower, Cycle]:
 
     cc = c.as_dict()
     tower = contract_all(g, lambda step: cc.get(step.new_id, 0) == transported(cc, step.attach))
-    return tower, c.restricted_to(tower.levels[0])
+    return tower, c.restricted_to(tower.bottom)
 
 
 class _Input:
@@ -131,7 +131,7 @@ class _Input:
             doc, level = TowerDocument(doc.name, tower, cycles, doc.model), None
         margs = doc.model or {}
         model = ideals.singularity_model(
-            doc.tower.levels[0], pg=margs.get("pg"), gorenstein=margs.get("gorenstein", False), c_base=c
+            doc.tower.bottom, pg=margs.get("pg"), gorenstein=margs.get("gorenstein", False), c_base=c
         )
         return [ideals.represent(model, doc.tower, *_tower_cycle(doc, spec, level), h1=self.args.h1) for spec in specs]
 

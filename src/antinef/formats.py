@@ -204,7 +204,7 @@ def parse_tower_document(text: str | dict) -> TowerDocument:
             vid = str(_need(s, "vertex", sp))
             if t.height == 0 or t.steps[-1].new_id != vid:
                 _fail(sp, "contraction in a tower script may only undo the most recent blow-up")
-            t = Tower(levels=t.levels[:-1], steps=t.steps[:-1])
+            t = Tower.from_steps(t.bottom, t.steps[:-1])
         else:
             _fail(sp, f"unknown op {op!r}")
     cycles: dict[str, tuple[int, Cycle]] = {}
@@ -224,7 +224,7 @@ def parse_tower_document(text: str | dict) -> TowerDocument:
 
 def emit_tower_document(doc: TowerDocument) -> str:
     t = doc.tower
-    base = t.levels[0]
+    base = t.bottom
     out: dict[str, Any] = {"format": FORMAT, "name": doc.name}
     out["base"] = {
         "name": base.name,

@@ -425,11 +425,6 @@ def _perm_sign(p: list[int]) -> int:
     return sign
 
 
-def is_negative_definite(m: list[list[int]]) -> bool:
-    """Sylvester's criterion on -M, from one sparse elimination."""
-    return eliminate([{j: x for j, x in enumerate(row) if x} for row in m]).negative_definite
-
-
 def validate_graph(g: DualGraph) -> ValidationReport:
     """Check every DualGraph invariant; reports findings, never throws."""
     failures: list[str] = []

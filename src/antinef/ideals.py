@@ -112,7 +112,7 @@ def represent(
     z: Cycle,
     h1: Optional[int] = None,
 ) -> IdealRep:
-    if tower.levels[0] != model.base:
+    if tower.bottom != model.base:
         raise PreconditionError("tower must sit over the model's base graph")
     g = tower.graph(level)
     if z.graph != g:
@@ -207,7 +207,7 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
     g = ideal.tower.graph(ideal.level)
     z = ideal.z
     local = contract_all(g, _off_c(ideal.c))
-    if replay(local.levels[0], local.steps) != g:
+    if replay(local.bottom, local.steps) != g:
         raise TheoremViolationError("contraction sequence did not replay to the input graph")
     zc = z.as_dict()
     b: list[int] = []
@@ -237,7 +237,7 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
         colength_colon=colength(colon, pg, pg),
         colength_core=colength(core, pg, pg),
         contraction_tower=local,
-        good_cycle=z.restricted_to(local.levels[0]),
+        good_cycle=z.restricted_to(local.bottom),
     )
 
 
@@ -250,7 +250,7 @@ def is_good(ideal: IdealRep) -> bool:
     # a contraction keeps the survivors' coefficients: pi_* Z and pi_* C are
     # Z and C read on the curves that are left
     zc = ideal.z.as_dict()
-    g = contract_all(ideal.tower.graph(ideal.level), lambda step: excess(zc, step) == 0).levels[0]
+    g = contract_all(ideal.tower.graph(ideal.level), lambda step: excess(zc, step) == 0).bottom
     off_c = _off_c(ideal.c)
     return not any(
         v.self_int == -1 and v.kappa == -1 and off_c(TowerStep(v.id, g.adjacency[v.id])) for v in g.vertices
@@ -274,17 +274,15 @@ def good_closure(ideal: IdealRep) -> IdealRep:
     local = report.contraction_tower
     # extend the contraction all the way down to the model base so the
     # result lives on a tower over the base
-    lower = contract_all(local.graph(0), lambda step: True)
+    lower = contract_all(local.bottom, lambda step: True)
     # contraction keeps the canonical order and the base's name, so the
     # bottom graph equals the base exactly when it is the same lattice
-    if lower.levels[0] != ideal.model.base:
+    if lower.bottom != ideal.model.base:
         raise TheoremViolationError(
             "contracting all (-1)-curves did not reach the model base"
         )
     full = Tower.from_steps(ideal.model.base, lower.steps + local.steps)
-    level = lower.height
-    z = cycle(full.graph(level), report.good_cycle.as_dict())
-    result = represent(ideal.model, full, level, z)
+    result = represent(ideal.model, full, lower.height, report.good_cycle)
     if not is_good(result):
         raise TheoremViolationError("good closure is not good")
     return result

@@ -2,8 +2,9 @@
 
 All operations are pure functions over immutable graphs and cycles, and all
 arithmetic is exact.  One row of the pairing, W.E_i from a coefficient dict,
-is :func:`_row`; :func:`row_pairing` and the contraction rules of
-:mod:`antinef.ideals` read it there.  Every result passes through
+is :func:`_row`, which :func:`row_pairing` reads; the contraction rules of
+:mod:`antinef.ideals` read -W.E from a step, by
+:func:`antinef.birational.excess`.  Every result passes through
 :func:`antinef.graph.normal`, so an integral value is an int.
 """
 

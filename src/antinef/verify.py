@@ -130,7 +130,7 @@ def _random_instances(
 def _ex244_instances() -> list[IdealRep]:
     entry = corpus.get("ex244blown")
     t = entry.tower
-    model = singularity_model(t.levels[0], pg=1, gorenstein=True)
+    model = singularity_model(t.bottom, pg=1, gorenstein=True)
     z = entry.cycles["Z"]
     out = [represent(model, t, 4, z), represent(model, t, 4, 2 * z)]
     # one level deeper: blow up a free point on a (-1)-curve
@@ -157,7 +157,7 @@ def _ex244_reproduction(seed: int, samples: int) -> str:
     """Criterion 1: the elliptic double point worked example, number for number."""
     entry = corpus.get("ex244blown")
     t = entry.tower
-    base = t.levels[0]
+    base = t.bottom
     model = singularity_model(base, pg=1, gorenstein=True)
     z = entry.cycles["Z"]
     if not is_antinef(z):
@@ -317,7 +317,7 @@ def _birational_invariants(seed: int, samples: int) -> str:
     n = 0
     for model, ideal in _random_instances(rng, samples):
         t = ideal.tower
-        base = t.levels[0]
+        base = t.bottom
         w = _random_antinef(rng, base)
         v = cycle(base, {vid: rng.randint(0, 3) for vid in base.ids})
         wt = t.pullback(w, 0, t.height)

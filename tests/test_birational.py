@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antinef import corpus
+from antinef import birational, corpus
 from antinef.birational import (
     Tower,
     TowerStep,
@@ -254,10 +254,11 @@ def _reference_contract(g, vid):
 def test_surgery_keeps_canonical_order(data):
     base = corpus.get(data.draw(st.sampled_from(["A1", "A4", "D5", "E6", "HJ(7,3)", "ex244min"]))).graph
     t = grow(data, Tower.base(base), data.draw(st.integers(min_value=1, max_value=40)))
+    levels = t.levels
     for k, step in enumerate(t.steps):
-        g = t.levels[k + 1]
+        g = levels[k + 1]
         _assert_canonical(g)
-        assert g == _reference_apply_step(t.levels[k], step)
+        assert g == _reference_apply_step(levels[k], step)
         for v in g.vertices:
             if v.self_int == -1 and v.kappa == -1:
                 lower, back = contract(g, v.id)
@@ -265,16 +266,54 @@ def test_surgery_keeps_canonical_order(data):
                 assert (lower, back) == _reference_contract(g, v.id)
                 assert apply_step(lower, back) == g
     # the one-graph replay and the tower built level by level agree
-    assert Tower.from_steps(base, t.steps).levels == t.levels
+    assert Tower.from_steps(base, t.steps).levels == levels
     k = data.draw(st.integers(min_value=0, max_value=t.height))
-    assert replay(base, t.steps[:k]) == Tower.from_steps(base, t.steps[:k]).top == t.levels[k]
+    assert replay(base, t.steps[:k]) == Tower.from_steps(base, t.steps[:k]).top == levels[k]
     # ... and refuse a bad step alike, wherever it comes
-    g = t.levels[k]
+    g = levels[k]
     a, b, m = g.edges[0] if g.edges else (g.ids[0], g.ids[0], 0)
     for bad in (TowerStep("Q", (("nowhere", 1),)),  # an unknown vertex
                 TowerStep(g.ids[-1], ((g.ids[0], 1),)),  # a taken id
                 TowerStep("Q", ((a, m + 1), (b, 1)))):  # an edge that would go negative
         assert _refusal(lambda: replay(base, t.steps[:k] + (bad,))) == _refusal(lambda: apply_step(g, bad))
+
+
+# --- a tower is its bottom, its steps and its top ------------------------------
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_every_level_is_the_replay_of_the_steps_below_it(data):
+    base = corpus.get(data.draw(st.sampled_from(["A3", "D5", "E6", "HJ(7,3)", "ex244min"]))).graph
+    grown = grow(data, Tower.base(base), data.draw(st.integers(min_value=0, max_value=120)))
+    for t in (grown, Tower.from_steps(base, grown.steps), contract_all(grown.top, lambda step: True)):
+        levels = t.levels
+        assert len(levels) == t.height + 1 == len(t.steps) + 1
+        assert (levels[0], levels[-1]) == (t.bottom, t.top)
+        for k in range(t.height + 1):
+            assert t.graph(k) == levels[k] == replay(t.bottom, t.steps[:k])
+
+
+def test_contract_all_from_steps_and_blow_up_each_freeze_one_graph(monkeypatch):
+    t = Tower.base(corpus.get("D5").graph)
+    for k in range(20):
+        t = t.blow_up(free_point(t.top.ids[-1], f"F{k:02d}"))  # a chain above E5
+    frozen = []
+    freeze = birational._Surgery.graph
+    monkeypatch.setattr(birational._Surgery, "graph", lambda s: frozen.append(s) or freeze(s))
+    for build, height in ((lambda: contract_all(t.top, lambda step: True), 20),
+                          (lambda: Tower.from_steps(t.bottom, t.steps), 20),
+                          (lambda: t.blow_up(free_point("E1", "P")), 21)):
+        frozen.clear()
+        assert build().height == height
+        assert len(frozen) == 1
+
+
+def test_a_level_out_of_range_is_refused():
+    t = Tower.base(corpus.get("A2").graph).blow_up(free_point("E1", "C"))
+    for level in (-1, 2):
+        with pytest.raises(InputError, match=f"tower has levels 0..1, not {level}"):
+            t.graph(level)
 
 
 def _assert_canonical(g):
@@ -311,7 +350,9 @@ def _reference_loop(g, may_go, spare_last=False):
                 break
         else:
             break
-    return Tower(levels=tuple(reversed(graphs)), steps=tuple(reversed(steps)))
+    t = Tower.from_steps(graphs[-1], reversed(steps))
+    assert t.levels == tuple(reversed(graphs))
+    return t
 
 
 def _pairs_to_zero(w):
@@ -324,7 +365,7 @@ def _transports_back(c):
     (restricted to the lower graph) back to C itself."""
     def may_go(cur, lower, step):
         c_low = c.restricted_to(lower)
-        lifted = Tower(levels=(lower, cur), steps=(step,)).pullback(c_low, 0, 1)
+        lifted = Tower(lower, (step,), cur).pullback(c_low, 0, 1)
         if any(c_low.coeff(u) > 0 for u, _ in step.attach):
             lifted = lifted - unit_cycle(cur, step.new_id)
         return lifted == c.restricted_to(cur)

@@ -119,6 +119,8 @@ class TestTowerDocuments:
         obj["steps"][-1]["vertex"] = "E4"  # the most recent blow-up: fine
         doc = parse_tower_document(json.dumps(obj))
         assert doc.tower.height == 3
+        t = corpus.get("ex244blown").tower
+        assert doc.tower == Tower.from_steps(t.bottom, t.steps[:3])
 
     def test_cycle_level_bounds_checked(self):
         obj = json.loads(emit_tower_document(self._doc()))

@@ -268,7 +268,8 @@ def _reference_colon_and_core(ideal):
         else:
             break
     n = len(steps)
-    local = Tower(levels=tuple(reversed(graphs)), steps=tuple(reversed(steps)))
+    local = Tower.from_steps(graphs[-1], reversed(steps))
+    assert local.levels == tuple(reversed(graphs))
     b, y = [], cycle(g, {})
     for i, step in enumerate(steps):
         f_i = _reference_pullback(local, unit_cycle(local.graph(n - i), step.new_id), n - i, n)
@@ -405,3 +406,30 @@ def test_a_blowup_off_the_cohomological_cycle_pulls_colon_and_core_back(data):
     assert rep2.y == t2.pullback(rep.y, h, h + 1)
     assert rep2.core_cycle == t2.pullback(rep.core_cycle, h, h + 1)
     assert sorted(rep2.b) == sorted(rep.b + (0,))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_a_smaller_ideal_has_smaller_colon_and_core(data):
+    i1 = _tall_ideal(data)
+    g = i1.tower.top
+    raised = data.draw(st.dictionaries(st.sampled_from(g.ids), st.integers(1, 3), min_size=1, max_size=3))
+    i2 = represent(i1.model, i1.tower, i1.level, i1.z + antinef_closure(cycle(g, raised)), h1=i1.h1)
+    assume(i2.pg_numeric)
+    assert core_monotone_check(i1, i2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_colon_iteration_reaches_the_good_closure_in_max_b_steps(data):
+    ideal = _tall_ideal(data)
+    # b is linear in Z, so a multiple of Z needs that many times the steps
+    ideal = represent(ideal.model, ideal.tower, ideal.level, data.draw(st.integers(1, 4)) * ideal.z, h1=ideal.h1)
+    rep = first = colon_and_core(ideal)
+    cur, steps = ideal, 0
+    while not rep.good and steps <= first.iterations_to_good:
+        cur = represent(ideal.model, ideal.tower, ideal.level, rep.colon_cycle, h1=ideal.h1)
+        rep, steps = colon_and_core(cur), steps + 1
+    assert steps == first.iterations_to_good
+    closure = good_closure(ideal)
+    assert cur.z == closure.tower.pullback(closure.z, closure.level, closure.tower.height)

@@ -1,8 +1,9 @@
 """Hygiene of the package: no unused imports, no unreferenced private
 module-level names, one home for the int-if-integral rule and for the
 graph-mismatch message, no numpy or dataclasses anywhere, an oracle that
-imports only errors and graph, and a CLI call that loads only what its
-command runs."""
+imports only errors and graph, no query outside birational that builds
+every level of a tower, and a CLI call that loads only what its command
+runs."""
 
 import ast
 import json
@@ -140,6 +141,34 @@ def test_integral_test_scan_sees_a_planted_copy():
         "    return int(total) if total.denominator == 1 else total\n"
     )
     assert _integral_tests(source) == ["line 4"]
+
+
+def _levels_reads(source: str) -> list[str]:
+    """Reads of an attribute ``levels``: every graph of a tower, each built
+    by replay.  A query reads ``bottom``, ``top`` or ``graph(k)`` instead."""
+    return [
+        f"line {line}" for line in sorted(
+            node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "levels"
+        )
+    ]
+
+
+def test_no_module_but_birational_reads_every_level_of_a_tower():
+    found = _scan(_levels_reads, with_init=True)
+    assert {name: lines for name, lines in found.items() if name != "birational.py"} == {}
+
+
+def test_levels_scan_sees_a_planted_read():
+    source = (
+        "levels = 2\n"
+        "def f(t):\n"
+        "    g = t.bottom\n"
+        "    return t.levels[0], g, t.graph(levels)\n"
+        "def g(doc):\n"
+        "    return doc.tower.levels\n"
+    )
+    assert _levels_reads(source) == ["line 4", "line 6"]
 
 
 def test_no_module_imports_numpy():

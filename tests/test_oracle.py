@@ -57,8 +57,6 @@ class TestClosureOracle:
 
 class TestNegdefOracle:
     def test_agrees_with_sylvester(self):
-        from antinef.graph import is_negative_definite
-
         good = corpus.get("D4").graph
         bad = dual_graph(
             "cycle3",
@@ -66,7 +64,7 @@ class TestNegdefOracle:
             [("A", "B"), ("B", "C"), ("A", "C")],
         )
         for g in (good, bad):
-            assert negdef_bruteforce(g, SearchBound(max_coeff=4)) == is_negative_definite(g.matrix())
+            assert negdef_bruteforce(g, SearchBound(max_coeff=4)) == g.negative_definite
 
 
     def test_exact_on_huge_weights(self):
