@@ -236,11 +236,18 @@ class Tower(NamedTuple):
         return tuple(levels)
 
     def graph(self, level: int) -> DualGraph:
+        """Level k, replayed from the nearer stored end in min(k, h - k) steps:
+        down from the top by :meth:`_Surgery.patch` with sign -1."""
         if not 0 <= level <= self.height:
             raise InputError(f"tower has levels 0..{self.height}, not {level}")
         if level == self.height:
             return self.top
-        return self.bottom if level == 0 else replay(self.bottom, self.steps[:level])
+        if 2 * level <= self.height:
+            return self.bottom if level == 0 else replay(self.bottom, self.steps[:level])
+        s = _Surgery(self.top)
+        for step in reversed(self.steps[level:]):
+            s.patch(step.new_id, step.attach, -1)
+        return s.graph()
 
     def blow_up(self, step: TowerStep) -> "Tower":
         return Tower(self.bottom, self.steps + (step,), apply_step(self.top, step))
@@ -314,11 +321,11 @@ def transported(coeffs: Mapping[str, Coeff], attach: Sequence[tuple[str, int]]) 
     return lifted - 1 if any(c > 0 for c in on_curves) else lifted
 
 
-def cohom_coeffs(t: Tower, c_base: Cycle) -> dict[str, Coeff]:
-    """The cohomological cycle's coefficients on every curve of the tower,
-    by one pass of :func:`transported` up the steps.  A step only adds the
-    new curve's coefficient, so the cycle at a level is the restriction to
-    that level's curves; each new coefficient is checked to be >= 0."""
+def transport_cohom(t: Tower, c_base: Cycle) -> Cycle:
+    """The cohomological cycle on the tower's top, carried up from the bottom
+    by one pass of :func:`transported`.  A step only adds the new curve's
+    coefficient, so C at a level is this cycle restricted to that level's
+    curves; each new coefficient is checked to be >= 0."""
     if not c_base.is_effective:
         raise PreconditionError("cohomological cycle must be effective")
     if c_base.graph != t.bottom:
@@ -330,19 +337,7 @@ def cohom_coeffs(t: Tower, c_base: Cycle) -> dict[str, Coeff]:
             raise PreconditionError(
                 f"cohomological cycle turned negative at level {k + 1}; inconsistent input"
             )
-    return coeffs
-
-
-def transport_cohom(t: Tower, c_base: Cycle) -> tuple[Cycle, ...]:
-    """Transport the cohomological cycle from the bottom level to every level.
-
-    Per step: if the center touches the support of C, the new curve is
-    removed from the total transform (C' = g*C - E_new); otherwise C pulls
-    back unchanged.  A center on two crossing curves counts as 'on supp C'
-    when either endpoint carries a positive coefficient.
-    """
-    coeffs = cohom_coeffs(t, c_base)
-    return tuple(cycle(g, {vid: coeffs[vid] for vid in g.ids if vid in coeffs}) for g in t.levels)
+    return cycle(t.top, coeffs)
 
 
 def _fresh_id(taken, stem: str = "P") -> str:
@@ -386,7 +381,7 @@ def associated_pg_cycle(
                 f"-Z.E = {want}"
             )
     live = [vid for vid, n in counts.items() for _ in range(n)]
-    zc, cc = z.as_dict(), cohom_coeffs(t0, c_base)
+    zc, cc = z.as_dict(), transport_cohom(t0, c_base).as_dict()
     t = t0
     while True:
         for i, vid in enumerate(live):

@@ -164,13 +164,17 @@ def parse_graph_document(text: str | dict) -> GraphDocument:
     )
 
 
+def _graph_fields(g: DualGraph) -> dict[str, Any]:
+    """A graph's name, vertices and edges, as both document kinds write them."""
+    return {
+        "name": g.name,
+        "vertices": [{"id": v.id, "self_int": v.self_int, "kappa": v.kappa} for v in g.vertices],
+        "edges": [{"a": a, "b": b, "mult": m} for a, b, m in g.edges],
+    }
+
+
 def emit_graph_document(doc: GraphDocument) -> str:
-    g = doc.graph
-    out: dict[str, Any] = {"format": FORMAT, "name": g.name}
-    out["vertices"] = [
-        {"id": v.id, "self_int": v.self_int, "kappa": v.kappa} for v in g.vertices
-    ]
-    out["edges"] = [{"a": a, "b": b, "mult": m} for a, b, m in g.edges]
+    out: dict[str, Any] = {"format": FORMAT, **_graph_fields(doc.graph)}
     if doc.cycles:
         out["cycles"] = {
             name: {vid: coeff_out(c) for vid, c in doc.cycles[name].coeffs}
@@ -224,13 +228,7 @@ def parse_tower_document(text: str | dict) -> TowerDocument:
 
 def emit_tower_document(doc: TowerDocument) -> str:
     t = doc.tower
-    base = t.bottom
-    out: dict[str, Any] = {"format": FORMAT, "name": doc.name}
-    out["base"] = {
-        "name": base.name,
-        "vertices": [{"id": v.id, "self_int": v.self_int, "kappa": v.kappa} for v in base.vertices],
-        "edges": [{"a": a, "b": b, "mult": m} for a, b, m in base.edges],
-    }
+    out: dict[str, Any] = {"format": FORMAT, "name": doc.name, "base": _graph_fields(t.bottom)}
     steps = []
     for s in t.steps:
         if len(s.attach) == 1 and s.attach[0][1] == 1:

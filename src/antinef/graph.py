@@ -23,9 +23,9 @@ _set = object.__setattr__  # how the fields of a _Frozen are set, once, in __ini
 
 
 class _Frozen:
-    """Read-only attributes, as on a frozen dataclass.  Plain instance
-    attributes, not a tuple, because the lattice loops read them often;
-    ``cached_property`` still stores what it computes in ``__dict__``."""
+    """Read-only attributes for the classes that cache, :class:`DualGraph`
+    and :class:`Cycle`.  Plain instance attributes, not a tuple, because
+    ``cached_property`` stores what it computes in ``__dict__``."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -34,22 +34,10 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Vertex(_Frozen):
-    def __init__(self, id: str, self_int: int, kappa: int):
-        _set(self, "id", id)
-        _set(self, "self_int", self_int)
-        _set(self, "kappa", kappa)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.id == other.id and self.self_int == other.self_int and self.kappa == other.kappa
-
-    def __hash__(self):
-        return hash((self.id, self.self_int, self.kappa))
-
-    def __repr__(self) -> str:
-        return f"Vertex(id={self.id!r}, self_int={self.self_int!r}, kappa={self.kappa!r})"
+class Vertex(NamedTuple):
+    id: str
+    self_int: int
+    kappa: int
 
 
 class DualGraph(_Frozen):
@@ -94,18 +82,13 @@ class DualGraph(_Frozen):
         return {vid: tuple(nb) for vid, nb in adj.items()}
 
     def matrix(self) -> list[list[int]]:
-        """Intersection matrix in vertex order."""
+        """Intersection matrix in vertex order, :meth:`sparse_matrix` written out densely."""
         n = len(self.vertices)
-        m = [[0] * n for _ in range(n)]
-        for k, v in enumerate(self.vertices):
-            m[k][k] = v.self_int
-        for a, b, mult in self.edges:
-            i, j = self._index[a], self._index[b]
-            m[i][j] = m[j][i] = mult
-        return m
+        return [[row.get(j, 0) for j in range(n)] for row in self.sparse_matrix()]
 
     def sparse_matrix(self) -> list[dict[int, int]]:
-        """Intersection matrix in vertex order, one {column: entry} map per row."""
+        """Intersection matrix in vertex order, one {column: entry} map per row:
+        the diagonal first, then the neighbours in edge order."""
         rows = [{k: v.self_int} for k, v in enumerate(self.vertices)]
         for a, b, mult in self.edges:
             i, j = self._index[a], self._index[b]
@@ -244,6 +227,8 @@ class Cycle(_Frozen):
 
     def restricted_to(self, target: DualGraph) -> "Cycle":
         """Drop coefficients on vertices absent from *target*."""
+        if target is self.graph:
+            return self
         return cycle(target, {vid: c for vid, c in self.coeffs if target.has_vertex(vid)})
 
     def __repr__(self) -> str:

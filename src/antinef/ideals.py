@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .birational import Tower, TowerStep, associated_pg_cycle, cohom_coeffs, contract_all, excess, lift, replay
+from .birational import Tower, TowerStep, associated_pg_cycle, contract_all, excess, lift, replay, transport_cohom
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
 from .lattice import (
@@ -121,8 +121,7 @@ def represent(
         raise PreconditionError("an ideal needs an integral cycle Z > 0")
     if not is_antinef(z):
         raise PreconditionError(f"{z} is not anti-nef")
-    cc = cohom_coeffs(tower, model.c_base)
-    c = cycle(g, {vid: cc[vid] for vid in g.ids if vid in cc})
+    c = transport_cohom(tower, model.c_base).restricted_to(g)
     numeric = _pg_numeric(z, c)
     if model.rational:
         if h1 not in (None, 0):
@@ -204,8 +203,8 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
     """
     if not ideal.pg_numeric:
         raise PreconditionError("colon_and_core needs a numerically-p_g ideal")
-    g = ideal.tower.graph(ideal.level)
     z = ideal.z
+    g = z.graph  # represent checked that this is the tower's graph at ideal.level
     local = contract_all(g, _off_c(ideal.c))
     if replay(local.bottom, local.steps) != g:
         raise TheoremViolationError("contraction sequence did not replay to the input graph")
@@ -250,7 +249,7 @@ def is_good(ideal: IdealRep) -> bool:
     # a contraction keeps the survivors' coefficients: pi_* Z and pi_* C are
     # Z and C read on the curves that are left
     zc = ideal.z.as_dict()
-    g = contract_all(ideal.tower.graph(ideal.level), lambda step: excess(zc, step) == 0).bottom
+    g = contract_all(ideal.z.graph, lambda step: excess(zc, step) == 0).bottom
     off_c = _off_c(ideal.c)
     return not any(
         v.self_int == -1 and v.kappa == -1 and off_c(TowerStep(v.id, g.adjacency[v.id])) for v in g.vertices
@@ -341,20 +340,10 @@ class ConeStats(NamedTuple):
     mult_gap_expected: int
 
     @property
-    def colength_ok(self) -> bool:
-        return self.colength == self.colength_expected
-
-    @property
-    def mu_ok(self) -> bool:
-        return self.mu == self.mu_expected
-
-    @property
-    def mult_gap_ok(self) -> bool:
-        return self.mult_gap == self.mult_gap_expected
-
-    @property
     def all_ok(self) -> bool:
-        return self.colength_ok and self.mu_ok and self.mult_gap_ok
+        return (self.colength, self.mu, self.mult_gap) == (
+            self.colength_expected, self.mu_expected, self.mult_gap_expected
+        )
 
 
 def cone_model(e: int, g: int, a: int, pg: Optional[int] = None):

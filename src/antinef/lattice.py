@@ -1,9 +1,8 @@
 """Intersection pairing, fundamental and canonical cycles, numerical formulas.
 
 All operations are pure functions over immutable graphs and cycles, and all
-arithmetic is exact.  One row of the pairing, W.E_i from a coefficient dict,
-is :func:`_row`, which :func:`row_pairing` reads; the contraction rules of
-:mod:`antinef.ideals` read -W.E from a step, by
+arithmetic is exact.  One row of the pairing, Z.E_i, is :func:`row_pairing`;
+the contraction rules of :mod:`antinef.ideals` read -W.E from a step, by
 :func:`antinef.birational.excess`.  Every result passes through
 :func:`antinef.graph.normal`, so an integral value is an int.
 """
@@ -11,7 +10,7 @@ is :func:`_row`, which :func:`row_pairing` reads; the contraction rules of
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Coeff, Cycle, DualGraph, _graph_mismatch, cycle, eliminate, normal, unit_cycle
@@ -31,16 +30,11 @@ def pair(w: Cycle, v: Cycle) -> Coeff:
     return normal(total)
 
 
-def _row(g: DualGraph, coeffs: Mapping[str, Coeff], vid: str) -> Coeff:
-    """W.E for the curve vid of g, where W has the given coefficients on g's curves."""
-    return coeffs.get(vid, 0) * g.vertex(vid).self_int + sum(
-        m * coeffs.get(u, 0) for u, m in g.adjacency[vid]
-    )
-
-
 def row_pairing(z: Cycle, vid: str) -> Coeff:
     """Z.E_i for a single vertex, without building a unit cycle."""
-    return normal(_row(z.graph, z._map, vid))
+    g, coeffs = z.graph, z._map
+    nb = sum(m * coeffs.get(u, 0) for u, m in g.adjacency[vid])
+    return normal(coeffs.get(vid, 0) * g.vertex(vid).self_int + nb)
 
 
 def k_dot(w: Cycle) -> Coeff:

@@ -64,9 +64,9 @@ def _search(
     """
     n = len(g.vertices)
     diag = [v.self_int for v in g.vertices]
-    # column i of M as (row, entry) pairs: the diagonal, then the neighbours
-    column = [[(i, diag[i])] + [(g._index[b], m) for b, m in g.adjacency[vid]]
-              for i, vid in enumerate(g.ids)]
+    # column i of M as (row, entry) pairs: the diagonal, then the neighbours;
+    # M is symmetric, so these are its rows
+    column = [list(row.items()) for row in g.sparse_matrix()]
     order: list[int] = []
     for start in sorted(range(n), key=lambda i: -len(column[i])):
         if start not in order:
@@ -130,7 +130,7 @@ def enumerate_max_Y(z: Cycle, c: Cycle, bound: Optional[SearchBound] = None) -> 
     zv = z.vector()
     highs = [min(v, bound.max_coeff) for v in zv]
     _guard(g, [h + 1 for h in highs], bound)
-    z_rows = [sum(m * v for m, v in zip(row, zv)) for row in g.matrix()]
+    z_rows = [sum(m * zv[j] for j, m in row.items()) for row in g.sparse_matrix()]
     on_c = [vid in c.support for vid in g.ids]
     kappa = [v.kappa for v in g.vertices]
 

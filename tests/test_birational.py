@@ -174,7 +174,7 @@ class TestTransport:
         t = Tower.base(corpus.get("ex244min").graph).blow_up(free_point("E0", "E1"))
         t = t.blow_up(free_point("E1", "F"))
         c0 = unit_cycle(t.levels[0], "E0")
-        track = transport_cohom(t, c0)
+        track = [transport_cohom(t, c0).restricted_to(g) for g in t.levels]
         # first blow-up sits on supp C: total transform minus the new curve
         assert track[1] == unit_cycle(t.levels[1], "E0")
         # second sits on E1, off supp C: plain pullback (no E1 coefficient)
@@ -182,8 +182,7 @@ class TestTransport:
 
     def test_ex244_transport(self, ex244):
         t = ex244.tower
-        track = transport_cohom(t, unit_cycle(t.levels[0], "E0"))
-        assert track[-1] == unit_cycle(t.top, "E0")
+        assert transport_cohom(t, unit_cycle(t.levels[0], "E0")) == unit_cycle(t.top, "E0")
 
 
 class TestAssociatedPgCycle:
@@ -309,6 +308,24 @@ def test_contract_all_from_steps_and_blow_up_each_freeze_one_graph(monkeypatch):
         assert len(frozen) == 1
 
 
+def test_a_level_is_replayed_from_the_nearer_end(monkeypatch):
+    t = Tower.base(corpus.get("D5").graph)
+    for k in range(25):  # crossings and free points, so edges are patched both ways
+        last, new = t.top.ids[-1], f"F{k:02d}"
+        nb = t.top.adjacency[last][0][0]
+        t = t.blow_up(free_point(last, new) if k % 2 else edge_point(last, nb, new))
+    levels = t.levels
+    patches = []
+    patch = birational._Surgery.patch
+    monkeypatch.setattr(birational._Surgery, "patch", lambda s, *args: patches.append(args) or patch(s, *args))
+    for k in range(t.height + 1):
+        patches.clear()
+        g = t.graph(k)
+        assert len(patches) <= min(k, t.height - k)
+        assert g == levels[k]
+        _assert_canonical(g)
+
+
 def test_a_level_out_of_range_is_refused():
     t = Tower.base(corpus.get("A2").graph).blow_up(free_point("E1", "C"))
     for level in (-1, 2):
@@ -387,7 +404,7 @@ def test_contract_all_matches_the_four_loops(data):
     level = t.height
     t = grow(data, t, data.draw(st.integers(min_value=0, max_value=25)), avoid=avoid)
     g = t.top
-    c = transport_cohom(t, model.c_base)[-1]
+    c = transport_cohom(t, model.c_base)
     z = t.pullback(data.draw(st.integers(1, 2)) * z0, level, t.height)
     if data.draw(st.booleans()):
         # a cohomological cycle that some contraction would not transport
@@ -417,7 +434,8 @@ def test_contract_all_matches_the_four_loops(data):
 @given(st.data())
 def test_transport_is_pullback_minus_the_new_curve_on_supp(data):
     t = grow(data, corpus.get("ex244blown").tower, data.draw(st.integers(min_value=1, max_value=20)))
-    track = transport_cohom(t, unit_cycle(t.levels[0], "E0"))
+    top = transport_cohom(t, unit_cycle(t.levels[0], "E0"))
+    track = [top.restricted_to(g) for g in t.levels]
     for k, step in enumerate(t.steps):
         want = t.pullback(track[k], k, k + 1)
         if any(track[k].coeff(u) > 0 for u, _ in step.attach):
@@ -435,7 +453,7 @@ def _reference_associated_pg_cycle(t, z, branches, c_base):
     for vid, n in branches:
         counts[vid] = counts.get(vid, 0) + n
     live = [vid for vid, n in counts.items() for _ in range(n)]
-    c = transport_cohom(t, c_base)[-1]
+    c = transport_cohom(t, c_base)
     while True:
         for i, vid in enumerate(live):
             if c.coeff(vid) > 0:

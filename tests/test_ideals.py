@@ -335,6 +335,28 @@ def test_colon_and_core_builds_no_tower_to_replay_its_contractions(data):
     assert calls == []
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_colon_and_core_and_is_good_read_the_ideals_graph_not_the_tower(data):
+    base = corpus.get(data.draw(st.sampled_from(["A3", "D5", "E6"]))).graph
+    t = grow(data, Tower.base(base), data.draw(st.integers(min_value=2, max_value=40)))
+    level = data.draw(st.integers(min_value=1, max_value=t.height - 1))
+    g = t.graph(level)
+    raised = data.draw(st.sampled_from([step.new_id for step in t.steps[:level]]))
+    z = antinef_closure(t.pullback(fundamental_cycle(base), 0, level) + unit_cycle(g, raised))
+    ideal = represent(singularity_model(base), t, level, z)
+
+    def replayed(self, k):
+        raise AssertionError(f"Tower.graph({k}) was called")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Tower, "graph", replayed)
+        rep = colon_and_core(ideal)
+        good = is_good(ideal)
+    assert rep.core_cycle.graph == g
+    assert good == rep.good
+
+
 # --- metamorphic invariants at height ---------------------------------------------
 
 

@@ -143,15 +143,26 @@ def test_integral_test_scan_sees_a_planted_copy():
     assert _integral_tests(source) == ["line 4"]
 
 
-def _levels_reads(source: str) -> list[str]:
-    """Reads of an attribute ``levels``: every graph of a tower, each built
-    by replay.  A query reads ``bottom``, ``top`` or ``graph(k)`` instead."""
+def _attribute_reads(source: str, names: tuple[str, ...]) -> list[str]:
+    """The lines that read an attribute of one of these names."""
     return [
         f"line {line}" for line in sorted(
             node.lineno for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr == "levels"
+            if isinstance(node, ast.Attribute) and node.attr in names
         )
     ]
+
+
+def _levels_reads(source: str) -> list[str]:
+    """Reads of ``levels``: every graph of a tower, each built by replay.  A
+    query reads ``bottom``, ``top`` or ``graph(k)`` instead."""
+    return _attribute_reads(source, ("levels",))
+
+
+def _index_space_reads(source: str) -> list[str]:
+    """Reads of a graph's private vertex index or of its dense ``matrix``:
+    M laid out by index once more.  ``sparse_matrix()`` is the one builder."""
+    return _attribute_reads(source, ("_index", "matrix"))
 
 
 def test_no_module_but_birational_reads_every_level_of_a_tower():
@@ -169,6 +180,21 @@ def test_levels_scan_sees_a_planted_read():
         "    return doc.tower.levels\n"
     )
     assert _levels_reads(source) == ["line 4", "line 6"]
+
+
+def test_no_module_but_graph_lays_out_the_intersection_matrix():
+    found = _scan(_index_space_reads, with_init=True)
+    assert {name: lines for name, lines in found.items() if name != "graph.py"} == {}
+
+
+def test_index_scan_sees_a_planted_copy():
+    source = (
+        "def f(g):\n"
+        "    rows = g.sparse_matrix()\n"
+        "    column = [(g._index[b], m) for b, m in g.adjacency['E1']]\n"
+        "    return rows, column, g.matrix()\n"
+    )
+    assert _index_space_reads(source) == ["line 3", "line 4"]
 
 
 def test_no_module_imports_numpy():
