@@ -24,7 +24,7 @@ class CorpusEntry(NamedTuple):
     tower: Optional[Tower] = None
 
 
-def a_n(n: int) -> DualGraph:
+def _a_n(n: int) -> DualGraph:
     """Chain of n (-2)-curves."""
     if n < 1:
         raise InputError("A_n needs n >= 1")
@@ -43,7 +43,7 @@ def d_n(n: int) -> DualGraph:
     return dual_graph(f"D{n}", verts, edges)
 
 
-def e_n(n: int) -> DualGraph:
+def _e_n(n: int) -> DualGraph:
     """E6/E7/E8: three arms of lengths 1, 2 and n-4 from a central node."""
     if n not in (6, 7, 8):
         raise InputError("E_n exists for n in {6, 7, 8}")
@@ -54,7 +54,7 @@ def e_n(n: int) -> DualGraph:
     return dual_graph(f"E{n}", verts, edges)
 
 
-def hj_expansion(n: int, q: int) -> list[int]:
+def _hj_expansion(n: int, q: int) -> list[int]:
     """Hirzebruch-Jung continued fraction n/q = b1 - 1/(b2 - ...)."""
     if not (1 <= q < n) or gcd(n, q) != 1:
         raise InputError(f"HJ needs 1 <= q < n coprime, got ({n},{q})")
@@ -66,24 +66,24 @@ def hj_expansion(n: int, q: int) -> list[int]:
     return bs
 
 
-def hj(n: int, q: int) -> DualGraph:
+def _hj(n: int, q: int) -> DualGraph:
     """Cyclic quotient singularity of type n/q: a chain of rational curves
     with self-intersections from the continued fraction expansion."""
-    bs = hj_expansion(n, q)
+    bs = _hj_expansion(n, q)
     verts = [(f"E{i + 1}", -b, b - 2) for i, b in enumerate(bs)]
     edges = [(f"E{i}", f"E{i + 1}") for i in range(1, len(bs))]
     return dual_graph(f"HJ({n},{q})", verts, edges)
 
 
-def ex244_minimal() -> DualGraph:
+def _ex244_minimal() -> DualGraph:
     """Minimal resolution of x^2 + y^4 + z^4: one elliptic (-2)-curve."""
     return dual_graph("ex244min", [("E0", -2, 2)])
 
 
-def ex244_tower() -> Tower:
+def _ex244_tower() -> Tower:
     """Four point blow-ups of the elliptic curve; the top graph carries the
     p_g-cycle 2E0 + 3(E1+...+E4)."""
-    t = Tower.base(ex244_minimal())
+    t = Tower.base(_ex244_minimal())
     for i in range(1, 5):
         t = t.blow_up(free_point("E0", f"E{i}"))
     return t
@@ -105,15 +105,15 @@ def get(name: str) -> CorpusEntry:
     if not m:
         raise InputError(f"unknown corpus name {name!r}")
     if name.startswith("A"):
-        return CorpusEntry(name, a_n(int(name[1:])))
+        return CorpusEntry(name, _a_n(int(name[1:])))
     if name.startswith("D"):
         return CorpusEntry(name, d_n(int(name[1:])))
     if name.startswith("E") and name != "ex244min" and name != "ex244blown":
-        return CorpusEntry(name, e_n(int(name[1:])))
+        return CorpusEntry(name, _e_n(int(name[1:])))
     if name.startswith("HJ"):
-        return CorpusEntry(name, hj(int(m.group(2)), int(m.group(3))))
+        return CorpusEntry(name, _hj(int(m.group(2)), int(m.group(3))))
     if name == "ex244min":
-        g = ex244_minimal()
+        g = _ex244_minimal()
         return CorpusEntry(
             name,
             g,
@@ -121,7 +121,7 @@ def get(name: str) -> CorpusEntry:
             model_args={"pg": 1, "gorenstein": True},
         )
     # ex244blown
-    t = ex244_tower()
+    t = _ex244_tower()
     g = t.top
     z = cycle(g, {"E0": 2, "E1": 3, "E2": 3, "E3": 3, "E4": 3})
     return CorpusEntry(

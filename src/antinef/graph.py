@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError, PreconditionError
 
@@ -96,9 +96,26 @@ class DualGraph(_Frozen):
         return rows
 
     @cached_property
+    def _elimination(self) -> Elimination:
+        """The graph's one elimination, M with -kappa beside it: definiteness,
+        det M and the canonical cycle's coefficients together."""
+        return eliminate(self.sparse_matrix(), [-v.kappa for v in self.vertices])
+
+    @property
     def negative_definite(self) -> bool:
-        """Sylvester's criterion on the intersection form, from one elimination."""
-        return eliminate(self.sparse_matrix()).negative_definite
+        """Sylvester's criterion on the intersection form, from the one elimination."""
+        return self._elimination.negative_definite
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+        """:meth:`sparse_matrix` as the closure reads it: per vertex index,
+        E_i^2 and the (neighbour index, multiplicity) pairs."""
+        return tuple((row.pop(i), tuple(row.items())) for i, row in enumerate(self.sparse_matrix()))
+
+    @cached_property
+    def _zf(self) -> tuple[int, ...]:
+        """Artin's fundamental cycle in vertex order, closed once from the first vertex."""
+        return tuple(laufer_closure(self, [1] + [0] * (len(self.vertices) - 1)))
 
     def __repr__(self) -> str:  # keep pytest diffs readable
         vs = ", ".join(f"{v.id}({v.self_int},{v.kappa})" for v in self.vertices)
@@ -408,6 +425,41 @@ def _perm_sign(p: list[int]) -> int:
             if j != start:
                 sign = -sign
     return sign
+
+
+def laufer_closure(g: DualGraph, z: list[int], on_step: Optional[Callable[[str, int], None]] = None) -> list[int]:
+    """Laufer's closure with jumps, in place on an integer vector z in vertex
+    order: the least anti-nef cycle >= z.
+
+    While some vertex has Z.E_i > 0 its coefficient is raised by
+    ceil(Z.E_i / -E_i^2) in one step: every anti-nef W >= Z has at least that
+    much more there, because the off-diagonal entries are >= 0.  Vertices are
+    visited in vertex order, so ``on_step(vid, new_coeff)`` sees a reproducible
+    sequence of raises.  Definiteness is read once, from the graph's one
+    elimination, at the first raise past the n-th or at a vertex with
+    E_i^2 >= 0; a graph that is not negative definite raises PreconditionError.
+    """
+    ids, rows = g.ids, g._rows
+    raises, checked, dirty = 0, False, True
+    while dirty:
+        dirty = False
+        for i, (e2, nbrs) in enumerate(rows):
+            row = z[i] * e2
+            for j, m in nbrs:
+                row += m * z[j]
+            if row > 0:
+                if not checked and (raises >= len(z) or e2 >= 0):
+                    checked = True
+                    if not g.negative_definite:
+                        raise PreconditionError(
+                            f"antinef_closure needs a negative-definite graph; {g.name!r} is not"
+                        )
+                z[i] -= row // e2  # row > 0 > e2: a raise by ceil(row / -e2)
+                raises += 1
+                if on_step is not None:
+                    on_step(ids[i], z[i])
+                dirty = True
+    return z
 
 
 def validate_graph(g: DualGraph) -> ValidationReport:

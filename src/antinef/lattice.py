@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import PreconditionError, TheoremViolationError
-from .graph import Coeff, Cycle, DualGraph, _graph_mismatch, cycle, eliminate, normal, unit_cycle
+from .graph import Coeff, Cycle, DualGraph, _graph_mismatch, cycle, laufer_closure, normal, unit_cycle
 
 
 def pair(w: Cycle, v: Cycle) -> Coeff:
@@ -48,11 +48,12 @@ def k_dot(w: Cycle) -> Coeff:
 def canonical_cycle(g: DualGraph) -> Cycle:
     """The unique rational cycle z with z.E_i = -kappa_i for every vertex.
 
-    Solved by one sparse fraction-free elimination of the intersection
-    matrix with -kappa as an extra column (:func:`antinef.graph.eliminate`);
-    the matrix is invertible on a negative-definite graph.
+    Read from the graph's one elimination (:func:`antinef.graph.eliminate`
+    of the intersection matrix with -kappa as an extra column), which also
+    decides definiteness for :func:`antinef.graph.validate_graph`; the matrix
+    is invertible on a negative-definite graph.
     """
-    e = eliminate(g.sparse_matrix(), [-v.kappa for v in g.vertices])
+    e = g._elimination
     if e.solution is None:
         raise PreconditionError(f"graph {g.name!r} has singular intersection matrix")
     return cycle(g, zip(g.ids, e.solution))
@@ -75,58 +76,30 @@ def is_antinef(z: Cycle) -> bool:
 def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = None) -> Cycle:
     """Least anti-nef cycle >= D (Laufer's algorithm with jumps).
 
-    While some vertex has Z.E_i > 0 its coefficient is raised by
-    ceil(Z.E_i / -E_i^2) in one step: every anti-nef W >= Z has at least that
-    much more there, because the off-diagonal entries are >= 0.  Vertices are
-    visited in ascending id order for reproducible traces; the least fixed
-    point is order-independent.  ``on_step(vid, new_coeff)`` sees each raise.
-
-    The loop terminates on a negative-definite graph.  Definiteness is decided
-    once, by one elimination, at the first raise past the n-th or at a vertex
-    with E_i^2 >= 0; a graph that is not negative definite raises
-    PreconditionError there.
+    The checked entry to :func:`antinef.graph.laufer_closure`, which runs on
+    D's coefficient vector every time; ``on_step(vid, new_coeff)`` sees each
+    raise.  A graph that is not negative definite raises PreconditionError.
     """
     if d.is_zero or not d.is_effective:
         raise PreconditionError("antinef_closure needs an effective nonzero cycle")
     if not d.is_integral:
         raise PreconditionError("antinef_closure needs an integral cycle")
     g = d.graph
-    coeffs = {vid: d.coeff(vid) for vid in g.ids}
-    raises = 0
-    checked = False
-    dirty = True
-    while dirty:
-        dirty = False
-        for vid in g.ids:
-            e2 = g.vertex(vid).self_int
-            row = coeffs[vid] * e2
-            for other, m in g.adjacency[vid]:
-                row += m * coeffs[other]
-            if row > 0:
-                if not checked and (raises >= len(coeffs) or e2 >= 0):
-                    checked = True
-                    if not g.negative_definite:
-                        raise PreconditionError(
-                            f"antinef_closure needs a negative-definite graph; {g.name!r} is not"
-                        )
-                coeffs[vid] -= row // e2  # row > 0 > e2: a raise by ceil(row / -e2)
-                raises += 1
-                if on_step is not None:
-                    on_step(vid, coeffs[vid])
-                dirty = True
-    return cycle(g, coeffs)
+    return cycle(g, zip(g.ids, laufer_closure(g, d.vector(), on_step)))
 
 
 def fundamental_cycle(g: DualGraph, start: Optional[str] = None,
                       on_step: Optional[Callable[[str, int], None]] = None) -> Cycle:
     """Minimal nonzero anti-nef effective cycle (Artin's fundamental cycle).
 
-    Computed as the anti-nef closure of a single vertex; the result does not
-    depend on the starting vertex.
+    The anti-nef closure of a single vertex; the result does not depend on the
+    starting vertex.  Without ``start`` and ``on_step`` it is read from the
+    graph's one closure from its first vertex, which :func:`is_rational` reads too; either
+    argument runs :func:`antinef_closure` afresh.
     """
-    if start is None:
-        start = g.ids[0]
-    return antinef_closure(unit_cycle(g, start), on_step=on_step)
+    if start is None and on_step is None:
+        return cycle(g, zip(g.ids, g._zf))
+    return antinef_closure(unit_cycle(g, g.ids[0] if start is None else start), on_step=on_step)
 
 
 def is_rational(g: DualGraph) -> bool:

@@ -1,16 +1,22 @@
-"""The brute-force oracles as numpy box enumerations, kept as a reference.
+"""Earlier implementations of the library, kept as references.
 
-This is the numpy implementation that ``antinef.oracle`` replaced with one
-pruned depth-first search in exact integers; the code below is unchanged
-apart from its imports.  ``test_oracle_reference.py`` checks that both give
-the same answers on small random graphs and towers.  It enumerates the box
-in int64, so it refuses inputs whose intersection numbers could overflow.
+The brute-force oracles as numpy box enumerations: the implementation that
+``antinef.oracle`` replaced with one pruned depth-first search in exact
+integers, unchanged apart from its imports.  ``test_oracle_reference.py``
+checks that both give the same answers on small random graphs and towers.
+It enumerates the box in int64, so it refuses inputs whose intersection
+numbers could overflow.
+
+Laufer's closure as a loop over a dict keyed by vertex id: the
+``lattice.antinef_closure`` that ``graph.laufer_closure``'s index-space
+kernel replaced, unchanged apart from its imports.  ``test_lattice.py``
+checks that both make the same raises in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Optional
 
 from antinef.errors import PreconditionError, TheoremViolationError
 from antinef.graph import Cycle, DualGraph, cycle, zero_cycle
@@ -203,3 +209,48 @@ def negdef_bruteforce(g: DualGraph, bound: SearchBound) -> bool:
         if (quad[nonzero] >= 0).any():
             return False
     return True
+
+
+def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = None) -> Cycle:
+    """Least anti-nef cycle >= D (Laufer's algorithm with jumps).
+
+    While some vertex has Z.E_i > 0 its coefficient is raised by
+    ceil(Z.E_i / -E_i^2) in one step: every anti-nef W >= Z has at least that
+    much more there, because the off-diagonal entries are >= 0.  Vertices are
+    visited in ascending id order for reproducible traces; the least fixed
+    point is order-independent.  ``on_step(vid, new_coeff)`` sees each raise.
+
+    The loop terminates on a negative-definite graph.  Definiteness is decided
+    once, by one elimination, at the first raise past the n-th or at a vertex
+    with E_i^2 >= 0; a graph that is not negative definite raises
+    PreconditionError there.
+    """
+    if d.is_zero or not d.is_effective:
+        raise PreconditionError("antinef_closure needs an effective nonzero cycle")
+    if not d.is_integral:
+        raise PreconditionError("antinef_closure needs an integral cycle")
+    g = d.graph
+    coeffs = {vid: d.coeff(vid) for vid in g.ids}
+    raises = 0
+    checked = False
+    dirty = True
+    while dirty:
+        dirty = False
+        for vid in g.ids:
+            e2 = g.vertex(vid).self_int
+            row = coeffs[vid] * e2
+            for other, m in g.adjacency[vid]:
+                row += m * coeffs[other]
+            if row > 0:
+                if not checked and (raises >= len(coeffs) or e2 >= 0):
+                    checked = True
+                    if not g.negative_definite:
+                        raise PreconditionError(
+                            f"antinef_closure needs a negative-definite graph; {g.name!r} is not"
+                        )
+                coeffs[vid] -= row // e2  # row > 0 > e2: a raise by ceil(row / -e2)
+                raises += 1
+                if on_step is not None:
+                    on_step(vid, coeffs[vid])
+                dirty = True
+    return cycle(g, coeffs)

@@ -1,5 +1,6 @@
 """Hygiene of the package: no unused imports, no unreferenced private
-module-level names, one home for the int-if-integral rule and for the
+module-level names, no public function that only its own module calls,
+one home for the int-if-integral rule and for the
 graph-mismatch message, no numpy or dataclasses anywhere, an oracle that
 imports only errors and graph, no query outside birational that builds
 every level of a tower, and a CLI call that loads only what its command
@@ -197,6 +198,78 @@ def test_index_scan_sees_a_planted_copy():
     assert _index_space_reads(source) == ["line 3", "line 4"]
 
 
+def _public_functions(source: str) -> list[tuple[str, int]]:
+    return [
+        (node.name, node.lineno) for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _identifiers(source: str) -> set[str]:
+    """Every name the source uses: as a name, an attribute, an import, or an
+    identifier in a string (the benchmark names its traced targets so)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            found.add(node.value)
+    return found
+
+
+def _unreached_functions(modules: dict[str, str], clients: list[str], exported) -> list[str]:
+    """Public module-level functions of these modules that are not exported
+    and that no other module and no client source names."""
+    used = {name: _identifiers(source) for name, source in modules.items()}
+    outside = set().union(*map(_identifiers, clients))
+    return [
+        f"{name}: {fn} (line {line})" for name, source in modules.items() for fn, line in _public_functions(source)
+        if fn not in exported and fn not in outside and not any(fn in ids for o, ids in used.items() if o != name)
+    ]
+
+
+BENCH = PACKAGE.parent.parent / "bench"
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _bench_sources() -> list[str]:
+    """The benchmark is a client: it calls det_bareiss, corpus.d_n and the
+    CLI's main, and traces birational.apply_step."""
+    return [path.read_text(encoding="utf-8") for path in sorted(BENCH.glob("*.py"))]
+
+
+def test_every_public_function_is_exported_or_called_from_another_module():
+    assert _unreached_functions(_package_sources(), _bench_sources(), antinef.__all__) == []
+
+
+def test_function_scan_sees_a_planted_copy():
+    modules = {
+        "a.py": (
+            "def exported():\n    return used()\n"
+            "def used():\n    pass\n"
+            "def traced():\n    pass\n"
+            "def left_behind():\n    return used()\n"
+            "def _private():\n    pass\n"
+        ),
+        "b.py": "from .a import used\n",
+    }
+    assert _unreached_functions(modules, ["TARGETS = [('a', 'traced')]\n"], {"exported"}) == [
+        "a.py: left_behind (line 7)"
+    ]
+    # the closure kernel, were lattice to stop calling it
+    package = _package_sources()
+    package["lattice.py"] = package["lattice.py"].replace("laufer_closure", "closure")
+    found = _unreached_functions(package, _bench_sources(), antinef.__all__)
+    assert [line.split(" (")[0] for line in found] == ["graph.py: laufer_closure"]
+
+
 def test_no_module_imports_numpy():
     assert _scan(_numpy_imports, with_init=True) == {}
 
@@ -277,7 +350,7 @@ PUBLIC = sorted("""
     ConeStats CoreReport Cycle DualGraph IdealRep InputError LatticeError PreconditionError SingularityModel
     TheoremViolationError Tower TowerStep ValidationReport Vertex antinef_closure arithmetic_genus
     associated_pg_cycle blowup canonical_cycle colength colon_and_core cone_model contract contract_all
-    contracts_to_smooth core_monotone_check cycle dual_graph edge_point epsilon free_point fundamental_cycle
+    contracts_to_smooth core_monotone_check cycle dual_graph edge_point eliminate epsilon free_point fundamental_cycle
     good_closure good_gorenstein_crosscheck includes is_antinef is_good is_numerically_gorenstein is_rational
     k_dot multiplicity pair product relative_canonical represent row_pairing singularity_model
     stability_defect transport_cohom unit_cycle validate_graph zero_cycle

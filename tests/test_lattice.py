@@ -1,13 +1,15 @@
 """Pairing, fundamental/canonical cycles, rationality, colength."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from antinef import corpus
+import oracle_reference as reference
+from antinef import corpus, graph, lattice
 from antinef.errors import PreconditionError
-from antinef.graph import cycle, dual_graph, unit_cycle
+from antinef.graph import cycle, dual_graph, unit_cycle, validate_graph
 from antinef.lattice import (
     antinef_closure,
     arithmetic_genus,
@@ -274,3 +276,100 @@ def test_pairing_is_symmetric_bilinear(a, b):
     assert pair(za + zb, zb) == pair(za, zb) + pair(zb, zb)
     if not za.is_zero:
         assert pair(za, za) < 0  # negative definiteness
+
+
+# --- one elimination and one fundamental cycle per graph ------------------------------
+
+
+def test_a_graph_is_eliminated_once_and_closed_from_e1_once(monkeypatch):
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(graph, "eliminate")
+    for module in (graph, lattice):
+        counted(module, "laufer_closure")
+    g = corpus.get("HJ(12,5)").graph
+    for _ in range(2):
+        assert validate_graph(g).ok
+        assert not canonical_cycle(g).is_integral
+        zf = fundamental_cycle(g)
+        assert is_rational(g)
+        assert (multiplicity(zf), colength(zf)) == (-pair(zf, zf), 1)
+    assert calls == {"eliminate": 1, "laufer_closure": 1}
+    # an explicit start or a listener runs the closure again
+    steps = []
+    assert fundamental_cycle(g, start=g.ids[-1]) == fundamental_cycle(g, on_step=lambda *s: steps.append(s)) == zf
+    assert calls == {"eliminate": 1, "laufer_closure": 3} and steps
+
+
+def test_errors_are_raised_again_on_every_call():
+    # the indefinite graph of lattice-sweep: two (-1)-curves meeting twice
+    g = dual_graph("indefinite", [("E1", -1, -1), ("E2", -1, -1)], [("E1", "E2", 2)])
+    flat = dual_graph("flat", [("E1", -2, 0), ("E2", -2, 0)], [("E1", "E2", 2)])
+    calls = [
+        (fundamental_cycle, g), (is_rational, g), (lambda g: antinef_closure(unit_cycle(g, "E1")), g),
+        (canonical_cycle, flat),
+    ]
+    messages = {}
+    for fn, arg in calls + calls:
+        with pytest.raises(PreconditionError) as err:
+            fn(arg)
+        messages.setdefault(fn, set()).add(str(err.value))
+    assert list(messages.values()) == [{"antinef_closure needs a negative-definite graph; 'indefinite' is not"}] * 3 + [
+        {"graph 'flat' has singular intersection matrix"}
+    ]
+
+
+@st.composite
+def rational_trees_and_multigraphs(draw):
+    """Random rational trees (-E_i^2 >= max(deg, 2)) and multigraphs with
+    cycles and double edges (-E_i^2 above the weighted degree), n <= 40."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    mult = {(draw(st.integers(0, i - 1)), i): 1 for i in range(1, n)}
+    tree = draw(st.booleans())
+    if not tree:
+        for u, v in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 4 + 1)):
+            if u != v:
+                key = (min(u, v), max(u, v))
+                mult[key] = min(mult.get(key, 0) + 1, 2)
+    wdeg = [0] * n
+    for (u, v), m in mult.items():
+        wdeg[u] += m
+        wdeg[v] += m
+    selfs = [-(max(d, 2) if tree else d + 1) - draw(st.integers(0, 1)) for d in wdeg]
+    verts = [(f"E{i + 1}", s, -2 - s) for i, s in enumerate(selfs)]
+    return dual_graph("tree" if tree else "multi", verts, [(f"E{u + 1}", f"E{v + 1}", m) for (u, v), m in mult.items()])
+
+
+def _closes_like_the_reference(d):
+    """The kernel's closure of d with a listener that compares each raise with
+    the dict-based reference's as it happens, so a kernel that would never
+    stop fails at its first wrong raise."""
+    want = []
+    z = reference.antinef_closure(d, on_step=lambda vid, c: want.append((vid, c)))
+    steps = iter(want)
+
+    def same(vid, c):
+        assert (vid, c) == next(steps, None)
+    return z, same, steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_trees_and_multigraphs(), st.data())
+def test_the_kernel_raises_like_the_reference_and_every_start_gives_the_cached_zf(g, data):
+    seed = data.draw(st.dictionaries(st.sampled_from(g.ids), st.integers(0, 5), max_size=3))
+    seed[g.ids[0]] = data.draw(st.integers(1, 1000))
+    d = cycle(g, seed)
+    z, same, rest = _closes_like_the_reference(d)
+    assert antinef_closure(d, on_step=same) == z and next(rest, None) is None
+    for vid in g.ids:
+        zf, same, rest = _closes_like_the_reference(unit_cycle(g, vid))
+        assert fundamental_cycle(g, start=vid, on_step=same) == zf and next(rest, None) is None
+    assert fundamental_cycle(g) == zf and all(fundamental_cycle(g, start=vid) == zf for vid in g.ids)
