@@ -14,8 +14,8 @@ _EXPORTS = {
     ),
     "errors": ("InputError", "LatticeError", "PreconditionError", "TheoremViolationError"),
     "graph": (
-        "Cycle", "DualGraph", "ValidationReport", "Vertex", "cycle", "dual_graph", "eliminate", "unit_cycle",
-        "validate_graph", "zero_cycle",
+        "Cycle", "DualGraph", "ValidationReport", "Vertex", "cycle", "dual_graph", "unit_cycle", "validate_graph",
+        "zero_cycle",
     ),
     "ideals": (
         "ConeStats", "CoreReport", "IdealRep", "SingularityModel", "colon_and_core", "cone_model",

@@ -99,7 +99,7 @@ class DualGraph(_Frozen):
     def _elimination(self) -> Elimination:
         """The graph's one elimination, M with -kappa beside it: definiteness,
         det M and the canonical cycle's coefficients together."""
-        return eliminate(self.sparse_matrix(), [-v.kappa for v in self.vertices])
+        return _eliminate(self.sparse_matrix(), [-v.kappa for v in self.vertices])
 
     @property
     def negative_definite(self) -> bool:
@@ -114,8 +114,12 @@ class DualGraph(_Frozen):
 
     @cached_property
     def _zf(self) -> tuple[int, ...]:
-        """Artin's fundamental cycle in vertex order, closed once from the first vertex."""
-        return tuple(laufer_closure(self, [1] + [0] * (len(self.vertices) - 1)))
+        """Artin's fundamental cycle in vertex order, closed once from the first
+        vertex by :func:`antinef.lattice.antinef_closure`, the checked entry to
+        :func:`laufer_closure` that every closure goes through."""
+        from .lattice import antinef_closure  # lattice imports this module
+
+        return tuple(antinef_closure(unit_cycle(self, self.ids[0])).vector())
 
     def __repr__(self) -> str:  # keep pytest diffs readable
         vs = ", ".join(f"{v.id}({v.self_int},{v.kappa})" for v in self.vertices)
@@ -339,7 +343,7 @@ class Elimination(NamedTuple):
     solution: Optional[tuple[Coeff, ...]] = None
 
 
-def eliminate(rows: Sequence[Mapping[int, int]], rhs: Optional[Sequence[int]] = None) -> Elimination:
+def _eliminate(rows: Sequence[Mapping[int, int]], rhs: Optional[Sequence[int]] = None) -> Elimination:
     """Sparse Bareiss elimination of -M, given M as one {column: entry} map per row.
 
     Each step pivots on the remaining vertex with the fewest remaining

@@ -206,8 +206,10 @@ def _public_functions(source: str) -> list[tuple[str, int]]:
 
 
 def _identifiers(source: str) -> set[str]:
-    """Every name the source uses: as a name, an attribute, an import, or an
-    identifier in a string (the benchmark names its traced targets so)."""
+    """Every name the source uses: as a name, an attribute or an import, or
+    as the second string of a ("antinef.<module>", "<name>") tuple, which is
+    how the benchmark names the functions it traces.  Other strings are not
+    calls."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name):
@@ -216,8 +218,10 @@ def _identifiers(source: str) -> set[str]:
             found.add(node.attr)
         elif isinstance(node, ast.alias):
             found.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-            found.add(node.value)
+        elif isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            module, name = (e.value if isinstance(e, ast.Constant) else None for e in node.elts[:2])
+            if isinstance(module, str) and module.startswith("antinef.") and isinstance(name, str):
+                found.add(name)
     return found
 
 
@@ -260,9 +264,8 @@ def test_function_scan_sees_a_planted_copy():
         ),
         "b.py": "from .a import used\n",
     }
-    assert _unreached_functions(modules, ["TARGETS = [('a', 'traced')]\n"], {"exported"}) == [
-        "a.py: left_behind (line 7)"
-    ]
+    client = "TARGETS = [('antinef.a', 'traced', 'a.traced')]\nprint('left_behind')\n"
+    assert _unreached_functions(modules, [client], {"exported"}) == ["a.py: left_behind (line 7)"]
     # the closure kernel, were lattice to stop calling it
     package = _package_sources()
     package["lattice.py"] = package["lattice.py"].replace("laufer_closure", "closure")
@@ -350,7 +353,7 @@ PUBLIC = sorted("""
     ConeStats CoreReport Cycle DualGraph IdealRep InputError LatticeError PreconditionError SingularityModel
     TheoremViolationError Tower TowerStep ValidationReport Vertex antinef_closure arithmetic_genus
     associated_pg_cycle blowup canonical_cycle colength colon_and_core cone_model contract contract_all
-    contracts_to_smooth core_monotone_check cycle dual_graph edge_point eliminate epsilon free_point fundamental_cycle
+    contracts_to_smooth core_monotone_check cycle dual_graph edge_point epsilon free_point fundamental_cycle
     good_closure good_gorenstein_crosscheck includes is_antinef is_good is_numerically_gorenstein is_rational
     k_dot multiplicity pair product relative_canonical represent row_pairing singularity_model
     stability_defect transport_cohom unit_cycle validate_graph zero_cycle
