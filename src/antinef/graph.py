@@ -108,15 +108,13 @@ class DualGraph(_Frozen):
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """:meth:`sparse_matrix` as the closure reads it: per vertex index,
-        E_i^2 and the (neighbour index, multiplicity) pairs."""
+        """:meth:`sparse_matrix` by vertex index as (E_i^2, neighbour pairs), for the closure."""
         return tuple((row.pop(i), tuple(row.items())) for i, row in enumerate(self.sparse_matrix()))
 
     @cached_property
     def _zf(self) -> tuple[int, ...]:
         """Artin's fundamental cycle in vertex order, closed once from the first
-        vertex by :func:`antinef.lattice.antinef_closure`, the checked entry to
-        :func:`laufer_closure` that every closure goes through."""
+        vertex by :func:`antinef.lattice.antinef_closure`, like every closure."""
         from .lattice import antinef_closure  # lattice imports this module
 
         return tuple(antinef_closure(unit_cycle(self, self.ids[0])).vector())
@@ -435,13 +433,12 @@ def laufer_closure(g: DualGraph, z: list[int], on_step: Optional[Callable[[str, 
     """Laufer's closure with jumps, in place on an integer vector z in vertex
     order: the least anti-nef cycle >= z.
 
-    While some vertex has Z.E_i > 0 its coefficient is raised by
-    ceil(Z.E_i / -E_i^2) in one step: every anti-nef W >= Z has at least that
-    much more there, because the off-diagonal entries are >= 0.  Vertices are
-    visited in vertex order, so ``on_step(vid, new_coeff)`` sees a reproducible
-    sequence of raises.  Definiteness is read once, from the graph's one
-    elimination, at the first raise past the n-th or at a vertex with
-    E_i^2 >= 0; a graph that is not negative definite raises PreconditionError.
+    While some Z.E_i > 0, z_i is raised by ceil(Z.E_i / -E_i^2) in one step:
+    every anti-nef W >= Z has that much more there, as off-diagonal entries
+    are >= 0.  Vertices go in order, so ``on_step(vid, new_coeff)`` sees a
+    reproducible sequence of raises.  At the first raise past the n-th or at
+    an E_i^2 >= 0, the graph's one elimination decides definiteness; a graph
+    that is not negative definite raises PreconditionError.
     """
     ids, rows = g.ids, g._rows
     raises, checked, dirty = 0, False, True

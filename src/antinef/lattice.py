@@ -48,10 +48,10 @@ def k_dot(w: Cycle) -> Coeff:
 def canonical_cycle(g: DualGraph) -> Cycle:
     """The unique rational cycle z with z.E_i = -kappa_i for every vertex.
 
-    Read from the graph's one elimination (:func:`antinef.graph._eliminate`
-    of the intersection matrix with -kappa as an extra column), which also
-    decides definiteness for :func:`antinef.graph.validate_graph`; the matrix
-    is invertible on a negative-definite graph.
+    Read from the graph's one sparse fraction-free elimination of the
+    intersection matrix with -kappa as an extra column, which also decides
+    definiteness for :func:`antinef.graph.validate_graph`; the matrix is
+    invertible on a negative-definite graph.
     """
     e = g._elimination
     if e.solution is None:
@@ -92,10 +92,9 @@ def fundamental_cycle(g: DualGraph, start: Optional[str] = None,
                       on_step: Optional[Callable[[str, int], None]] = None) -> Cycle:
     """Minimal nonzero anti-nef effective cycle (Artin's fundamental cycle).
 
-    The anti-nef closure of a single vertex; the result does not depend on the
-    starting vertex.  Without ``start`` and ``on_step`` it is the graph's Z_f,
-    closed once from its first vertex by :func:`antinef_closure` and read by
-    :func:`is_rational` too; either argument runs :func:`antinef_closure` afresh.
+    The anti-nef closure of any single vertex.  Without ``start`` and
+    ``on_step`` it is the graph's Z_f, closed once from its first vertex and
+    read by :func:`is_rational` too; either argument runs :func:`antinef_closure`.
     """
     if start is None and on_step is None:
         return cycle(g, zip(g.ids, g._zf))
