@@ -112,12 +112,12 @@ class DualGraph(_Frozen):
         return tuple((row.pop(i), tuple(row.items())) for i, row in enumerate(self.sparse_matrix()))
 
     @cached_property
-    def _zf(self) -> tuple[int, ...]:
-        """Artin's fundamental cycle in vertex order, closed once from the first
-        vertex by :func:`antinef.lattice.antinef_closure`, like every closure."""
+    def _zf(self) -> tuple[tuple[str, Coeff], ...]:
+        """Artin's fundamental cycle as :class:`Cycle` holds it, closed once from
+        the first vertex by :func:`antinef.lattice.antinef_closure`, like every closure."""
         from .lattice import antinef_closure  # lattice imports this module
 
-        return tuple(antinef_closure(unit_cycle(self, self.ids[0])).vector())
+        return antinef_closure(unit_cycle(self, self.ids[0])).coeffs
 
     def __repr__(self) -> str:  # keep pytest diffs readable
         vs = ", ".join(f"{v.id}({v.self_int},{v.kappa})" for v in self.vertices)

@@ -76,16 +76,16 @@ def is_antinef(z: Cycle) -> bool:
 def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = None) -> Cycle:
     """Least anti-nef cycle >= D (Laufer's algorithm with jumps).
 
-    The checked entry to :func:`antinef.graph.laufer_closure`, which runs on
-    D's coefficient vector every time; ``on_step(vid, new_coeff)`` sees each
-    raise.  A graph that is not negative definite raises PreconditionError.
+    Runs :func:`antinef.graph.laufer_closure` on D afresh; ``on_step(vid, c)``
+    sees each raise.  A graph that is not negative definite raises PreconditionError.
     """
     if d.is_zero or not d.is_effective:
         raise PreconditionError("antinef_closure needs an effective nonzero cycle")
     if not d.is_integral:
         raise PreconditionError("antinef_closure needs an integral cycle")
     g = d.graph
-    return cycle(g, zip(g.ids, laufer_closure(g, d.vector(), on_step)))
+    z = laufer_closure(g, d.vector(), on_step)  # ints in vertex order, as cycle() would store them
+    return Cycle(g, tuple((vid, c) for vid, c in zip(g.ids, z) if c))
 
 
 def fundamental_cycle(g: DualGraph, start: Optional[str] = None,
@@ -97,7 +97,7 @@ def fundamental_cycle(g: DualGraph, start: Optional[str] = None,
     read by :func:`is_rational` too; either argument runs :func:`antinef_closure`.
     """
     if start is None and on_step is None:
-        return cycle(g, zip(g.ids, g._zf))
+        return Cycle(g, g._zf)
     return antinef_closure(unit_cycle(g, g.ids[0] if start is None else start), on_step=on_step)
 
 
