@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
 from .graph import Coeff, Cycle, DualGraph, Vertex, cycle
-from .lattice import contracts_to_smooth, is_antinef, row_pairing
+from .lattice import contracts_to_smooth, is_antinef
 
 
 class TowerStep(NamedTuple):
@@ -368,18 +368,14 @@ def associated_pg_cycle(
         raise PreconditionError("associated_pg_cycle needs an anti-nef cycle")
     counts: dict[str, int] = {}
     for vid, n in branches:
-        if not g.has_vertex(vid):
+        if vid not in g.ids:
             raise InputError(f"branch record names unknown vertex {vid!r}")
         if n < 0:
             raise InputError("branch counts must be >= 0")
         counts[vid] = counts.get(vid, 0) + n
-    for vid in g.ids:
-        want = -row_pairing(z, vid)
-        if counts.get(vid, 0) != want:
-            raise PreconditionError(
-                f"branch balance fails on {vid!r}: {counts.get(vid, 0)} branches, "
-                f"-Z.E = {want}"
-            )
+    for vid, row in zip(g.ids, z.rows):
+        if counts.get(vid, 0) != -row:
+            raise PreconditionError(f"branch balance fails on {vid!r}: {counts.get(vid, 0)} branches, -Z.E = {-row}")
     live = [vid for vid, n in counts.items() for _ in range(n)]
     zc, cc = z.as_dict(), transport_cohom(t0, c_base).as_dict()
     t = t0

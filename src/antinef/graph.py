@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 from functools import cached_property
+from operator import add, ge, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import InputError, PreconditionError
@@ -23,9 +24,9 @@ _set = object.__setattr__  # how the fields of a _Frozen are set, once, in __ini
 
 
 class _Frozen:
-    """Read-only attributes for the classes that cache, :class:`DualGraph`
-    and :class:`Cycle`.  Plain instance attributes, not a tuple, because
-    ``cached_property`` stores what it computes in ``__dict__``."""
+    """Read-only attributes for the classes that cache: :class:`DualGraph`,
+    :class:`Cycle` and :class:`Elimination`.  Plain instance attributes, not
+    a tuple, because ``cached_property`` stores what it computes in ``__dict__``."""
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -64,14 +65,15 @@ class DualGraph(_Frozen):
     def _index(self) -> dict[str, int]:
         return dict(zip(self.ids, range(len(self.vertices))))
 
-    def has_vertex(self, vid: str) -> bool:
-        return vid in self._index
-
-    def vertex(self, vid: str) -> Vertex:
+    def position(self, vid: str) -> int:
+        """The index of vid in vertex order; an unknown vertex raises InputError."""
         try:
-            return self.vertices[self._index[vid]]
+            return self._index[vid]
         except KeyError:
             raise InputError(f"graph {self.name!r} has no vertex {vid!r}") from None
+
+    def vertex(self, vid: str) -> Vertex:
+        return self.vertices[self.position(vid)]
 
     @cached_property
     def adjacency(self) -> dict[str, tuple[tuple[str, int], ...]]:
@@ -108,16 +110,16 @@ class DualGraph(_Frozen):
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-        """:meth:`sparse_matrix` by vertex index as (E_i^2, neighbour pairs), for the closure."""
+        """:meth:`sparse_matrix` by vertex index as (E_i^2, neighbour pairs), for the closure and M.Z."""
         return tuple((row.pop(i), tuple(row.items())) for i, row in enumerate(self.sparse_matrix()))
 
     @cached_property
-    def _zf(self) -> tuple[tuple[str, Coeff], ...]:
+    def _zf(self) -> tuple[int, ...]:
         """Artin's fundamental cycle as :class:`Cycle` holds it, closed once from
         the first vertex by :func:`antinef.lattice.antinef_closure`, like every closure."""
         from .lattice import antinef_closure  # lattice imports this module
 
-        return antinef_closure(unit_cycle(self, self.ids[0])).coeffs
+        return antinef_closure(unit_cycle(self, self.ids[0])).vec
 
     def __repr__(self) -> str:  # keep pytest diffs readable
         vs = ", ".join(f"{v.id}({v.self_int},{v.kappa})" for v in self.vertices)
@@ -167,70 +169,76 @@ def dual_graph(
 class Cycle(_Frozen):
     """Exact coefficient vector on the vertices of a dual graph.
 
-    Coefficients are integers or Fractions in lowest terms; integral values
-    are stored as int.  Absent vertices have coefficient 0.  Immutable; all
+    ``vec`` holds one coefficient per vertex, aligned with ``graph.ids``,
+    zeros included: integers or Fractions in lowest terms, an integral value
+    stored as int (:func:`normal`).  :func:`cycle` is the checked builder.
+    ``coeffs`` is the nonzero (id, coefficient) pairs in vertex order, and
+    ``rows`` is M.Z, the degrees Z.E_i in vertex order, computed once from
+    the graph's cached rows; every pairing reads it.  Immutable; all
     arithmetic returns fresh cycles.
     """
 
-    def __init__(self, graph: DualGraph, coeffs: tuple[tuple[str, Coeff], ...]):
+    def __init__(self, graph: DualGraph, vec: tuple[Coeff, ...]):
         _set(self, "graph", graph)
-        _set(self, "coeffs", coeffs)
+        _set(self, "vec", vec)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or (self.graph == other.graph and self.coeffs == other.coeffs)
+        return self is other or (self.graph == other.graph and self.vec == other.vec)
 
     def __hash__(self):
-        return hash((self.graph, self.coeffs))
+        return hash((self.graph, self.vec))
 
     @cached_property
-    def _map(self) -> dict[str, Coeff]:
-        return dict(self.coeffs)
+    def rows(self) -> tuple[Coeff, ...]:
+        z = self.vec
+        return _normal_vec(c * e2 + sum(m * z[j] for j, m in nbrs) for c, (e2, nbrs) in zip(z, self.graph._rows))
+
+    @property
+    def coeffs(self) -> tuple[tuple[str, Coeff], ...]:
+        return tuple((vid, c) for vid, c in zip(self.graph.ids, self.vec) if c)
 
     def coeff(self, vid: str) -> Coeff:
-        if not self.graph.has_vertex(vid):
-            raise InputError(f"graph {self.graph.name!r} has no vertex {vid!r}")
-        return self._map.get(vid, 0)
+        return self.vec[self.graph.position(vid)]
 
     def as_dict(self) -> dict[str, Coeff]:
         return dict(self.coeffs)
 
     def vector(self) -> list[Coeff]:
-        return [self._map.get(vid, 0) for vid in self.graph.ids]
+        return list(self.vec)
 
     @property
     def support(self) -> tuple[str, ...]:
-        return tuple(vid for vid, _ in self.coeffs)
+        return tuple(vid for vid, c in zip(self.graph.ids, self.vec) if c)
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.vec)
 
     @property
     def is_effective(self) -> bool:
-        return all(c >= 0 for _, c in self.coeffs)
+        return all(c >= 0 for c in self.vec)
 
     @property
     def is_integral(self) -> bool:
-        return all(isinstance(c, int) for _, c in self.coeffs)
+        return all(isinstance(c, int) for c in self.vec)
 
-    def _binop(self, other: "Cycle", sign: int) -> "Cycle":
+    def _binop(self, other: "Cycle", op: Callable[[Coeff, Coeff], Coeff]) -> "Cycle":
         if self.graph != other.graph:
             raise _graph_mismatch(self.graph, other.graph)
-        data = dict(self._map)
-        for vid, c in other.coeffs:
-            data[vid] = data.get(vid, 0) + sign * c
-        return cycle(self.graph, data)
+        return Cycle(self.graph, _normal_vec(map(op, self.vec, other.vec)))
 
     def __add__(self, other: "Cycle") -> "Cycle":
-        return self._binop(other, 1)
+        return self._binop(other, add)
 
     def __sub__(self, other: "Cycle") -> "Cycle":
-        return self._binop(other, -1)
+        return self._binop(other, sub)
 
     def __mul__(self, scalar: Coeff) -> "Cycle":
-        return cycle(self.graph, {vid: scalar * c for vid, c in self.coeffs})
+        if not isinstance(scalar, (int, Fraction)):
+            raise InputError(f"a cycle's scalar must be an integer or Fraction, got {type(scalar).__name__}")
+        return Cycle(self.graph, _normal_vec(scalar * c for c in self.vec))
 
     __rmul__ = __mul__
 
@@ -241,14 +249,14 @@ class Cycle(_Frozen):
         """Coefficient-wise self >= other."""
         if self.graph != other.graph:
             raise _graph_mismatch(self.graph, other.graph)
-        keys = set(self._map) | set(other._map)
-        return all(self._map.get(k, 0) >= other._map.get(k, 0) for k in keys)
+        return all(map(ge, self.vec, other.vec))
 
     def restricted_to(self, target: DualGraph) -> "Cycle":
         """Drop coefficients on vertices absent from *target*."""
         if target is self.graph:
             return self
-        return cycle(target, {vid: c for vid, c in self.coeffs if target.has_vertex(vid)})
+        coeffs = dict(zip(self.graph.ids, self.vec))
+        return Cycle(target, tuple(coeffs.get(vid, 0) for vid in target.ids))
 
     def __repr__(self) -> str:
         return f"Cycle(graph={self.graph!r}, coeffs={self.coeffs!r})"
@@ -265,15 +273,15 @@ def _graph_mismatch(g1: DualGraph, g2: DualGraph) -> PreconditionError:
 
 def cycle(graph: DualGraph, data: Mapping[str, Coeff] | Iterable[tuple[str, Coeff]] = ()) -> Cycle:
     items = data.items() if isinstance(data, Mapping) else data
-    acc: dict[str, Coeff] = {}
+    index = graph._index
+    vec: list[Coeff] = [0] * len(index)
     for vid, c in items:
-        if not graph.has_vertex(vid):
+        if vid not in index:
             raise InputError(f"cycle names unknown vertex {vid!r} on graph {graph.name!r}")
         if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
             raise InputError(f"coefficient for {vid!r} must be an integer or Fraction, got {type(c).__name__}")
-        acc[vid] = acc.get(vid, 0) + c
-    order = graph._index
-    return Cycle(graph=graph, coeffs=tuple(sorted(((v, normal(c)) for v, c in acc.items() if c != 0), key=lambda it: order[it[0]])))
+        vec[index[vid]] += c
+    return Cycle(graph, _normal_vec(vec))
 
 
 def normal(c: Coeff) -> Coeff:
@@ -282,8 +290,14 @@ def normal(c: Coeff) -> Coeff:
     return int(c) if isinstance(c, Fraction) and c.denominator == 1 else c
 
 
+def _normal_vec(values: Iterable[Coeff]) -> tuple[Coeff, ...]:
+    """:func:`normal` on every value, skipped when all are ints already."""
+    vec = tuple(values)
+    return vec if all(c.__class__ is int for c in vec) else tuple(map(normal, vec))
+
+
 def zero_cycle(graph: DualGraph) -> Cycle:
-    return Cycle(graph=graph, coeffs=())
+    return Cycle(graph, (0,) * len(graph.vertices))
 
 
 def unit_cycle(graph: DualGraph, vid: str) -> Cycle:
@@ -328,17 +342,30 @@ def det_bareiss(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-class Elimination(NamedTuple):
+class Elimination(_Frozen):
     """Outcome of one fraction-free elimination of an intersection matrix M.
 
-    ``negative_definite`` is Sylvester's criterion on -M, ``det`` is det M,
-    and ``solution`` is the x with M x = rhs when a right-hand side was given
-    and M is nonsingular (otherwise None).
+    ``negative_definite`` is Sylvester's criterion on -M and ``det`` is det M.
+    ``solution`` is the x with M x = rhs when a right-hand side was given and
+    M is nonsingular (otherwise None), in normal form, back-substituted from
+    the pivot steps when first read.
     """
 
-    negative_definite: bool
-    det: int
-    solution: Optional[tuple[Coeff, ...]] = None
+    def __init__(self, negative_definite: bool, det: int, steps: Optional[list] = None):
+        _set(self, "negative_definite", negative_definite)
+        _set(self, "det", det)
+        _set(self, "_steps", steps)  # (pivot column, pivot row, rhs entry) per step
+
+    @cached_property
+    def solution(self) -> Optional[tuple[Coeff, ...]]:
+        if self._steps is None:
+            return None
+        c, row, _ = self._steps[-1]
+        p = row[c]  # y = p x is integral (Cramer), so every division below is exact
+        y = [0] * len(self._steps)
+        for c, row, br in reversed(self._steps):
+            y[c] = (p * br - sum(x * y[j] for j, x in row.items() if j != c)) // row[c]
+        return tuple(normal(Fraction(v, p)) for v in y)
 
 
 def _eliminate(rows: Sequence[Mapping[int, int]], rhs: Optional[Sequence[int]] = None) -> Elimination:
@@ -351,8 +378,8 @@ def _eliminate(rows: Sequence[Mapping[int, int]], rhs: Optional[Sequence[int]] =
     definiteness, so "every pivot > 0" is exactly Sylvester's criterion.  A
     zero pivot is replaced by another nonzero column of its row (the form is
     then not definite), and the last pivot is det(-M) up to the permutation's
-    sign.  The right-hand side rides along as an extra column and is
-    back-substituted over the integers, scaled by that last pivot.
+    sign.  The right-hand side rides along as an extra column; the pivot
+    steps are kept, and back-substituted only when the solution is read.
 
     A row with a zero in the pivot column would only be rescaled by
     pivot / previous pivot.  That is left undone: ``scale[i]`` is the pivot
@@ -377,7 +404,7 @@ def _eliminate(rows: Sequence[Mapping[int, int]], rhs: Optional[Sequence[int]] =
             continue  # stale entry
         a[r] = None
         if not row:
-            return Elimination(negative_definite=False, det=0)
+            return Elimination(False, 0)
         if scale[r] != prev:
             row = {j: x * prev // scale[r] for j, x in row.items()}
             b[r] = b[r] * prev // scale[r]
@@ -405,15 +432,7 @@ def _eliminate(rows: Sequence[Mapping[int, int]], rhs: Optional[Sequence[int]] =
         steps.append((c, row, br))
         prev = p
     det = prev * (-1) ** n * (1 if symmetric else _perm_sign(sigma))
-    if rhs is None:
-        return Elimination(negative_definite=definite, det=det)
-    # y = prev * x is integral (Cramer), so every division below is exact
-    y = [0] * n
-    for c, row, br in reversed(steps):
-        y[c] = (prev * br - sum(x * y[j] for j, x in row.items() if j != c)) // row[c]
-    return Elimination(
-        negative_definite=definite, det=det, solution=tuple(Fraction(v, prev) for v in y)
-    )
+    return Elimination(definite, det, steps if rhs is not None else None)
 
 
 def _perm_sign(p: list[int]) -> int:

@@ -26,7 +26,6 @@ from .lattice import (
     is_rational,
     multiplicity,
     pair,
-    row_pairing,
 )
 
 
@@ -144,7 +143,8 @@ def represent(
 
 
 def _pg_numeric(z: Cycle, c: Cycle) -> bool:
-    return all(row_pairing(z, vid) == 0 for vid in c.support)
+    """Z.E = 0 on every curve of supp C, read from M.Z; C lives on Z's graph."""
+    return all(r == 0 for r, k in zip(z.rows, c.vec) if k)
 
 
 def product(i1: IdealRep, i2: IdealRep) -> IdealRep:

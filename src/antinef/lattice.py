@@ -1,8 +1,9 @@
 """Intersection pairing, fundamental and canonical cycles, numerical formulas.
 
 All operations are pure functions over immutable graphs and cycles, and all
-arithmetic is exact.  One row of the pairing, Z.E_i, is :func:`row_pairing`;
-the contraction rules of :mod:`antinef.ideals` read -W.E from a step, by
+arithmetic is exact.  Every pairing on one graph reads a cycle's cached M.Z,
+``Cycle.rows``: W.V, Z.E_i (:func:`row_pairing`) and anti-nefness; the
+contraction rules of :mod:`antinef.ideals` read -W.E from a step, by
 :func:`antinef.birational.excess`.  Every result passes through
 :func:`antinef.graph.normal`, so an integral value is an int.
 """
@@ -10,39 +11,28 @@ the contraction rules of :mod:`antinef.ideals` read -W.E from a step, by
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
 from .errors import PreconditionError, TheoremViolationError
-from .graph import Coeff, Cycle, DualGraph, _graph_mismatch, cycle, laufer_closure, normal, unit_cycle
+from .graph import Coeff, Cycle, DualGraph, _graph_mismatch, laufer_closure, normal, unit_cycle
 
 
 def pair(w: Cycle, v: Cycle) -> Coeff:
-    """Intersection number W.V under the graph's bilinear form."""
+    """Intersection number W.V = sum of w_i (M.V)_i under the graph's bilinear form."""
     if w.graph != v.graph:
         raise _graph_mismatch(w.graph, v.graph)
-    g = w.graph
-    wm, vm = w._map, v._map
-    total: Coeff = 0
-    for vid, c in w.coeffs:
-        total += c * g.vertex(vid).self_int * vm.get(vid, 0)
-    for a, b, m in g.edges:
-        total += m * (wm.get(a, 0) * vm.get(b, 0) + wm.get(b, 0) * vm.get(a, 0))
-    return normal(total)
+    return normal(sum(map(mul, w.vec, v.rows)))
 
 
 def row_pairing(z: Cycle, vid: str) -> Coeff:
-    """Z.E_i for a single vertex, without building a unit cycle."""
-    g, coeffs = z.graph, z._map
-    nb = sum(m * coeffs.get(u, 0) for u, m in g.adjacency[vid])
-    return normal(coeffs.get(vid, 0) * g.vertex(vid).self_int + nb)
+    """Z.E_i for a single vertex, read from M.Z."""
+    return z.rows[z.graph.position(vid)]
 
 
 def k_dot(w: Cycle) -> Coeff:
     """K.W = sum of coefficients weighted by canonical degrees."""
-    total: Coeff = 0
-    for vid, c in w.coeffs:
-        total += c * w.graph.vertex(vid).kappa
-    return normal(total)
+    return normal(sum(c * v.kappa for c, v in zip(w.vec, w.graph.vertices)))
 
 
 def canonical_cycle(g: DualGraph) -> Cycle:
@@ -56,7 +46,7 @@ def canonical_cycle(g: DualGraph) -> Cycle:
     e = g._elimination
     if e.solution is None:
         raise PreconditionError(f"graph {g.name!r} has singular intersection matrix")
-    return cycle(g, zip(g.ids, e.solution))
+    return Cycle(g, e.solution)
 
 
 def is_numerically_gorenstein(g: DualGraph) -> bool:
@@ -70,7 +60,7 @@ def arithmetic_genus(z: Cycle) -> Coeff:
 
 def is_antinef(z: Cycle) -> bool:
     """True iff Z.E_i <= 0 for every vertex."""
-    return all(row_pairing(z, vid) <= 0 for vid in z.graph.ids)
+    return all(r <= 0 for r in z.rows)
 
 
 def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = None) -> Cycle:
@@ -83,9 +73,7 @@ def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = No
         raise PreconditionError("antinef_closure needs an effective nonzero cycle")
     if not d.is_integral:
         raise PreconditionError("antinef_closure needs an integral cycle")
-    g = d.graph
-    z = laufer_closure(g, d.vector(), on_step)  # ints in vertex order, as cycle() would store them
-    return Cycle(g, tuple((vid, c) for vid, c in zip(g.ids, z) if c))
+    return Cycle(d.graph, tuple(laufer_closure(d.graph, d.vector(), on_step)))  # ints: in normal form already
 
 
 def fundamental_cycle(g: DualGraph, start: Optional[str] = None,

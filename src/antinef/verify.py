@@ -8,7 +8,7 @@ are exact; random sampling is deterministic for a given seed.
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterator, NamedTuple
 
 from . import corpus
@@ -97,14 +97,10 @@ def _random_antinef(rng: random.Random, g: DualGraph, max_coeff: int = 6) -> Cyc
         seeds = rng.sample(g.ids, k=rng.randint(1, min(2, len(g.ids))))
         d = cycle(g, {vid: rng.randint(1, 2) for vid in seeds})
         z = antinef_closure(d)
-        if rng.random() < 0.3 and all(2 * c <= max_coeff for _, c in z.coeffs):
+        if rng.random() < 0.3 and 2 * max(z.vec) <= max_coeff:
             z = 2 * z
-        if all(c <= max_coeff for _, c in z.coeffs):
-            box = 1
-            for _, c in z.coeffs:
-                box *= c + 1
-            if box <= 200_000:
-                return z
+        if max(z.vec) <= max_coeff and prod(c + 1 for c in z.vec) <= 200_000:
+            return z
     return fundamental_cycle(g)
 
 
@@ -202,8 +198,7 @@ def _rationality_classification(seed: int, samples: int) -> str:
         if not is_rational(g):
             _fail(f"{name} should be rational")
         zf = fundamental_cycle(g)
-        top = max(c for _, c in zf.coeffs)
-        oracle_zf = fundamental_cycle_bruteforce(g, SearchBound(max_coeff=top))
+        oracle_zf = fundamental_cycle_bruteforce(g, SearchBound(max_coeff=max(zf.vec)))
         if oracle_zf != zf:
             _fail(f"{name}: oracle fundamental cycle {oracle_zf} != {zf}")
         if arithmetic_genus(oracle_zf) != 0:

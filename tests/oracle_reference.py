@@ -11,15 +11,25 @@ Laufer's closure as a loop over a dict keyed by vertex id: the
 ``lattice.antinef_closure`` that ``graph.laufer_closure``'s index-space
 kernel replaced, unchanged apart from its imports.  ``test_lattice.py``
 checks that both make the same raises in the same order.
+
+Cycles as sorted (id, coefficient) pairs with a dict beside them, and the
+pairings that walked the graph's edges and adjacency by vertex id: the
+``Cycle``, ``cycle``, ``pair``, ``row_pairing``, ``k_dot`` and
+``is_antinef`` that the vertex-ordered vector and its cached M.Z replaced,
+unchanged apart from the class's name and ``has_vertex`` written out.
+``test_oracle_reference.py`` checks that both give the same values, types,
+coefficients, text and equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from fractions import Fraction
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
 
-from antinef.errors import PreconditionError, TheoremViolationError
-from antinef.graph import Cycle, DualGraph, cycle, zero_cycle
+from antinef.errors import InputError, PreconditionError, TheoremViolationError
+from antinef.graph import Coeff, Cycle, DualGraph, _Frozen, _graph_mismatch, _set, cycle, normal, zero_cycle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -254,3 +264,148 @@ def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = No
                     on_step(vid, coeffs[vid])
                 dirty = True
     return cycle(g, coeffs)
+
+
+# --- cycles as (id, coefficient) pairs, keyed by vertex id ---------------------
+
+
+class KeyedCycle(_Frozen):
+    """Exact coefficient vector on the vertices of a dual graph.
+
+    Coefficients are integers or Fractions in lowest terms; integral values
+    are stored as int.  Absent vertices have coefficient 0.  Immutable; all
+    arithmetic returns fresh cycles.
+    """
+
+    def __init__(self, graph: DualGraph, coeffs: tuple[tuple[str, Coeff], ...]):
+        _set(self, "graph", graph)
+        _set(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self.graph == other.graph and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.graph, self.coeffs))
+
+    @cached_property
+    def _map(self) -> dict[str, Coeff]:
+        return dict(self.coeffs)
+
+    def coeff(self, vid: str) -> Coeff:
+        if vid not in self.graph._index:
+            raise InputError(f"graph {self.graph.name!r} has no vertex {vid!r}")
+        return self._map.get(vid, 0)
+
+    def as_dict(self) -> dict[str, Coeff]:
+        return dict(self.coeffs)
+
+    def vector(self) -> list[Coeff]:
+        return [self._map.get(vid, 0) for vid in self.graph.ids]
+
+    @property
+    def support(self) -> tuple[str, ...]:
+        return tuple(vid for vid, _ in self.coeffs)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def is_effective(self) -> bool:
+        return all(c >= 0 for _, c in self.coeffs)
+
+    @property
+    def is_integral(self) -> bool:
+        return all(isinstance(c, int) for _, c in self.coeffs)
+
+    def _binop(self, other: "KeyedCycle", sign: int) -> "KeyedCycle":
+        if self.graph != other.graph:
+            raise _graph_mismatch(self.graph, other.graph)
+        data = dict(self._map)
+        for vid, c in other.coeffs:
+            data[vid] = data.get(vid, 0) + sign * c
+        return keyed_cycle(self.graph, data)
+
+    def __add__(self, other: "KeyedCycle") -> "KeyedCycle":
+        return self._binop(other, 1)
+
+    def __sub__(self, other: "KeyedCycle") -> "KeyedCycle":
+        return self._binop(other, -1)
+
+    def __mul__(self, scalar: Coeff) -> "KeyedCycle":
+        return keyed_cycle(self.graph, {vid: scalar * c for vid, c in self.coeffs})
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "KeyedCycle":
+        return self * -1
+
+    def dominates(self, other: "KeyedCycle") -> bool:
+        """Coefficient-wise self >= other."""
+        if self.graph != other.graph:
+            raise _graph_mismatch(self.graph, other.graph)
+        keys = set(self._map) | set(other._map)
+        return all(self._map.get(k, 0) >= other._map.get(k, 0) for k in keys)
+
+    def restricted_to(self, target: DualGraph) -> "KeyedCycle":
+        """Drop coefficients on vertices absent from *target*."""
+        if target is self.graph:
+            return self
+        return keyed_cycle(target, {vid: c for vid, c in self.coeffs if vid in target._index})
+
+    def __repr__(self) -> str:
+        return f"Cycle(graph={self.graph!r}, coeffs={self.coeffs!r})"
+
+    def __str__(self) -> str:
+        if self.is_zero:
+            return "0"
+        return " + ".join(f"{c}*{vid}" for vid, c in self.coeffs)
+
+
+def keyed_cycle(graph: DualGraph, data: Mapping[str, Coeff] | Iterable[tuple[str, Coeff]] = ()) -> KeyedCycle:
+    items = data.items() if isinstance(data, Mapping) else data
+    acc: dict[str, Coeff] = {}
+    for vid, c in items:
+        if vid not in graph._index:
+            raise InputError(f"cycle names unknown vertex {vid!r} on graph {graph.name!r}")
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+            raise InputError(f"coefficient for {vid!r} must be an integer or Fraction, got {type(c).__name__}")
+        acc[vid] = acc.get(vid, 0) + c
+    order = graph._index
+    return KeyedCycle(graph=graph, coeffs=tuple(sorted(((v, normal(c)) for v, c in acc.items() if c != 0), key=lambda it: order[it[0]])))
+
+
+def pair(w: KeyedCycle, v: KeyedCycle) -> Coeff:
+    """Intersection number W.V under the graph's bilinear form."""
+    if w.graph != v.graph:
+        raise _graph_mismatch(w.graph, v.graph)
+    g = w.graph
+    wm, vm = w._map, v._map
+    total: Coeff = 0
+    for vid, c in w.coeffs:
+        total += c * g.vertex(vid).self_int * vm.get(vid, 0)
+    for a, b, m in g.edges:
+        total += m * (wm.get(a, 0) * vm.get(b, 0) + wm.get(b, 0) * vm.get(a, 0))
+    return normal(total)
+
+
+def row_pairing(z: KeyedCycle, vid: str) -> Coeff:
+    """Z.E_i for a single vertex, without building a unit cycle."""
+    g, coeffs = z.graph, z._map
+    nb = sum(m * coeffs.get(u, 0) for u, m in g.adjacency[vid])
+    return normal(coeffs.get(vid, 0) * g.vertex(vid).self_int + nb)
+
+
+def k_dot(w: KeyedCycle) -> Coeff:
+    """K.W = sum of coefficients weighted by canonical degrees."""
+    total: Coeff = 0
+    for vid, c in w.coeffs:
+        total += c * w.graph.vertex(vid).kappa
+    return normal(total)
+
+
+def is_antinef(z: KeyedCycle) -> bool:
+    """True iff Z.E_i <= 0 for every vertex."""
+    return all(row_pairing(z, vid) <= 0 for vid in z.graph.ids)

@@ -161,9 +161,11 @@ def _levels_reads(source: str) -> list[str]:
 
 
 def _index_space_reads(source: str) -> list[str]:
-    """Reads of a graph's private vertex index or of its dense ``matrix``:
-    M laid out by index once more.  ``sparse_matrix()`` is the one builder."""
-    return _attribute_reads(source, ("_index", "matrix"))
+    """Reads of a graph's private vertex index, of its cached rows or of its
+    dense ``matrix``: M laid out by index once more.  ``sparse_matrix()`` is
+    the one builder, and a cycle's ``rows`` (M.Z) the one reading of it
+    outside ``graph``."""
+    return _attribute_reads(source, ("_index", "_rows", "matrix"))
 
 
 def test_no_module_but_birational_reads_every_level_of_a_tower():
@@ -193,9 +195,10 @@ def test_index_scan_sees_a_planted_copy():
         "def f(g):\n"
         "    rows = g.sparse_matrix()\n"
         "    column = [(g._index[b], m) for b, m in g.adjacency['E1']]\n"
-        "    return rows, column, g.matrix()\n"
+        "    diagonal = [e2 for e2, _ in g._rows]\n"
+        "    return rows, column, diagonal, g.matrix(), z.rows\n"
     )
-    assert _index_space_reads(source) == ["line 3", "line 4"]
+    assert _index_space_reads(source) == ["line 3", "line 4", "line 5"]
 
 
 def _public_functions(source: str) -> list[tuple[str, int]]:

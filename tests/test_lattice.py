@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_reference as reference
 from antinef import corpus, graph, lattice
-from antinef.errors import PreconditionError
+from antinef.errors import InputError, PreconditionError
 from antinef.graph import cycle, dual_graph, unit_cycle, validate_graph
 from antinef.lattice import (
     antinef_closure,
@@ -307,6 +307,24 @@ def test_a_graph_is_eliminated_once_and_closed_from_e1_once(monkeypatch):
     steps = []
     assert fundamental_cycle(g, start=g.ids[-1]) == fundamental_cycle(g, on_step=lambda *s: steps.append(s)) == zf
     assert calls == {"_eliminate": 1, "laufer_closure": 3} and steps
+
+
+def test_definiteness_alone_builds_no_canonical_cycle_and_two_reads_build_it_once():
+    g = dual_graph("hj52", [("E1", -3, 1), ("E2", -2, 0)], [("E1", "E2")])  # fresh: nothing cached
+    assert validate_graph(g).ok
+    e = g._elimination
+    assert "solution" not in vars(e)  # the back-substitution has not run
+    zk = canonical_cycle(g)
+    assert canonical_cycle(g).vec is zk.vec is e.solution and g._elimination is e
+    assert zk == cycle(g, {"E1": Fraction(2, 5), "E2": Fraction(1, 5)})
+
+
+def test_row_pairing_names_an_unknown_vertex_like_coeff():
+    z = fundamental_cycle(corpus.get("A3").graph)
+    for read in (z.coeff, lambda vid: lattice.row_pairing(z, vid)):
+        with pytest.raises(InputError) as err:
+            read("nope")
+        assert str(err.value) == "graph 'A3' has no vertex 'nope'"
 
 
 def test_errors_are_raised_again_on_every_call():

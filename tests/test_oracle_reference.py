@@ -1,10 +1,18 @@
-"""Property: the depth-first oracles give exactly the answers of the numpy
-box enumerations they replaced, on small random graphs and towers.
+"""Properties: the library against the earlier implementations kept in
+``oracle_reference``.
 
-The graphs have at most six vertices and include non-trees, multi-edges
-and graphs that are not negative definite.  An oracle's answer is either
-its value or the class and message of the error it raises.
+The depth-first oracles give exactly the answers of the numpy box
+enumerations they replaced, on small random graphs and towers.  The graphs
+have at most six vertices and include non-trees, multi-edges and graphs that
+are not negative definite.  An oracle's answer is either its value or the
+class and message of the error it raises.
+
+Cycles held as one vector in vertex order pair, combine, print and compare
+exactly like the cycles keyed by vertex id that they replaced, on graphs of
+up to 40 vertices.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +21,7 @@ from antinef import corpus, oracle
 from antinef.birational import Tower
 from antinef.errors import LatticeError
 from antinef.graph import cycle, dual_graph, unit_cycle
-from antinef.lattice import antinef_closure
+from antinef.lattice import antinef_closure, is_antinef, k_dot, pair, row_pairing
 from towers import grow
 
 
@@ -64,3 +72,82 @@ def test_max_y_matches_the_reference_on_towers(data):
     c = cycle(g, {vid: 1 for vid in data.draw(st.lists(st.sampled_from(base.ids), max_size=2, unique=True))})
     box = data.draw(st.none() | st.integers(1, 4).map(lambda k: oracle.SearchBound(max_coeff=k)))
     assert _answer(oracle.enumerate_max_Y, z, c, box) == _answer(reference.enumerate_max_Y, z, c, box)
+
+
+# --- cycles: the vertex-ordered vector against the cycles keyed by id ---------------
+
+
+@st.composite
+def wide_graphs(draw):
+    """Up to 40 vertices, ids out of insertion order, E_i^2 from -6 to 2 (so
+    indefinite and singular forms too), non-trees and edges of multiplicity
+    up to 3."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    ids = [f"V{k}" for k in range(n)]
+    weights = draw(st.lists(st.tuples(st.integers(-6, 2), st.integers(-3, 3)), min_size=n, max_size=n))
+    vertices = [(vid, e2, kappa) for vid, (e2, kappa) in zip(ids, weights)]
+    # each vertex hangs from an earlier one by an edge of multiplicity 1 to 3, or starts a component
+    parents = draw(st.lists(st.tuples(st.integers(-1, n), st.integers(1, 3)), min_size=n, max_size=n))
+    edges = [(ids[p % k], ids[k], m) for k, (p, m) in enumerate(parents) if k and p >= 0]
+    if n > 1:
+        pairs = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+        extra = draw(st.lists(st.tuples(pairs, st.integers(1, 2)), max_size=n // 2))
+        edges += [(a, b, m) for (a, b), m in extra]
+    return dual_graph("g", vertices, edges)
+
+
+_COEFFS = st.integers(-5, 5) | st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def cycle_items(draw, g):
+    """(id, coefficient) items with repeats: ints and Fractions, and for some
+    Fractions a second item that brings their sum to an integer."""
+    items = draw(st.lists(st.tuples(st.sampled_from(g.ids), _COEFFS), max_size=2 * len(g.ids)))
+    fractions = [(vid, c) for vid, c in items if isinstance(c, Fraction)]
+    items += [(vid, draw(st.integers(-2, 2)) - c) for vid, c in fractions if draw(st.booleans())]
+    return draw(st.permutations(items))
+
+
+def _same_cycle(new, ref):
+    assert [(vid, c, type(c)) for vid, c in new.coeffs] == [(vid, c, type(c)) for vid, c in ref.coeffs]
+    assert (repr(new), str(new)) == (repr(ref), str(ref))
+    facts = ("support", "is_zero", "is_effective", "is_integral")
+    assert [getattr(new, name) for name in facts] == [getattr(ref, name) for name in facts]
+    assert [(c, type(c)) for c in new.vector()] == [(c, type(c)) for c in ref.vector()]
+
+
+def _same_value(new, ref):
+    assert (new, type(new)) == (ref, type(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_graphs(), st.data())
+def test_vector_cycles_pair_and_combine_like_the_keyed_reference(g, data):
+    raw = [data.draw(cycle_items(g)) for _ in range(2)]
+    (a, b), (ra, rb) = [cycle(g, items) for items in raw], [reference.keyed_cycle(g, items) for items in raw]
+    for new, ref in ((a, ra), (b, rb)):
+        _same_cycle(new, ref)
+        _same_value(k_dot(new), reference.k_dot(ref))
+        _same_value(is_antinef(new), reference.is_antinef(ref))
+        for vid in g.ids:
+            _same_value(row_pairing(new, vid), reference.row_pairing(ref, vid))
+    for (x, y), (rx, ry) in (((a, b), (ra, rb)), ((b, a), (rb, ra)), ((a, a), (ra, ra))):
+        _same_value(pair(x, y), reference.pair(rx, ry))
+        _same_value(x.dominates(y), rx.dominates(ry))
+        _same_cycle(x + y, rx + ry)
+        _same_cycle(x - y, rx - ry)
+    scalar = data.draw(_COEFFS)
+    _same_cycle(scalar * a, scalar * ra)
+    _same_cycle(a * scalar, ra * scalar)
+    _same_cycle(-b, -rb)
+    kept = data.draw(st.lists(st.sampled_from(g.ids), min_size=1, unique=True))
+    target = dual_graph("t", [v for v in g.vertices if v.id in kept] + [("W", -2, 0)])
+    _same_cycle(a.restricted_to(target), ra.restricted_to(target))
+    # equality both ways, and equal hashes for equal cycles
+    twins = [(a, ra), (b, rb), (a + b - b, ra + rb - rb)]
+    twins.append((cycle(g, raw[0][::-1]), reference.keyed_cycle(g, raw[0][::-1])))
+    for x, rx in twins:
+        for y, ry in twins:
+            assert (x == y, y == x) == (rx == ry, ry == rx)
+            assert x != y or hash(x) == hash(y)
