@@ -237,7 +237,11 @@ class Tower(NamedTuple):
 
     def graph(self, level: int) -> DualGraph:
         """Level k, replayed from the nearer stored end in min(k, h - k) steps:
-        down from the top by :meth:`_Surgery.patch` with sign -1."""
+        down from the top by :meth:`_Surgery.patch` with sign -1.  This is
+        the one level check: a level that is not an int, or is a bool,
+        raises InputError."""
+        if isinstance(level, bool) or not isinstance(level, int):
+            raise InputError(f"a tower level must be an int, not {type(level).__name__}")
         if not 0 <= level <= self.height:
             raise InputError(f"tower has levels 0..{self.height}, not {level}")
         if level == self.height:
@@ -258,7 +262,8 @@ class Tower(NamedTuple):
         self._check_cycle(w, from_level)
         if to_level < from_level:
             raise PreconditionError("pullback goes to a level >= its source")
-        return cycle(self.graph(to_level), lift(w.as_dict(), self.steps[from_level:to_level]))
+        top = self.graph(to_level)  # checks the level before it slices the steps
+        return cycle(top, lift(w.as_dict(), self.steps[from_level:to_level]))
 
     def pushforward(self, w: Cycle, from_level: int, to_level: int) -> Cycle:
         """Restrict coefficients to the curves surviving at the lower level."""

@@ -114,6 +114,13 @@ class DualGraph(_Frozen):
         return tuple((row.pop(i), tuple(row.items())) for i, row in enumerate(self.sparse_matrix()))
 
     @cached_property
+    def _off_c_towers(self) -> dict[tuple[Coeff, ...], tuple]:
+        """(bottom, steps) of each checked contraction sequence that misses a
+        cohomological cycle C, by C's vector on this graph; filled by
+        :mod:`antinef.ideals`."""
+        return {}
+
+    @cached_property
     def _zf(self) -> tuple[int, ...]:
         """Artin's fundamental cycle as :class:`Cycle` holds it, closed once from
         the first vertex by :func:`antinef.lattice.antinef_closure`, like every closure."""
@@ -348,7 +355,7 @@ class Elimination(_Frozen):
     ``negative_definite`` is Sylvester's criterion on -M and ``det`` is det M.
     ``solution`` is the x with M x = rhs when a right-hand side was given and
     M is nonsingular (otherwise None), in normal form, back-substituted from
-    the pivot steps when first read.
+    the pivot steps when first read; the steps are dropped once it is built.
     """
 
     def __init__(self, negative_definite: bool, det: int, steps: Optional[list] = None):
@@ -358,13 +365,15 @@ class Elimination(_Frozen):
 
     @cached_property
     def solution(self) -> Optional[tuple[Coeff, ...]]:
-        if self._steps is None:
+        steps = self._steps
+        if steps is None:
             return None
-        c, row, _ = self._steps[-1]
+        c, row, _ = steps[-1]
         p = row[c]  # y = p x is integral (Cramer), so every division below is exact
-        y = [0] * len(self._steps)
-        for c, row, br in reversed(self._steps):
+        y = [0] * len(steps)
+        for c, row, br in reversed(steps):
             y[c] = (p * br - sum(x * y[j] for j, x in row.items() if j != c)) // row[c]
+        _set(self, "_steps", None)  # read once: the solution is cached, the pivot rows are let go
         return tuple(normal(Fraction(v, p)) for v in y)
 
 

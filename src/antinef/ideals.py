@@ -7,7 +7,9 @@ contract rational (-1)-curves E_i disjoint from the cohomological cycle,
 read b_i = -Z.F_i off the step that re-inserts E_i (F_i its total
 transform; by the projection formula b_i = Z[E_i] - sum m.Z[u] over the
 step's attachments), accumulate Y = sum of min(1, b_i) F_i in one bottom-up
-pass over the steps, then Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}.
+pass over the steps, then Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}.  The
+sequence depends only on the graph and C, as Z enters only through the b_i,
+so it is contracted and checked once per graph and C and kept with the graph.
 """
 
 from __future__ import annotations
@@ -185,6 +187,22 @@ def _off_c(c: Cycle):
     return lambda step: step.new_id not in cc and excess(cc, step) == 0
 
 
+def _off_c_tower(g: DualGraph, c: Cycle) -> Tower:
+    """The contraction sequence of g by :func:`_off_c`, checked to replay to g.
+
+    It is contracted and checked once per graph and C, then kept with g,
+    keyed by C's vector on g (C restricted by name when it lives on another
+    graph); a failed check raises and keeps nothing."""
+    c = c.restricted_to(g)
+    kept = g._off_c_towers.get(c.vec)
+    if kept is None:
+        local = contract_all(g, _off_c(c))
+        if replay(local.bottom, local.steps) != g:
+            raise TheoremViolationError("contraction sequence did not replay to the input graph")
+        kept = g._off_c_towers[c.vec] = local.bottom, local.steps
+    return Tower(*kept, g)
+
+
 def colon_and_core(ideal: IdealRep) -> CoreReport:
     """Compute Q:I and core(I) for a numerically-p_g ideal.
 
@@ -195,7 +213,9 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
     :func:`~antinef.birational.excess`: Z[E_i] - sum m.Z[u] over its
     attachments.  Y = sum over b_i > 0 of F_i is one bottom-up accumulation
     over the steps (:func:`~antinef.birational.lift`):
-    Y[E_i] = sum m.Y[attach] + [b_i > 0].
+    Y[E_i] = sum m.Y[attach] + [b_i > 0].  The sequence depends only on the
+    graph and C, so it is contracted and checked once per pair and kept
+    with the graph; later calls with the same C read only Z.
 
     Any failure of the construction's guarantees (Z - Y not anti-nef, Y not
     contracting to a smooth point, negative b_i) is raised as a theorem
@@ -205,9 +225,7 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
         raise PreconditionError("colon_and_core needs a numerically-p_g ideal")
     z = ideal.z
     g = z.graph  # represent checked that this is the tower's graph at ideal.level
-    local = contract_all(g, _off_c(ideal.c))
-    if replay(local.bottom, local.steps) != g:
-        raise TheoremViolationError("contraction sequence did not replay to the input graph")
+    local = _off_c_tower(g, ideal.c)
     zc = z.as_dict()
     b: list[int] = []
     for step in reversed(local.steps):  # top-down: E_1 is contracted first

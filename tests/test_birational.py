@@ -333,6 +333,31 @@ def test_a_level_out_of_range_is_refused():
             t.graph(level)
 
 
+def test_a_level_that_is_not_an_int_is_refused():
+    base = corpus.get("A3").graph
+    t1 = Tower.base(base).blow_up(free_point("E1", "C1"))
+    t = t1.blow_up(free_point("C1", "C2"))
+    zb = fundamental_cycle(base)
+    z = t.pullback(zb, 0, 2)
+    model = singularity_model(base)
+    refused = [
+        lambda: t1.graph(1.0),  # a height-1 tower's top, were it read as 1
+        lambda: t.graph(0.5),
+        lambda: t.graph(True),
+        lambda: t.graph("1"),
+        lambda: t.pullback(zb, 0.0, 2),
+        lambda: t.pullback(zb, 0, 2.0),
+        lambda: t.pullback(zb, False, 2),
+        lambda: t.pushforward(z, 2.0, 0),
+        lambda: t.pushforward(z, 2, 0.0),
+        lambda: represent(model, t, 2.0, z),
+    ]
+    for call in refused:
+        with pytest.raises(InputError, match="a tower level must be an int, not (float|bool|str)"):
+            call()
+    assert t.pushforward(z, 2, 0) == zb and represent(model, t, 2, z).z == z
+
+
 def _assert_canonical(g):
     """g is in dual_graph's canonical order, and its seeded caches are what
     dual_graph's graph computes."""

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from antinef import birational, corpus
+from antinef import birational, corpus, ideals
 from antinef.birational import Tower, TowerStep, contract, free_point, relative_canonical
 from antinef.errors import PreconditionError, TheoremViolationError
 from antinef.graph import cycle, dual_graph, unit_cycle
@@ -313,6 +313,14 @@ def test_colon_core_and_relative_canonical_match_pullback_formulas(data):
     assert rep.contraction_tower == local
     assert is_good(ideal) == rep.good
     assert relative_canonical(t) == _reference_relative_canonical(t)
+    # a second call, and every step of the colon iteration, read the sequence kept with the graph
+    assert colon_and_core(ideal) == rep
+    cur, steps = rep, 0
+    while not cur.good and steps < rep.iterations_to_good:
+        step = represent(model, t, t.height, cur.colon_cycle, h1=model.pg)
+        cur, steps = colon_and_core(step), steps + 1
+        assert (cur.b, cur.y, cur.contraction_tower) == _reference_colon_and_core(step)
+    assert cur.good
 
 
 @settings(max_examples=5, deadline=None)
@@ -355,6 +363,85 @@ def test_colon_and_core_and_is_good_read_the_ideals_graph_not_the_tower(data):
         good = is_good(ideal)
     assert rep.core_cycle.graph == g
     assert good == rep.good
+
+
+# --- the off-C contraction sequence, kept with the graph --------------------------
+
+
+def _two_models():
+    """ex244's tower with P on E1 and Q on P, under two cohomological cycles:
+    E0 (Gorenstein), for which Q and then P contract, and 2 E0, for which
+    only Q does; Z pairs to zero with E0, ..., E4, so it is numerically p_g
+    for both, and neither report is good."""
+    t = corpus.get("ex244blown").tower
+    t = Tower.from_steps(t.bottom, t.steps + (free_point("E1", "P"), free_point("P", "Q")))
+    gorenstein = singularity_model(t.bottom, pg=1, gorenstein=True)
+    other = singularity_model(t.bottom, pg=1, c_base=2 * gorenstein.c_base)
+    z = cycle(t.top, {"E0": 1, "E1": 3, "E2": 1, "E3": 1, "E4": 1, "P": 5, "Q": 6})
+    return t, gorenstein, other, z
+
+
+def _count_calls(mp, module, name, log):
+    """Wrap module.name so that each call appends its first argument to log."""
+    fn = getattr(module, name)
+    mp.setattr(module, name, lambda *args: log.append(args[0]) or fn(*args))
+
+
+def test_the_off_c_sequence_is_contracted_and_checked_once_per_graph():
+    t, model, _, z = _two_models()
+    g, h = t.top, t.height
+    contracted, replayed = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        _count_calls(mp, ideals, "contract_all", contracted)
+        _count_calls(mp, ideals, "replay", replayed)
+        ideal = represent(model, t, h, z)
+        rep = colon_and_core(ideal)
+        again = colon_and_core(ideal)
+        step = colon_and_core(represent(model, t, h, rep.colon_cycle))
+        closure = good_closure(ideal)
+    assert [x for x in contracted if x is g] == [g]
+    assert len(replayed) == 1
+    assert not rep.good and again == rep
+    # the same reports, computed afresh on an equal graph that holds nothing yet
+    t2 = Tower.from_steps(t.bottom, t.steps)
+    assert t2.top == g and t2.top is not g and not t2.top._off_c_towers
+    ideal2 = represent(model, t2, h, cycle(t2.top, z.coeffs))
+    rep2 = colon_and_core(ideal2)
+    assert rep2 == rep
+    assert colon_and_core(represent(model, t2, h, rep2.colon_cycle)) == step
+    assert good_closure(ideal2) == closure
+
+
+def test_two_cohomological_cycles_on_one_graph_keep_their_own_sequences():
+    t, gorenstein, other, z = _two_models()
+    reps = []
+    for model in (gorenstein, other, gorenstein, other):
+        ideal = represent(model, t, t.height, z)
+        rep = colon_and_core(ideal)
+        assert (rep.b, rep.y, rep.contraction_tower) == _reference_colon_and_core(ideal)
+        reps.append(rep)
+    assert [s.new_id for s in reps[0].contraction_tower.steps] == ["P", "Q"]
+    assert [s.new_id for s in reps[1].contraction_tower.steps] == ["Q"]
+    assert reps[2:] == reps[:2]
+    assert len(t.top._off_c_towers) == 2
+
+
+def test_a_failed_replay_check_raises_and_is_not_kept():
+    t, model, _, z = _two_models()
+    ideal = represent(model, t, t.height, z)
+    replayed = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "replay", lambda base, steps: replayed.append(base) or base)  # steps dropped
+        for _ in range(2):
+            with pytest.raises(TheoremViolationError, match="did not replay"):
+                colon_and_core(ideal)
+        assert len(replayed) == 2 and not t.top._off_c_towers
+    with pytest.MonkeyPatch.context() as mp:
+        _count_calls(mp, ideals, "replay", replayed)
+        rep = colon_and_core(ideal)
+        assert colon_and_core(ideal) == rep
+    assert len(replayed) == 3
+    assert (rep.b, rep.y, rep.contraction_tower) == _reference_colon_and_core(ideal)
 
 
 # --- metamorphic invariants at height ---------------------------------------------

@@ -319,6 +319,18 @@ def test_definiteness_alone_builds_no_canonical_cycle_and_two_reads_build_it_onc
     assert zk == cycle(g, {"E1": Fraction(2, 5), "E2": Fraction(1, 5)})
 
 
+def test_a_read_canonical_cycle_lets_the_pivot_rows_go():
+    d = corpus.get("D12").graph
+    for g in (dual_graph("hj52", [("E1", -3, 1), ("E2", -2, 0)], [("E1", "E2")]),
+              dual_graph(d.name, d.vertices, d.edges)):  # fresh: nothing cached
+        assert validate_graph(g).ok
+        e = g._elimination
+        assert e._steps  # kept while Z_K is unread
+        zk = canonical_cycle(g)
+        assert e._steps is None and g._elimination is e
+        assert canonical_cycle(g) == zk and zk.rows == tuple(-v.kappa for v in g.vertices)  # Z_K.E = -K.E
+
+
 def test_row_pairing_names_an_unknown_vertex_like_coeff():
     z = fundamental_cycle(corpus.get("A3").graph)
     for read in (z.coeff, lambda vid: lattice.row_pairing(z, vid)):
