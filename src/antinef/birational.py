@@ -174,10 +174,11 @@ def contract_all(g: DualGraph, may_contract: Callable[[TowerStep], bool]) -> Tow
     contracts the first rational (-1)-curve, other than the last curve, for
     which ``may_contract(step)`` holds, where step is the :class:`TowerStep`
     that would re-insert it (its neighbours, sorted, as attachments); then it
-    scans again.  One set of lists is patched for the whole sequence, as in
-    :func:`replay`, with the neighbour tuples kept beside it, and only the
-    bottom is frozen.  A contraction keeps the survivors' coefficients, so a
-    caller's coefficient dict stays valid on every graph of the sequence.
+    scans again.  A rule is a pure function of its step.  One set of lists is
+    patched for the whole sequence, as in :func:`replay`, with the neighbour
+    tuples kept beside it, and only the bottom is frozen.  A contraction keeps
+    the survivors' coefficients, so a caller's coefficient dict stays valid on
+    every graph of the sequence.
     """
     s, adj = _Surgery(g), dict(g.adjacency)
     steps = []

@@ -14,6 +14,7 @@ from .errors import InputError
 from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle
 
 _EMPTY: Mapping = MappingProxyType({})  # a default that no caller can change
+_MAX_CURVES = 9999  # the most curves a corpus name builds
 
 
 class CorpusEntry(NamedTuple):
@@ -54,25 +55,22 @@ def _e_n(n: int) -> DualGraph:
     return dual_graph(f"E{n}", verts, edges)
 
 
-def _hj_expansion(n: int, q: int) -> list[int]:
-    """Hirzebruch-Jung continued fraction n/q = b1 - 1/(b2 - ...)."""
+def _hj(n: int, q: int) -> DualGraph:
+    """Cyclic quotient singularity of type n/q: a chain of at most
+    _MAX_CURVES rational curves with self-intersections -b_i from the
+    continued fraction n/q = b1 - 1/(b2 - ...)."""
     if not (1 <= q < n) or gcd(n, q) != 1:
         raise InputError(f"HJ needs 1 <= q < n coprime, got ({n},{q})")
-    bs = []
+    name, bs = f"HJ({n},{q})", []
     while q > 0:
+        if len(bs) == _MAX_CURVES:
+            raise InputError(f"HJ chains have at most {_MAX_CURVES} curves")
         b = -(-n // q)  # ceil
         bs.append(b)
         n, q = q, b * q - n
-    return bs
-
-
-def _hj(n: int, q: int) -> DualGraph:
-    """Cyclic quotient singularity of type n/q: a chain of rational curves
-    with self-intersections from the continued fraction expansion."""
-    bs = _hj_expansion(n, q)
     verts = [(f"E{i + 1}", -b, b - 2) for i, b in enumerate(bs)]
     edges = [(f"E{i}", f"E{i + 1}") for i in range(1, len(bs))]
-    return dual_graph(f"HJ({n},{q})", verts, edges)
+    return dual_graph(name, verts, edges)
 
 
 def _ex244_minimal() -> DualGraph:
@@ -89,7 +87,8 @@ def _ex244_tower() -> Tower:
     return t
 
 
-_NAME_RE = re.compile(r"^(A[1-9]\d*|D(?:[4-9]|[1-9]\d+)|E[678]|HJ\((\d+),(\d+)\)|ex244min|ex244blown)$")
+# A_n and D_n have n <= _MAX_CURVES curves; HJ's numbers have at most 99 digits, far below int()'s limit
+_NAME_RE = re.compile(r"A[1-9]\d{0,3}|D(?:[4-9]|[1-9]\d{1,3})|E[678]|HJ\((\d{1,99}),(\d{1,99})\)|ex244(?:min|blown)")
 
 
 def names() -> list[str]:
@@ -101,7 +100,7 @@ def names() -> list[str]:
 
 
 def get(name: str) -> CorpusEntry:
-    m = _NAME_RE.match(name)
+    m = _NAME_RE.fullmatch(name)
     if not m:
         raise InputError(f"unknown corpus name {name!r}")
     if name.startswith("A"):
@@ -111,7 +110,7 @@ def get(name: str) -> CorpusEntry:
     if name.startswith("E") and name != "ex244min" and name != "ex244blown":
         return CorpusEntry(name, _e_n(int(name[1:])))
     if name.startswith("HJ"):
-        return CorpusEntry(name, _hj(int(m.group(2)), int(m.group(3))))
+        return CorpusEntry(name, _hj(int(m.group(1)), int(m.group(2))))
     if name == "ex244min":
         g = _ex244_minimal()
         return CorpusEntry(

@@ -326,27 +326,8 @@ class ValidationReport(NamedTuple):
 
 
 def det_bareiss(m: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    """Exact determinant of a symmetric integer matrix, by the one elimination, :func:`_eliminate`."""
+    return _eliminate([dict(enumerate(row)) for row in m]).det
 
 
 class Elimination(_Frozen):

@@ -149,18 +149,23 @@ def _pg_numeric(z: Cycle, c: Cycle) -> bool:
     return all(r == 0 for r, k in zip(z.rows, c.vec) if k)
 
 
+def _common_level(op: str, i1: IdealRep, w1: Cycle, i2: IdealRep, w2: Cycle) -> tuple[int, Cycle, Cycle]:
+    """The higher of the ideals' levels, with w1 (on i1's level) and w2 (on
+    i2's) pulled up to it; op refuses ideals on another model or tower."""
+    if i1.model != i2.model or i1.tower != i2.tower:
+        raise PreconditionError(f"{op} needs ideals on the same model and tower")
+    level = max(i1.level, i2.level)
+    return level, i1.tower.pullback(w1, i1.level, level), i2.tower.pullback(w2, i2.level, level)
+
+
 def product(i1: IdealRep, i2: IdealRep) -> IdealRep:
     """I_Z . I_Z' = I_{Z+Z'}; valid when at least one factor is p_g-numeric."""
-    if i1.model != i2.model or i1.tower != i2.tower:
-        raise PreconditionError("product needs ideals on the same model and tower")
+    level, z1, z2 = _common_level("product", i1, i1.z, i2, i2.z)
     if not (i1.pg_numeric or i2.pg_numeric):
         raise PreconditionError(
             "product needs at least one numerically-p_g factor; the cycle sum may "
             "not represent the product ideal otherwise"
         )
-    level = max(i1.level, i2.level)
-    z1 = i1.tower.pullback(i1.z, i1.level, level)
-    z2 = i2.tower.pullback(i2.z, i2.level, level)
     h1 = i2.h1 if i1.pg_numeric else i1.h1
     return represent(i1.model, i1.tower, level, z1 + z2, h1=h1)
 
@@ -176,7 +181,6 @@ class CoreReport(NamedTuple):
     colength_colon: int
     colength_core: int
     contraction_tower: Tower
-    good_cycle: Cycle  # pushforward of Z to the bottom of the contraction tower
 
 
 def _off_c(c: Cycle):
@@ -254,7 +258,6 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
         colength_colon=colength(colon, pg, pg),
         colength_core=colength(core, pg, pg),
         contraction_tower=local,
-        good_cycle=z.restricted_to(local.bottom),
     )
 
 
@@ -299,7 +302,7 @@ def good_closure(ideal: IdealRep) -> IdealRep:
             "contracting all (-1)-curves did not reach the model base"
         )
     full = Tower.from_steps(ideal.model.base, lower.steps + local.steps)
-    result = represent(ideal.model, full, lower.height, report.good_cycle)
+    result = represent(ideal.model, full, lower.height, ideal.z.restricted_to(local.bottom))
     if not is_good(result):
         raise TheoremViolationError("good closure is not good")
     return result
@@ -308,11 +311,7 @@ def good_closure(ideal: IdealRep) -> IdealRep:
 def includes(i1: IdealRep, i2: IdealRep) -> bool:
     """True iff the ideal of i1 is contained in the ideal of i2
     (cycle domination Z1 >= Z2 on a common level)."""
-    if i1.model != i2.model or i1.tower != i2.tower:
-        raise PreconditionError("containment needs ideals on the same model and tower")
-    level = max(i1.level, i2.level)
-    z1 = i1.tower.pullback(i1.z, i1.level, level)
-    z2 = i2.tower.pullback(i2.z, i2.level, level)
+    _, z1, z2 = _common_level("containment", i1, i1.z, i2, i2.z)
     return z1.dominates(z2)
 
 
@@ -325,12 +324,8 @@ def core_monotone_check(i1: IdealRep, i2: IdealRep) -> bool:
         raise PreconditionError("expected I2 contained in I1 (Z2 >= Z1)")
     r1 = colon_and_core(i1)
     r2 = colon_and_core(i2)
-    level = max(i1.level, i2.level)
-    t = i1.tower
-    colon1 = t.pullback(r1.colon_cycle, i1.level, level)
-    colon2 = t.pullback(r2.colon_cycle, i2.level, level)
-    core1 = t.pullback(r1.core_cycle, i1.level, level)
-    core2 = t.pullback(r2.core_cycle, i2.level, level)
+    _, colon2, colon1 = _common_level("containment", i2, r2.colon_cycle, i1, r1.colon_cycle)
+    _, core2, core1 = _common_level("containment", i2, r2.core_cycle, i1, r1.core_cycle)
     return colon2.dominates(colon1) and core2.dominates(core1)
 
 

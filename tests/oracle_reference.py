@@ -19,6 +19,11 @@ pairings that walked the graph's edges and adjacency by vertex id: the
 unchanged apart from the class's name and ``has_vertex`` written out.
 ``test_oracle_reference.py`` checks that both give the same values, types,
 coefficients, text and equality.
+
+The dense fraction-free determinant: the ``graph.det_bareiss`` that the
+graph's one sparse elimination replaced, unchanged.  ``test_graph.py``
+checks the elimination's ``det`` and definiteness against it, and the
+wrapper that ``det_bareiss`` now is.
 """
 
 from __future__ import annotations
@@ -409,3 +414,30 @@ def k_dot(w: KeyedCycle) -> Coeff:
 def is_antinef(z: KeyedCycle) -> bool:
     """True iff Z.E_i <= 0 for every vertex."""
     return all(row_pairing(z, vid) <= 0 for vid in z.graph.ids)
+
+
+# --- the dense determinant ---------------------------------------------------
+
+
+def det_bareiss(m: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix (fraction-free elimination)."""
+    n = len(m)
+    if n == 0:
+        return 1
+    a = [row[:] for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]

@@ -1,5 +1,7 @@
 """Blow-ups, contractions, towers, and cycle transport."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -203,6 +205,47 @@ class TestAssociatedPgCycle:
         m = unit_cycle(base, "E")
         with pytest.raises(PreconditionError):
             associated_pg_cycle(Tower.base(base), m, [("E", 1)], 2 * m)
+
+
+def _ex244_steps():
+    """ex244min blown up at a free point of E0, then at a free point of E1."""
+    return Tower.base(corpus.get("ex244min").graph).blow_up(free_point("E0", "E1")).blow_up(free_point("E1", "F"))
+
+
+class TestTransportRefusals:
+    def test_pullback_of_a_cycle_from_another_level(self):
+        t = _ex244_steps()
+        with pytest.raises(PreconditionError) as err:
+            t.pullback(unit_cycle(t.top, "E0"), 1, 2)
+        assert str(err.value) == "cycle lives on 'ex244min', not on tower level 1"
+
+    @pytest.mark.parametrize("c_base, message", [
+        (lambda t: -unit_cycle(t.bottom, "E0"), "cohomological cycle must be effective"),
+        (lambda t: unit_cycle(t.top, "E0"), "cohomological cycle must live on the tower's bottom level"),
+        # C = E0/2 transports to 1/2 - 1 on the curve blown up on E0
+        (lambda t: cycle(t.bottom, {"E0": Fraction(1, 2)}),
+         "cohomological cycle turned negative at level 1; inconsistent input"),
+    ], ids=["not-effective", "not-on-the-bottom", "turns-negative"])
+    def test_transport_cohom(self, c_base, message):
+        t = _ex244_steps()
+        with pytest.raises(PreconditionError) as err:
+            transport_cohom(t, c_base(t))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("z, branches, error, message", [
+        (lambda t: unit_cycle(t.bottom, "E"), [("E", 1)], PreconditionError,
+         "cycle must live on the tower's top level"),
+        (lambda t: unit_cycle(t.top, "P"), [], PreconditionError, "associated_pg_cycle needs an anti-nef cycle"),
+        (lambda t: antinef_closure(unit_cycle(t.top, "E")), [("X", 1)], InputError,
+         "branch record names unknown vertex 'X'"),
+        (lambda t: antinef_closure(unit_cycle(t.top, "E")), [("E", -1)], InputError, "branch counts must be >= 0"),
+    ], ids=["not-on-the-top", "not-antinef", "unknown-vertex", "negative-count"])
+    def test_associated_pg_cycle(self, z, branches, error, message):
+        base = dual_graph("cone", [("E", -2, 2)])
+        t = Tower.base(base).blow_up(free_point("E", "P"))
+        with pytest.raises(error) as err:
+            associated_pg_cycle(t, z(t), branches, 2 * unit_cycle(base, "E"))
+        assert str(err.value) == message
 
 
 @given(st.data())

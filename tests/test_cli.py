@@ -276,6 +276,16 @@ class TestCorpus:
     def test_unknown_name_is_input_error(self, capsys):
         assert run(capsys, "corpus", "show", "Z99")[0] == 1
 
+    @pytest.mark.parametrize("name, message", [
+        ("A" + "1" * 5000, "unknown corpus name 'A" + "1" * 5000 + "'"),
+        (f"HJ({'7' * 5000},2)", f"unknown corpus name 'HJ({'7' * 5000},2)'"),
+        ("A12345", "unknown corpus name 'A12345'"),
+        ("HJ(100000,99999)", "HJ chains have at most 9999 curves"),
+    ], ids=["A-5000-digits", "HJ-5000-digits", "A-5-digits", "HJ-of-99999-curves"])
+    def test_a_name_past_the_bounds_is_refused(self, capsys, name, message):
+        assert main(["corpus", "show", name]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestMalformedDocuments:
     """Each of these once ended in a Python traceback instead of `error:`."""
@@ -349,3 +359,70 @@ class TestBlowupRefusals:
     def test_on_a_tower_document(self, capsys, ex244_tower_file):
         assert main(["blowup", "--tower", ex244_tower_file, "--center", "E1,E2", "--new-id", "P"]) == 2
         assert main(["blowup", "--tower", ex244_tower_file, "--center", "X", "--new-id", "P"]) == 1
+
+
+def _ex244_tower_file_with_cohom(tmp_path, level):
+    """The ex244 tower document whose model.cohom_cycle names a cycle E0 at level."""
+    entry = corpus.get("ex244blown")
+    t = entry.tower
+    cycles = {name: (t.height, c) for name, c in entry.cycles.items()}
+    cycles["C0"] = (level, t.pullback(cycle(t.bottom, {"E0": 1}), 0, level))
+    doc = TowerDocument(entry.name, t, cycles, {**entry.model_args, "cohom_cycle": "C0"})
+    path = tmp_path / "ex244_cohom.json"
+    path.write_text(emit_tower_document(doc))
+    return str(path)
+
+
+def _indefinite_graph_file(tmp_path):
+    g = dual_graph("bad", [("E", 0, -2)])
+    path = tmp_path / "bad.json"
+    path.write_text(emit_graph_document(GraphDocument(name="bad", graph=g, cycles={"Z": cycle(g, {"E": 1})})))
+    return str(path)
+
+
+class TestRefusals:
+    """Refusals of the CLI that no other test reaches: the exit code and the
+    whole error line, with nothing on stdout."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["blowup", "--graph", "A1B", "--center", "E,E", "--new-id", "P"], 1,
+         "edge point needs two distinct curves"),
+        (["pushforward", "--tower", "EX", "--cycle", "E0:1", "--from", "0", "--to", "2"], 2,
+         "pushforward goes to a level <= its source"),
+        (["pg-test", "--tower", "EX", "--cycle", "Z", "--level", "0"], 1,
+         "cycle 'Z' is declared at level 4, not 0"),
+        (["pg-test", "--graph", "A1B", "--cycle", "E:0"], 2, "an ideal needs an integral cycle Z > 0"),
+        (["pg-test", "--graph", "A1B", "--cycle", "E:1,C1:2", "--h1", "1"], 2, "rational models force h1 = 0"),
+        (["pg-test", "--tower", "EX", "--cycle", "Z", "--h1", "0"], 2,
+         "a numerically-p_g cycle has h1 = pg = 1, got 0"),
+        (["pg-test", "--tower", "EX", "--cycle", "E0:2", "--level", "0", "--h1", "2"], 2,
+         "need 0 <= h1 <= pg, got h1=2"),
+        (["pg-test", "--tower", "EX", "--cycle", "E0:2", "--level", "0", "--h1", "-1"], 2,
+         "need 0 <= h1 <= pg, got h1=-1"),
+        (["pg-test", "--tower", "EX", "--cycle", "E0:2", "--level", "0"], 2,
+         "non-p_g cycle on a non-rational model needs caller-supplied h1"),
+        (["pg-test", "--graph", "BAD", "--cycle", "Z"], 2,
+         "base graph 'bad' is invalid: intersection matrix is not negative definite"),
+        (["colon-core", "--graph", "BAD", "--cycle", "Z"], 2,
+         "base graph 'bad' is invalid: intersection matrix is not negative definite"),
+        (["canonical-cycle", "--graph", "BAD"], 2, "graph 'bad' has singular intersection matrix"),
+    ], ids=[
+        "edge-point-on-one-curve", "pushforward-upward", "declared-level", "zero-cycle", "h1-on-rational",
+        "h1-on-pg-cycle", "h1-above-pg", "h1-negative", "h1-missing", "indefinite-pg-test",
+        "indefinite-colon-core", "indefinite-canonical-cycle",
+    ])
+    def test_exit_code_and_message(self, capsys, tmp_path, a1b_file, ex244_tower_file, argv, code, message):
+        files = {"A1B": a1b_file, "EX": ex244_tower_file, "BAD": _indefinite_graph_file(tmp_path)}
+        assert main([files.get(arg, arg) for arg in argv]) == code
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_cohomological_cycle_above_level_0_is_refused(self, capsys, tmp_path):
+        path = _ex244_tower_file_with_cohom(tmp_path, 4)
+        assert main(["pg-test", "--tower", path, "--cycle", "Z"]) == 1
+        assert capsys.readouterr() == ("", "error: model.cohom_cycle must be declared at level 0\n")
+
+    def test_cohomological_cycle_at_level_0_is_accepted(self, capsys, tmp_path):
+        path = _ex244_tower_file_with_cohom(tmp_path, 0)
+        code, out = run(capsys, "pg-test", "--tower", path, "--cycle", "Z", "--json")
+        assert code == 0
+        assert json.loads(out) == {"pg_numeric": True, "pg": 1, "h1": 1, "cohom_cycle": {"E0": 1}}

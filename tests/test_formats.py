@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from antinef import corpus
-from antinef.birational import Tower
+from antinef.birational import Tower, TowerStep
 from antinef.errors import InputError
 from antinef.formats import (
     GraphDocument,
@@ -244,6 +244,25 @@ class TestMalformedDocuments:
         g = corpus.get("A1").graph
         with pytest.raises(InputError):
             parse_inline_cycle("E1:" + "1" * 5000, g)
+
+
+class TestRefusalMessages:
+    @pytest.mark.parametrize("doc, message", [
+        ({"format": 1, "vertices": [{"id": "E", "self_int": -2, "kappa": 0}], "cycles": {"Z": {"E": True}}},
+         "$.cycles.Z.E: expected an integer or 'p/q' string, got True"),
+        ({"format": 1, "vertices": [{"id": "E", "self_int": -2}]},
+         "$.vertices[0]: give exactly one of 'kappa' or 'genus'"),
+    ], ids=["boolean-coefficient", "neither-kappa-nor-genus"])
+    def test_graph_document(self, doc, message):
+        with pytest.raises(InputError) as err:
+            parse_graph_document(json.dumps(doc))
+        assert str(err.value) == message
+
+    def test_a_step_of_multiplicity_2_is_not_emitted(self):
+        t = Tower.from_steps(corpus.get("A1").graph, [TowerStep("X", (("E1", 2),))])
+        with pytest.raises(InputError) as err:
+            emit_tower_document(TowerDocument(name="t", tower=t))
+        assert str(err.value) == "step creating 'X' has no blow-up form and cannot be serialized"
 
 
 class TestFormatField:

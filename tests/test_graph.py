@@ -17,6 +17,7 @@ from antinef.graph import (
     zero_cycle,
 )
 from antinef.lattice import canonical_cycle, row_pairing
+from oracle_reference import det_bareiss as dense_det
 
 
 def _mult(g, a, b):
@@ -98,9 +99,10 @@ class TestValidation:
         # det of the negated A_n matrix is n+1; of E8 it is 1
         for n in range(1, 8):
             m = [[-x for x in row] for row in corpus.get(f"A{n}").graph.matrix()]
-            assert det_bareiss(m) == n + 1
+            assert det_bareiss(m) == dense_det(m) == n + 1
         m = [[-x for x in row] for row in corpus.get("E8").graph.matrix()]
-        assert det_bareiss(m) == 1
+        assert det_bareiss(m) == dense_det(m) == 1
+        assert det_bareiss([]) == dense_det([]) == 1
 
 
 class TestCycles:
@@ -170,6 +172,23 @@ class TestCorpusNames:
         with pytest.raises(InputError):
             corpus.get(name)
 
+    @pytest.mark.parametrize("name", ["A" + "1" * 5000, "D" + "9" * 5000, f"HJ(2,{'1' * 5000})", "A12345",
+                                      "D10000", f"HJ({'9' * 100},2)", "A3\n"],
+                             ids=["A-5000", "D-5000", "HJ-5000", "A12345", "D10000", "HJ-100", "newline"])
+    def test_a_number_past_its_digits_is_refused_before_any_graph_is_built(self, name):
+        with pytest.raises(InputError, match="^unknown corpus name"):
+            corpus.get(name)
+
+    @pytest.mark.parametrize("name", ["HJ(10001,10000)", f"HJ({10 ** 98 + 1},{10 ** 98})"])
+    def test_an_hj_chain_of_more_than_9999_curves_is_refused_before_it_is_built(self, name):
+        with pytest.raises(InputError, match="^HJ chains have at most 9999 curves$"):
+            corpus.get(name)
+
+    @pytest.mark.parametrize("name, curves", [("A160", 160), ("D40", 40), ("HJ(12,5)", 3), ("HJ(12345,2)", 2),
+                                              (f"HJ({10 ** 98 + 1},2)", 2)])
+    def test_names_within_the_bounds_resolve(self, name, curves):
+        assert len(corpus.get(name).graph.vertices) == curves
+
 
 # --- the sparse elimination against dense determinants ----------------------
 
@@ -177,7 +196,7 @@ class TestCorpusNames:
 def _leading_minor_test(m):
     """Sylvester's criterion the slow way: every leading minor of -M > 0."""
     neg = [[-x for x in row] for row in m]
-    return all(det_bareiss([row[:k] for row in neg[:k]]) > 0 for k in range(1, len(m) + 1))
+    return all(dense_det([row[:k] for row in neg[:k]]) > 0 for k in range(1, len(m) + 1))
 
 
 @st.composite
@@ -211,7 +230,7 @@ class TestElimination:
         m = g.matrix()
         e = _eliminate(g.sparse_matrix())
         assert e.negative_definite == g.negative_definite == _leading_minor_test(m)
-        assert e.det == det_bareiss(m)
+        assert e.det == dense_det(m) == det_bareiss(m)
         if e.det == 0:
             with pytest.raises(PreconditionError, match="singular intersection matrix"):
                 canonical_cycle(g)

@@ -188,6 +188,59 @@ class TestProduct:
             product(m2, m2)
 
 
+def _ex244_ideals_on_two_towers(ex244):
+    """Z on the ex244 tower, and its pullback on that tower blown up once more."""
+    t = ex244.tower
+    model = singularity_model(t.bottom, pg=1, gorenstein=True)
+    t2 = t.blow_up(free_point("E1", "F1"))
+    z = ex244.cycles["Z"]
+    return represent(model, t, 4, z), represent(model, t2, 5, t2.pullback(z, 4, 5))
+
+
+class TestTwoIdealRefusals:
+    """The refusals of the calls that bring two ideals to a common level."""
+
+    @pytest.mark.parametrize("call, message", [
+        (product, "product needs ideals on the same model and tower"),
+        (includes, "containment needs ideals on the same model and tower"),
+        (core_monotone_check, "containment needs ideals on the same model and tower"),
+    ], ids=["product", "includes", "core_monotone_check"])
+    def test_ideals_on_different_towers(self, ex244, call, message):
+        i1, i2 = _ex244_ideals_on_two_towers(ex244)
+        for pair_ in ((i1, i2), (i2, i1)):
+            with pytest.raises(PreconditionError) as err:
+                call(*pair_)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("call, message", [
+        (product, "product needs ideals on the same model and tower"),
+        (includes, "containment needs ideals on the same model and tower"),
+    ], ids=["product", "includes"])
+    def test_ideals_on_different_models(self, ex244, call, message):
+        i1, _ = _ex244_ideals_on_two_towers(ex244)
+        other = i1._replace(model=singularity_model(i1.model.base, pg=2, gorenstein=True))
+        with pytest.raises(PreconditionError) as err:
+            call(i1, other)
+        assert str(err.value) == message
+
+    def test_core_monotone_check_needs_numerically_pg_ideals(self, ex244):
+        i1, _ = _ex244_ideals_on_two_towers(ex244)
+        m2 = represent(i1.model, i1.tower, 0, 2 * unit_cycle(i1.tower.bottom, "E0"), h1=0)
+        assert not m2.pg_numeric
+        for pair_ in ((i1, m2), (m2, i1)):
+            with pytest.raises(PreconditionError) as err:
+                core_monotone_check(*pair_)
+            assert str(err.value) == "monotonicity check needs numerically-p_g ideals"
+
+    def test_ideals_at_two_levels_meet_at_the_higher_one(self, ex244):
+        i1, _ = _ex244_ideals_on_two_towers(ex244)
+        m = represent(i1.model, i1.tower, 0, unit_cycle(i1.tower.bottom, "E0"), h1=1)
+        # the pullback of E0 to level 4 is E0 + E1 + ... + E4 <= Z
+        assert includes(i1, m) and not includes(m, i1)
+        assert product(i1, m).z == i1.z + i1.tower.pullback(m.z, 0, 4)
+        assert product(m, i1) == product(i1, m)
+
+
 class TestStabilityDefect:
     def test_pg_numeric_ideal_is_stable(self, ex244_ideal):
         _, ideal = ex244_ideal
