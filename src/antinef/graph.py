@@ -445,12 +445,14 @@ def laufer_closure(g: DualGraph, z: list[int], on_step: Optional[Callable[[str, 
     While some Z.E_i > 0, z_i is raised by ceil(Z.E_i / -E_i^2) in one step:
     every anti-nef W >= Z has that much more there, as off-diagonal entries
     are >= 0.  Vertices go in order, so ``on_step(vid, new_coeff)`` sees a
-    reproducible sequence of raises.  At the first raise past the n-th or at
-    an E_i^2 >= 0, the graph's one elimination decides definiteness; a graph
-    that is not negative definite raises PreconditionError.
+    reproducible sequence of raises.  The graph's one elimination decides
+    definiteness before the first scan, so a graph that is not negative
+    definite raises PreconditionError even when z is already anti-nef.
     """
+    if not g.negative_definite:
+        raise PreconditionError(f"antinef_closure needs a negative-definite graph; {g.name!r} is not")
     ids, rows = g.ids, g._rows
-    raises, checked, dirty = 0, False, True
+    dirty = True
     while dirty:
         dirty = False
         for i, (e2, nbrs) in enumerate(rows):
@@ -458,14 +460,7 @@ def laufer_closure(g: DualGraph, z: list[int], on_step: Optional[Callable[[str, 
             for j, m in nbrs:
                 row += m * z[j]
             if row > 0:
-                if not checked and (raises >= len(z) or e2 >= 0):
-                    checked = True
-                    if not g.negative_definite:
-                        raise PreconditionError(
-                            f"antinef_closure needs a negative-definite graph; {g.name!r} is not"
-                        )
                 z[i] -= row // e2  # row > 0 > e2: a raise by ceil(row / -e2)
-                raises += 1
                 if on_step is not None:
                     on_step(ids[i], z[i])
                 dirty = True

@@ -9,7 +9,8 @@ transform; by the projection formula b_i = Z[E_i] - sum m.Z[u] over the
 step's attachments), accumulate Y = sum of min(1, b_i) F_i in one bottom-up
 pass over the steps, then Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}.  The
 sequence depends only on the graph and C, as Z enters only through the b_i,
-so it is contracted and checked once per graph and C and kept with the graph.
+so it is contracted and checked once per graph and C and kept with the graph;
+the good closure is Z pushed down that same kept sequence.
 """
 
 from __future__ import annotations
@@ -288,21 +289,22 @@ def good_gorenstein_crosscheck(ideal: IdealRep) -> bool:
 
 
 def good_closure(ideal: IdealRep) -> IdealRep:
-    """The minimal good ideal containing I: push Z to the level where every
-    remaining (-1)-curve meets the cohomological cycle."""
-    report = colon_and_core(ideal)
-    local = report.contraction_tower
-    # extend the contraction all the way down to the model base so the
-    # result lives on a tower over the base
+    """The minimal good ideal containing I: Z pushed down the off-C sequence
+    kept with its graph (:func:`_off_c_tower`), on the tower from the base up
+    through that sequence's bottom to Z's graph."""
+    if not ideal.pg_numeric:
+        raise PreconditionError("good_closure needs a numerically-p_g ideal")
+    model = ideal.model
+    local = _off_c_tower(ideal.z.graph, ideal.c)
     lower = contract_all(local.bottom, lambda step: True)
     # contraction keeps the canonical order and the base's name, so the
     # bottom graph equals the base exactly when it is the same lattice
-    if lower.bottom != ideal.model.base:
-        raise TheoremViolationError(
-            "contracting all (-1)-curves did not reach the model base"
-        )
-    full = Tower.from_steps(ideal.model.base, lower.steps + local.steps)
-    result = represent(ideal.model, full, lower.height, ideal.z.restricted_to(local.bottom))
+    if lower.bottom != model.base:
+        raise TheoremViolationError("contracting all (-1)-curves did not reach the model base")
+    if replay(model.base, lower.steps) != local.bottom:
+        raise TheoremViolationError("contraction to the base did not replay to the off-C bottom")
+    full = Tower(model.base, lower.steps + local.steps, local.top)
+    result = represent(model, full, lower.height, ideal.z.restricted_to(local.bottom))
     if not is_good(result):
         raise TheoremViolationError("good closure is not good")
     return result

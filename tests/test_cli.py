@@ -380,6 +380,14 @@ def _indefinite_graph_file(tmp_path):
     return str(path)
 
 
+def _semidefinite_graph_file(tmp_path):
+    """Two (-1)-curves meeting once: det M = 0, and E1 + E2 is already anti-nef."""
+    g = dual_graph("semi", [("E1", -1, -1), ("E2", -1, -1)], [("E1", "E2")])
+    path = tmp_path / "semi.json"
+    path.write_text(emit_graph_document(GraphDocument(name="semi", graph=g, cycles={"Z": cycle(g, {"E1": 1, "E2": 1})})))
+    return str(path)
+
+
 class TestRefusals:
     """Refusals of the CLI that no other test reaches: the exit code and the
     whole error line, with nothing on stdout."""
@@ -406,13 +414,26 @@ class TestRefusals:
         (["colon-core", "--graph", "BAD", "--cycle", "Z"], 2,
          "base graph 'bad' is invalid: intersection matrix is not negative definite"),
         (["canonical-cycle", "--graph", "BAD"], 2, "graph 'bad' has singular intersection matrix"),
+        (["good-closure", "--tower", "EX", "--cycle", "E0:2", "--level", "0", "--h1", "1"], 2,
+         "good_closure needs a numerically-p_g ideal"),
+        (["fundamental-cycle", "--graph", "BAD"], 2, "antinef_closure needs a negative-definite graph; 'bad' is not"),
+        (["antinef-closure", "--graph", "BAD", "--cycle", "Z"], 2,
+         "antinef_closure needs a negative-definite graph; 'bad' is not"),
+        (["is-rational", "--graph", "BAD"], 2, "antinef_closure needs a negative-definite graph; 'bad' is not"),
+        (["fundamental-cycle", "--graph", "SEMI"], 2, "antinef_closure needs a negative-definite graph; 'semi' is not"),
+        (["antinef-closure", "--graph", "SEMI", "--cycle", "Z"], 2,
+         "antinef_closure needs a negative-definite graph; 'semi' is not"),
+        (["is-rational", "--graph", "SEMI"], 2, "antinef_closure needs a negative-definite graph; 'semi' is not"),
     ], ids=[
         "edge-point-on-one-curve", "pushforward-upward", "declared-level", "zero-cycle", "h1-on-rational",
         "h1-on-pg-cycle", "h1-above-pg", "h1-negative", "h1-missing", "indefinite-pg-test",
-        "indefinite-colon-core", "indefinite-canonical-cycle",
+        "indefinite-colon-core", "indefinite-canonical-cycle", "non-pg-good-closure",
+        "indefinite-fundamental-cycle", "indefinite-antinef-closure", "indefinite-is-rational",
+        "semidefinite-fundamental-cycle", "semidefinite-antinef-closure", "semidefinite-is-rational",
     ])
     def test_exit_code_and_message(self, capsys, tmp_path, a1b_file, ex244_tower_file, argv, code, message):
-        files = {"A1B": a1b_file, "EX": ex244_tower_file, "BAD": _indefinite_graph_file(tmp_path)}
+        files = {"A1B": a1b_file, "EX": ex244_tower_file, "BAD": _indefinite_graph_file(tmp_path),
+                 "SEMI": _semidefinite_graph_file(tmp_path)}
         assert main([files.get(arg, arg) for arg in argv]) == code
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -303,23 +303,29 @@ def _reference_relative_canonical(t):
     return k
 
 
-def _reference_colon_and_core(ideal):
-    """b, Y and the contraction tower: contract rational (-1)-curves off the
-    cohomological cycle in ascending-id scans, pull each back to the top as
-    F_i and pair it with Z."""
-    g, c = ideal.z.graph, ideal.c
+def _reference_contractions(g, may_contract):
+    """Contract rational (-1)-curves v with may_contract(graph, v) in
+    ascending-id scans; the graphs from g down, and the steps."""
     graphs, steps = [g], []
     while True:
         cur = graphs[-1]
         for v in cur.vertices:
-            e = unit_cycle(cur, v.id)
-            if (v.self_int, v.kappa) == (-1, -1) and c.coeff(v.id) == 0 and pair(c.restricted_to(cur), e) == 0:
+            if (v.self_int, v.kappa) == (-1, -1) and may_contract(cur, v.id):
                 lower, step = contract(cur, v.id)
                 graphs.append(lower)
                 steps.append(step)
                 break
         else:
-            break
+            return graphs, steps
+
+
+def _reference_colon_and_core(ideal):
+    """b, Y and the contraction tower: contract rational (-1)-curves off the
+    cohomological cycle in ascending-id scans, pull each back to the top as
+    F_i and pair it with Z."""
+    g, c = ideal.z.graph, ideal.c
+    graphs, steps = _reference_contractions(
+        g, lambda cur, vid: c.coeff(vid) == 0 and pair(c.restricted_to(cur), unit_cycle(cur, vid)) == 0)
     n = len(steps)
     local = Tower.from_steps(graphs[-1], reversed(steps))
     assert local.levels == tuple(reversed(graphs))
@@ -453,7 +459,8 @@ def test_the_off_c_sequence_is_contracted_and_checked_once_per_graph():
         step = colon_and_core(represent(model, t, h, rep.colon_cycle))
         closure = good_closure(ideal)
     assert [x for x in contracted if x is g] == [g]
-    assert len(replayed) == 1
+    # the off-C check once, then good_closure's check of the steps below it
+    assert replayed == [rep.contraction_tower.bottom, model.base]
     assert not rep.good and again == rep
     # the same reports, computed afresh on an equal graph that holds nothing yet
     t2 = Tower.from_steps(t.bottom, t.steps)
@@ -595,3 +602,51 @@ def test_colon_iteration_reaches_the_good_closure_in_max_b_steps(data):
     assert steps == first.iterations_to_good
     closure = good_closure(ideal)
     assert cur.z == closure.tower.pullback(closure.z, closure.level, closure.tower.height)
+
+
+def _reference_good_closure(ideal):
+    """Level, Z and steps of the good closure: Z pushed down the reference
+    off-C contractions, under a tower that contracts the rest to the base."""
+    local = _reference_colon_and_core(ideal)[2]
+    _, lower = _reference_contractions(local.bottom, lambda cur, vid: True)
+    z = cycle(local.bottom, {vid: c for vid, c in ideal.z.coeffs if vid in local.bottom.ids})
+    return len(lower), z, tuple(reversed(lower)) + local.steps
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_good_closure_pushes_z_down_the_off_c_sequence_to_a_good_ideal(data):
+    ideal = _tall_ideal(data)
+    closure = good_closure(ideal)
+    assert (closure.level, closure.z, closure.tower.steps) == _reference_good_closure(ideal)
+    assert closure.tower.bottom == ideal.model.base and closure.tower.top is ideal.z.graph
+    assert is_good(closure)
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_good_closure_runs_no_colon_and_core_and_replays_no_tower(data):
+    ideal = _tall_ideal(data)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        _count_calls(mp, ideals, "colon_and_core", calls)
+        _count_calls(mp, Tower, "from_steps", calls)
+        good_closure(ideal)
+    assert calls == []
+
+
+def test_good_closure_refuses_a_contraction_to_the_base_that_does_not_replay():
+    t, model, _, z = _two_models()
+    ideal = represent(model, t, t.height, z)
+    colon_and_core(ideal)  # the off-C sequence is kept, so only the lower check replays
+    contract_all = ideals.contract_all
+
+    def short(g, rule):
+        """The sequence without its top step: its bottom is still the base."""
+        t = contract_all(g, rule)
+        return t._replace(steps=t.steps[:-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "contract_all", short)
+        with pytest.raises(TheoremViolationError, match="did not replay to the off-C bottom"):
+            good_closure(ideal)

@@ -89,7 +89,7 @@ class TestAntinefClosure:
         steps = []
         with pytest.raises(PreconditionError, match="needs a negative-definite graph"):
             antinef_closure(unit_cycle(g, "E1"), on_step=lambda vid, c: steps.append((vid, c)))
-        assert len(steps) <= len(g.ids) + 1
+        assert steps == []  # refused before the first raise
 
     def test_nonnegative_self_intersection_fails_at_once(self):
         g = dual_graph("g", [("E1", -2, 0), ("E2", 0, -2)], [("E1", "E2")])
@@ -343,12 +343,22 @@ def test_errors_are_raised_again_on_every_call():
     # the indefinite graph of lattice-sweep: two (-1)-curves meeting twice
     g = dual_graph("indefinite", [("E1", -1, -1), ("E2", -1, -1)], [("E1", "E2", 2)])
     flat = dual_graph("flat", [("E1", -2, 0), ("E2", -2, 0)], [("E1", "E2", 2)])
-    indefinite = "antinef_closure needs a negative-definite graph; 'indefinite' is not"
+    # graphs whose closures need at most one raise: E^2 = 0, and det M = 0
+    zero = dual_graph("zero", [("E", 0, -2)])
+    semi = dual_graph("semi", [("E1", -1, -1), ("E2", -1, -1)], [("E1", "E2")])
+    refused = "antinef_closure needs a negative-definite graph; {!r} is not"
     for call, message in [
-        (lambda: fundamental_cycle(g), indefinite),
-        (lambda: is_rational(g), indefinite),
-        (lambda: antinef_closure(unit_cycle(g, "E1")), indefinite),
+        (lambda: fundamental_cycle(g), refused.format("indefinite")),
+        (lambda: is_rational(g), refused.format("indefinite")),
+        (lambda: antinef_closure(unit_cycle(g, "E1")), refused.format("indefinite")),
         (lambda: canonical_cycle(flat), "graph 'flat' has singular intersection matrix"),
+        (lambda: fundamental_cycle(zero), refused.format("zero")),
+        (lambda: is_rational(zero), refused.format("zero")),
+        (lambda: antinef_closure(unit_cycle(zero, "E")), refused.format("zero")),
+        (lambda: fundamental_cycle(semi), refused.format("semi")),
+        (lambda: fundamental_cycle(semi, start="E2"), refused.format("semi")),
+        (lambda: is_rational(semi), refused.format("semi")),
+        (lambda: antinef_closure(cycle(semi, {"E1": 1, "E2": 1})), refused.format("semi")),
     ]:
         for _ in range(2):
             with pytest.raises(PreconditionError) as err:
