@@ -17,7 +17,7 @@ from bisect import bisect_left, insort
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
-from .graph import Coeff, Cycle, DualGraph, Vertex, cycle
+from .graph import Coeff, Cycle, DualGraph, Vertex, cycle, zero_cycle
 from .lattice import contracts_to_smooth, is_antinef
 
 
@@ -336,6 +336,8 @@ def transport_cohom(t: Tower, c_base: Cycle) -> Cycle:
         raise PreconditionError("cohomological cycle must be effective")
     if c_base.graph != t.bottom:
         raise PreconditionError("cohomological cycle must live on the tower's bottom level")
+    if c_base.is_zero:  # each step adds sum m.C[u] = 0: zero on every level
+        return zero_cycle(t.top)
     coeffs = c_base.as_dict()
     for k, step in enumerate(t.steps):
         c = coeffs[step.new_id] = transported(coeffs, step.attach)

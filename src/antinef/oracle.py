@@ -2,9 +2,11 @@
 
 These deliberately work from the definitions rather than reusing the
 production algorithms, so that the test suite can play the two against each
-other.  Each oracle is a predicate over one depth-first search of a
-coefficient box in exact Python integers, which visits every box point or
-rejects it by a literal check of the definition.
+other.  Each oracle is one depth-first search of a coefficient box in exact
+Python integers.  The definition's conditions on the rows of M x become
+per-row bounds; the search rejects a value by its row's linear bound,
+without visiting it, and the oracle checks the rest of the definition
+literally at each point it visits.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def default_bound(z: Cycle) -> SearchBound:
 
 def _guard(g: DualGraph, ranges: list[int], bound: SearchBound) -> None:
     """Check the search bounds; the candidate count is the whole box."""
-    if bound.max_coeff < 1 or bound.max_vertices < 1:
+    if min(bound) < 1:
         raise PreconditionError("search bounds must be positive")
     n = len(g.vertices)
     if n > bound.max_vertices:
@@ -50,17 +52,22 @@ def _search(
     g: DualGraph,
     lows: list[int],
     highs: list[int],
-    row_ok: Callable[[int, int], bool],
+    row_lo: list[Optional[int]],
+    row_hi: list[Optional[int]],
     visit: Callable[[list[int], int], bool],
 ) -> bool:
-    """Depth-first search of the box lows <= x <= highs (vertex order).
+    """Depth-first search of the points lows <= x <= highs (vertex order)
+    with row_lo[k] <= (M x)_k <= row_hi[k] for every row k (None: no bound).
 
     Vertices are assigned in breadth-first order, each component from a
-    vertex of highest degree.  Row i, (M x)_i, goes to ``row_ok(i, row)`` at
-    the depth where x_i and all its neighbours are set, and the branch is cut
-    when it fails.  Every surviving point goes to ``visit(x, x.M.x)``; the
-    search stops, returning True, as soon as a visit returns True.  ``x`` is
-    the search's own buffer, so a visit copies what it keeps.
+    vertex of highest degree.  A row is complete at the depth where the last
+    of its vertex and its neighbours is set, and there it is linear in that
+    depth's coordinate; so each depth steps only through the interval of
+    values that its complete rows admit, found by floor and ceiling
+    division (a row with coefficient 0 is checked as a constant).  Every
+    point in the region goes to ``visit(x, x.M.x)``; the search stops,
+    returning True, as soon as a visit returns True.  ``x`` is the search's
+    own buffer, so a visit copies what it keeps.
     """
     n = len(g.vertices)
     diag = [v.self_int for v in g.vertices]
@@ -74,41 +81,57 @@ def _search(
             for i in order:  # grows as it goes: breadth-first
                 order += [j for j, _ in column[i] if j not in order]
     depth = [order.index(i) for i in range(n)]
-    # row i is complete at the depth of the last of i and its neighbours
-    due = [[i for i in range(n) if max(depth[j] for j, _ in column[i]) == d] for d in range(n)]
+    # the rows complete at depth d, each with its entry in column order[d]
+    due = [[(k, m) for k, m in column[i] if max(depth[j] for j, _ in column[k]) == d] for d, i in enumerate(order)]
 
     x = [0] * n
     rows = [0] * n  # M x, with every vertex not yet assigned at 0
     quad = [0] * n  # quad[d]: x.M.x over the first d vertices
+    top = [0] * n  # top[d]: the last admissible value at depth d
 
     def move(i: int, delta: int) -> None:
         x[i] += delta
         for j, m in column[i]:
             rows[j] += m * delta
 
+    def enter(d: int) -> None:  # x at depth d goes to its lowest admissible value
+        # x_i is 0 here, so row k at x_i = v is rows[k] + m.v
+        i = order[d]
+        lo, hi = lows[i], highs[i]
+        for k, m in due[d]:
+            r, a, b = rows[k], row_lo[k], row_hi[k]
+            if m == 0:
+                if (a is not None and r < a) or (b is not None and r > b):
+                    hi = lo - 1
+                continue
+            if m < 0:
+                a, b = b, a
+            if a is not None:
+                lo = max(lo, -((r - a) // m))
+            if b is not None:
+                hi = min(hi, (b - r) // m)
+        top[d] = hi
+        move(i, lo)
+
     d = 0
-    move(order[0], lows[order[0]])
+    enter(0)
     while d >= 0:
         i = order[d]
         v = x[i]
-        if v > highs[i]:
+        if v > top[d]:
             move(i, -v)
             d -= 1
             if d >= 0:
                 move(order[d], 1)
             continue
-        for k in due[d]:
-            if not row_ok(k, rows[k]):
-                break
-        else:
-            q = quad[d] + v * (2 * rows[i] - diag[i] * v)
-            if d < n - 1:
-                d += 1
-                quad[d] = q
-                move(order[d], lows[order[d]])
-                continue
-            if visit(x, q):
-                return True
+        q = quad[d] + v * (2 * rows[i] - diag[i] * v)
+        if d < n - 1:
+            d += 1
+            quad[d] = q
+            enter(d)
+            continue
+        if visit(x, q):
+            return True
         move(i, 1)
     return False
 
@@ -130,12 +153,11 @@ def enumerate_max_Y(z: Cycle, c: Cycle, bound: Optional[SearchBound] = None) -> 
     zv = z.vector()
     highs = [min(v, bound.max_coeff) for v in zv]
     _guard(g, [h + 1 for h in highs], bound)
+    # Z - Y anti-nef, and of degree zero on supp C: (M Y)_i >= (M Z)_i, with
+    # equality on supp C
     z_rows = [sum(m * zv[j] for j, m in row.items()) for row in g.sparse_matrix()]
-    on_c = [vid in c.support for vid in g.ids]
+    c_rows = [r if vid in c.support else None for vid, r in zip(g.ids, z_rows)]
     kappa = [v.kappa for v in g.vertices]
-
-    def row_ok(i: int, r: int) -> bool:  # row i of Z - Y, given row i of Y
-        return z_rows[i] - r == 0 if on_c[i] else z_rows[i] - r <= 0
 
     def smooth(y: list[int], q: int) -> bool:
         return -q + sum(k * v for k, v in zip(kappa, y)) == 0
@@ -147,10 +169,10 @@ def enumerate_max_Y(z: Cycle, c: Cycle, bound: Optional[SearchBound] = None) -> 
             best[:] = map(max, best, y)
         return False
 
-    _search(g, [0] * len(zv), highs, row_ok, keep)
+    _search(g, [0] * len(zv), highs, z_rows, c_rows, keep)
     # if the admissible set has a maximum it equals the coefficient-wise max,
     # so admissibility of that vector decides uniqueness
-    if any(best) and not _search(g, best, best, row_ok, smooth):
+    if any(best) and not _search(g, best, best, z_rows, c_rows, smooth):
         return None
     return cycle(g, dict(zip(g.ids, best)))
 
@@ -170,7 +192,8 @@ def antinef_closure_bruteforce(d: Cycle, bound: SearchBound) -> Optional[Cycle]:
             best = list(x) if best is None else list(map(min, best, x))
         return False
 
-    _search(g, lows, [bound.max_coeff] * len(lows), lambda i, r: r <= 0, keep)
+    n = len(lows)
+    _search(g, lows, [bound.max_coeff] * n, [None] * n, [0] * n, keep)
     return None if best is None else cycle(g, dict(zip(g.ids, best)))
 
 
@@ -186,7 +209,8 @@ def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
         raise PreconditionError(
             f"no anti-nef cycle with coefficients <= {bound.max_coeff}; raise the bound"
         )
-    if z.is_zero or not _search(g, z.vector(), z.vector(), lambda i, r: r <= 0, lambda x, q: True):
+    n = len(g.vertices)
+    if z.is_zero or not _search(g, z.vector(), z.vector(), [None] * n, [0] * n, lambda x, q: True):
         raise TheoremViolationError(
             "pointwise minimum of anti-nef candidates is not anti-nef"
         )
@@ -198,4 +222,4 @@ def negdef_bruteforce(g: DualGraph, bound: SearchBound) -> bool:
     b, n = bound.max_coeff, len(g.vertices)
     _guard(g, [2 * b + 1] * n, bound)
     # W.W = (-W).(-W), so the W with a nonnegative first coefficient suffice
-    return not _search(g, [0] + [-b] * (n - 1), [b] * n, lambda i, r: True, lambda w, q: q >= 0 and any(w))
+    return not _search(g, [0] + [-b] * (n - 1), [b] * n, [None] * n, [None] * n, lambda w, q: q >= 0 and any(w))

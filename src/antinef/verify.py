@@ -13,7 +13,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import corpus
 from .birational import Tower, edge_point, free_point, relative_canonical
-from .errors import LatticeError
+from .errors import InputError, LatticeError
 from .graph import Cycle, DualGraph, cycle, unit_cycle
 from .ideals import (
     IdealRep,
@@ -63,6 +63,8 @@ def _fail(msg: str):
 
 def _check(fn: Callable[..., str]) -> Callable[..., CheckResult]:
     def run(seed: int = DEFAULT_SEED, samples: int = DEFAULT_SAMPLES) -> CheckResult:
+        if samples < 1:  # a refusal, not a FAIL row: no criterion passes on no evidence
+            raise InputError(f"sample count must be positive, got {samples}")
         try:
             detail = fn(seed=seed, samples=samples)
             return CheckResult(fn.__name__.lstrip("_"), True, detail)
@@ -110,17 +112,13 @@ def _random_instances(
     bases = _RATIONAL_BASES
     if gorenstein_only:
         bases = [n for n in bases if not n.startswith("HJ")]
-    made = 0
-    while made < count:
-        name = rng.choice(bases)
-        base = corpus.get(name).graph
-        gorenstein = all(v.kappa == 0 for v in base.vertices)
-        model = singularity_model(base, gorenstein=gorenstein)
-        t = _random_tower(rng, base)
-        level = t.height
-        z = _random_antinef(rng, t.graph(level))
-        yield model, represent(model, t, level, z)
-        made += 1
+    graphs = [corpus.get(name).graph for name in bases]
+    models = [singularity_model(g, gorenstein=all(v.kappa == 0 for v in g.vertices)) for g in graphs]
+    for _ in range(count):
+        model = rng.choice(models)
+        t = _random_tower(rng, model.base)
+        z = _random_antinef(rng, t.top)
+        yield model, represent(model, t, t.height, z)
 
 
 def _ex244_instances() -> list[IdealRep]:

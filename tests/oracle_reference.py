@@ -20,6 +20,13 @@ unchanged apart from the class's name and ``has_vertex`` written out.
 ``test_oracle_reference.py`` checks that both give the same values, types,
 coefficients, text and equality.
 
+The depth-first search that stepped through every value of the box and
+rejected a value by ``row_ok(row, (M x)_row)`` once its row was complete:
+the ``oracle._search`` that per-row bounds, intersected into one interval of
+admissible values per depth, replaced, unchanged apart from its name.
+``test_oracle_reference.py`` checks that both make the same visits in the
+same order.
+
 The dense fraction-free determinant: the ``graph.det_bareiss`` that the
 graph's one sparse elimination replaced, unchanged.  ``test_graph.py``
 checks the elimination's ``det`` and definiteness against it, and the
@@ -224,6 +231,73 @@ def negdef_bruteforce(g: DualGraph, bound: SearchBound) -> bool:
         if (quad[nonzero] >= 0).any():
             return False
     return True
+
+
+def stepping_search(
+    g: DualGraph,
+    lows: list[int],
+    highs: list[int],
+    row_ok: Callable[[int, int], bool],
+    visit: Callable[[list[int], int], bool],
+) -> bool:
+    """Depth-first search of the box lows <= x <= highs (vertex order).
+
+    Vertices are assigned in breadth-first order, each component from a
+    vertex of highest degree.  Row i, (M x)_i, goes to ``row_ok(i, row)`` at
+    the depth where x_i and all its neighbours are set, and the branch is cut
+    when it fails.  Every surviving point goes to ``visit(x, x.M.x)``; the
+    search stops, returning True, as soon as a visit returns True.  ``x`` is
+    the search's own buffer, so a visit copies what it keeps.
+    """
+    n = len(g.vertices)
+    diag = [v.self_int for v in g.vertices]
+    # column i of M as (row, entry) pairs: the diagonal, then the neighbours;
+    # M is symmetric, so these are its rows
+    column = [list(row.items()) for row in g.sparse_matrix()]
+    order: list[int] = []
+    for start in sorted(range(n), key=lambda i: -len(column[i])):
+        if start not in order:
+            order.append(start)
+            for i in order:  # grows as it goes: breadth-first
+                order += [j for j, _ in column[i] if j not in order]
+    depth = [order.index(i) for i in range(n)]
+    # row i is complete at the depth of the last of i and its neighbours
+    due = [[i for i in range(n) if max(depth[j] for j, _ in column[i]) == d] for d in range(n)]
+
+    x = [0] * n
+    rows = [0] * n  # M x, with every vertex not yet assigned at 0
+    quad = [0] * n  # quad[d]: x.M.x over the first d vertices
+
+    def move(i: int, delta: int) -> None:
+        x[i] += delta
+        for j, m in column[i]:
+            rows[j] += m * delta
+
+    d = 0
+    move(order[0], lows[order[0]])
+    while d >= 0:
+        i = order[d]
+        v = x[i]
+        if v > highs[i]:
+            move(i, -v)
+            d -= 1
+            if d >= 0:
+                move(order[d], 1)
+            continue
+        for k in due[d]:
+            if not row_ok(k, rows[k]):
+                break
+        else:
+            q = quad[d] + v * (2 * rows[i] - diag[i] * v)
+            if d < n - 1:
+                d += 1
+                quad[d] = q
+                move(order[d], lows[order[d]])
+                continue
+            if visit(x, q):
+                return True
+        move(i, 1)
+    return False
 
 
 def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = None) -> Cycle:

@@ -511,6 +511,21 @@ def test_transport_is_pullback_minus_the_new_curve_on_supp(data):
         assert track[k + 1] == want
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_zero_cohomological_cycle_skips_the_pass_and_matches_it(data):
+    """The full pass of ``transported`` over every step, against
+    ``transport_cohom``: the zero C it returns at once, and effective
+    integral C that it carries up."""
+    base = corpus.get(data.draw(st.sampled_from(["A1", "A4", "D5", "E6", "HJ(7,3)", "ex244min"]))).graph
+    t = grow(data, Tower.base(base), data.draw(st.integers(min_value=0, max_value=30)))
+    for c_base in (zero_cycle(base), cycle(base, {vid: data.draw(st.integers(0, 2)) for vid in base.ids})):
+        coeffs = c_base.as_dict()
+        for step in t.steps:
+            coeffs[step.new_id] = transported(coeffs, step.attach)
+        assert transport_cohom(t, c_base) == cycle(t.top, coeffs)
+
+
 # --- associated_pg_cycle's loop as it was written on Cycles ------------------
 
 

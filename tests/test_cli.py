@@ -257,6 +257,7 @@ class TestOracle:
     @pytest.mark.parametrize("argv, message", [
         (["zf", "--max-coeff", "0"], "search bounds must be positive"),
         (["negdef", "--max-coeff", "-1"], "search bounds must be positive"),
+        (["negdef", "--max-search", "0"], "search bounds must be positive"),
         # with no bound given, the oracle blames Z, not the bound it sizes from Z
         (["max-y", "--cycle", "E:-1,C1:-2"], "oracle needs an effective integral Z"),
     ])

@@ -116,7 +116,9 @@ class TestEnumerateMaxY:
             enumerate_max_Y(z, zero_cycle(g), bound=SearchBound(max_candidates=10))
 
 
-@pytest.mark.parametrize("bound", [SearchBound(max_coeff=0), SearchBound(max_coeff=-1), SearchBound(max_vertices=0)])
+@pytest.mark.parametrize("bound", [
+    SearchBound(max_coeff=0), SearchBound(max_coeff=-1), SearchBound(max_vertices=0), SearchBound(max_candidates=0),
+])
 def test_every_oracle_refuses_a_bound_that_is_not_positive(bound):
     g = corpus.get("A3").graph
     z = fundamental_cycle(g)

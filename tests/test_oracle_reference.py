@@ -5,7 +5,10 @@ The depth-first oracles give exactly the answers of the numpy box
 enumerations they replaced, on small random graphs and towers.  The graphs
 have at most six vertices and include non-trees, multi-edges and graphs that
 are not negative definite.  An oracle's answer is either its value or the
-class and message of the error it raises.
+class and message of the error it raises.  The search under them, which
+steps only through each depth's admissible interval, makes the same visits
+in the same order as the stepping search it replaced, on graphs with
+E_i^2 from -6 to 1 and with any mix of row bounds.
 
 Cycles held as one vector in vertex order pair, combine, print and compare
 exactly like the cycles keyed by vertex id that they replaced, on graphs of
@@ -33,10 +36,15 @@ def _answer(fn, *args, **kwargs):
 
 
 @st.composite
-def graphs(draw):
+def graphs(draw, top_e2=-1):
+    """Up to six vertices with E_i^2 from -6 to ``top_e2``; a top of 0 or
+    more weights E_i^2 = 0 three times, the other values once."""
     n = draw(st.integers(min_value=1, max_value=6))
     ids = [f"V{k}" for k in range(n)]
-    vertices = [(vid, draw(st.integers(-6, -1)), draw(st.integers(-2, 3))) for vid in ids]
+    e2 = st.integers(-6, top_e2)
+    if top_e2 >= 0:
+        e2 = st.sampled_from([*range(-6, top_e2 + 1), 0, 0])
+    vertices = [(vid, draw(e2), draw(st.integers(-2, 3))) for vid in ids]
     # a forest joins each vertex to an earlier one or starts a new component;
     # extra edges add cycles and multi-edges
     edges = [(ids[p], vid, 1) for k, vid in enumerate(ids) if (p := draw(st.integers(-1, k - 1))) >= 0]
@@ -56,6 +64,54 @@ def test_graph_oracles_match_the_reference(g, data):
     assert _answer(oracle.fundamental_cycle_bruteforce, g, box) == _answer(reference.fundamental_cycle_bruteforce, g, box)
     box = oracle.SearchBound(max_coeff=data.draw(st.integers(1, 2)))
     assert _answer(oracle.negdef_bruteforce, g, box) == _answer(reference.negdef_bruteforce, g, box)
+
+
+@st.composite
+def row_bounds(draw, n):
+    """(row_lo, row_hi) for n rows, each row unbounded, bounded on one side,
+    on both (possibly crossed) or pinned to one value."""
+    lo, hi = [], []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["none", "lo", "hi", "both", "equal"]))
+        a = draw(st.integers(-6, 6))
+        b = a if kind == "equal" else a + draw(st.integers(-2, 8))
+        lo.append(a if kind in ("lo", "both", "equal") else None)
+        hi.append(b if kind in ("hi", "both", "equal") else None)
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(top_e2=1), st.data())
+def test_the_interval_search_visits_like_the_stepping_reference(g, data):
+    """The same (x, x.M.x) visits in the same order, over all of the region
+    and when a visit stops the search at its k-th point; E_i^2 = 0 and > 0
+    occur, and boxes that are empty or start below zero."""
+    n = len(g.ids)
+    lows = data.draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n))
+    highs = [lo + data.draw(st.integers(-1, 3)) for lo in lows]
+    row_lo, row_hi = data.draw(row_bounds(n))
+
+    def row_ok(k, r):
+        return (row_lo[k] is None or r >= row_lo[k]) and (row_hi[k] is None or r <= row_hi[k])
+
+    def run(stop=None):
+        """(returned, visits) of the new search and of the reference."""
+        out = []
+        for search, rows in ((oracle._search, (row_lo, row_hi)), (reference.stepping_search, (row_ok,))):
+            seen = []
+
+            def visit(x, q):
+                seen.append((list(x), q))
+                return len(seen) == stop
+
+            out.append((search(g, lows, highs, *rows, visit), seen))
+        return out
+
+    (new, seen), ref = run()
+    assert (new, seen) == ref
+    stop = data.draw(st.integers(1, max(len(seen), 1)))
+    new, ref = run(stop)
+    assert new == ref
 
 
 @settings(max_examples=80, deadline=None)
