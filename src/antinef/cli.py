@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Sequence
 from .errors import InputError, LatticeError, PreconditionError
 from .formats import (
     GraphDocument,
+    coeff_map,
     coeff_out,
     emit_graph_document,
     emit_tower_document,
@@ -118,17 +119,19 @@ class _Input:
     def ideal_reps(self, *specs: str) -> list[IdealRep]:
         """The ideals of the named or inline cycles on the document's model.
         A graph document is first minimalized: its graph becomes the top of
-        the resulting tower, its cycles live on that level, and --level does
-        not apply."""
+        the resulting tower and its cycles live on that level, so --level
+        with a graph document is an InputError."""
         from . import ideals
 
         doc, level = self.doc, self.args.level
         c = _doc_cohom(doc)
         if isinstance(doc, GraphDocument):
+            if level is not None:
+                raise InputError("--level applies to a tower document, not a graph")
             tower, c = _minimalize(doc.graph, c or zero_cycle(doc.graph))
             c = None if c.is_zero else c  # a zero cycle declares none
             cycles = {name: (tower.height, z) for name, z in doc.cycles.items()}
-            doc, level = TowerDocument(doc.name, tower, cycles, doc.model), None
+            doc = TowerDocument(doc.name, tower, cycles, doc.model)
         margs = doc.model or {}
         model = ideals.singularity_model(
             doc.tower.bottom, pg=margs.get("pg"), gorenstein=margs.get("gorenstein", False), c_base=c
@@ -147,7 +150,7 @@ def _plain(value: Any) -> Any:
     """A cycle as a coefficient map, a rational as coeff_out gives it, a
     tuple as a list."""
     if isinstance(value, Cycle):
-        return {vid: coeff_out(c) for vid, c in value.coeffs}
+        return coeff_map(value)
     if isinstance(value, tuple):
         return list(value)
     return coeff_out(value) if isinstance(value, Fraction) else value

@@ -100,6 +100,12 @@ def coeff_out(value: Coeff) -> Any:
     return int(value)
 
 
+def coeff_map(c: Cycle) -> dict[str, Any]:
+    """A cycle for output: its nonzero coefficients by vertex id, each as
+    :func:`coeff_out` writes it."""
+    return {vid: coeff_out(k) for vid, k in c.coeffs}
+
+
 def _parse_vertices_edges(obj: dict, path: str) -> DualGraph:
     name = _object(obj, path).get("name", "graph")
     vs = []
@@ -176,16 +182,9 @@ def _graph_fields(g: DualGraph) -> dict[str, Any]:
 def emit_graph_document(doc: GraphDocument) -> str:
     out: dict[str, Any] = {"format": FORMAT, **_graph_fields(doc.graph)}
     if doc.cycles:
-        out["cycles"] = {
-            name: {vid: coeff_out(c) for vid, c in doc.cycles[name].coeffs}
-            for name in sorted(doc.cycles)
-        }
+        out["cycles"] = {name: coeff_map(doc.cycles[name]) for name in sorted(doc.cycles)}
     if doc.model is not None:
-        model = {}
-        for key in ("pg", "gorenstein", "cohom_cycle"):
-            if key in doc.model:
-                model[key] = doc.model[key]
-        out["model"] = model
+        out["model"] = _parse_model(doc.model, "model")
     return json.dumps(out, indent=2) + "\n"
 
 
@@ -244,14 +243,11 @@ def emit_tower_document(doc: TowerDocument) -> str:
     out["steps"] = steps
     if doc.cycles:
         out["cycles"] = {
-            name: {
-                "level": doc.cycles[name][0],
-                "coeffs": {vid: coeff_out(c) for vid, c in doc.cycles[name][1].coeffs},
-            }
+            name: {"level": doc.cycles[name][0], "coeffs": coeff_map(doc.cycles[name][1])}
             for name in sorted(doc.cycles)
         }
     if doc.model is not None:
-        out["model"] = doc.model
+        out["model"] = _parse_model(doc.model, "model")
     return json.dumps(out, indent=2) + "\n"
 
 

@@ -172,15 +172,17 @@ def product(i1: IdealRep, i2: IdealRep) -> IdealRep:
 
 
 class CoreReport(NamedTuple):
+    """Q:I = I_{Z-Y} and core(I) = I_{2Z-Y} of a numerically-p_g I = I_Z on
+    Z's graph: Y, both cycles, the b_i in contraction order, max b_i colon
+    steps to a good ideal, whether Y = 0, and the off-C sequence.  Their
+    colengths are :func:`~antinef.lattice.colength` of these cycles."""
+
     y: Cycle
     colon_cycle: Cycle
     core_cycle: Cycle
     b: tuple[int, ...]
     iterations_to_good: int
     good: bool
-    colength_ideal: int
-    colength_colon: int
-    colength_core: int
     contraction_tower: Tower
 
 
@@ -246,18 +248,13 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
         raise TheoremViolationError(f"Z - Y = {colon} is not an effective anti-nef cycle")
     if not _pg_numeric(colon, ideal.c):
         raise TheoremViolationError(f"Z - Y = {colon} is not numerically p_g")
-    core = 2 * z - y
-    pg = ideal.model.pg
     return CoreReport(
         y=y,
         colon_cycle=colon,
-        core_cycle=core,
+        core_cycle=2 * z - y,
         b=tuple(b),
         iterations_to_good=max(b, default=0),
         good=y.is_zero,
-        colength_ideal=colength(z, pg, pg),
-        colength_colon=colength(colon, pg, pg),
-        colength_core=colength(core, pg, pg),
         contraction_tower=local,
     )
 

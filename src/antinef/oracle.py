@@ -148,6 +148,8 @@ def enumerate_max_Y(z: Cycle, c: Cycle, bound: Optional[SearchBound] = None) -> 
         raise _graph_mismatch(g, c.graph)
     if not z.is_effective or not z.is_integral:
         raise PreconditionError("oracle needs an effective integral Z")
+    if not c.is_effective or not c.is_integral:
+        raise PreconditionError("oracle needs an effective integral C")
     if bound is None:
         bound = default_bound(z)
     zv = z.vector()

@@ -265,6 +265,13 @@ class TestOracle:
         code = main(["oracle", argv[0], "--graph", a1b_file, *argv[1:]])
         assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
 
+    @pytest.mark.parametrize("cohom", ["E:-1", "E:1/2"])
+    def test_a_cohomological_cycle_that_is_not_effective_and_integral_exits_2(self, capsys, a1b_file, cohom):
+        # the search reads only supp C, so without the check it answers max_y = 0
+        code = main(["oracle", "max-y", "--graph", a1b_file, "--cycle", "E:1,C1:2", "--cohom", cohom])
+        assert capsys.readouterr() == ("", "error: oracle needs an effective integral C\n")
+        assert code == 2
+
 
 class TestCorpus:
     def test_list_contains_families(self, capsys):
@@ -401,6 +408,8 @@ class TestRefusals:
         (["pg-test", "--tower", "EX", "--cycle", "Z", "--level", "0"], 1,
          "cycle 'Z' is declared at level 4, not 0"),
         (["pg-test", "--graph", "A1B", "--cycle", "E:0"], 2, "an ideal needs an integral cycle Z > 0"),
+        (["colon-core", "--graph", "A1B", "--cycle", "E:1,C1:2", "--level", "7"], 1,
+         "--level applies to a tower document, not a graph"),
         (["pg-test", "--graph", "A1B", "--cycle", "E:1,C1:2", "--h1", "1"], 2, "rational models force h1 = 0"),
         (["pg-test", "--tower", "EX", "--cycle", "Z", "--h1", "0"], 2,
          "a numerically-p_g cycle has h1 = pg = 1, got 0"),
@@ -426,8 +435,8 @@ class TestRefusals:
          "antinef_closure needs a negative-definite graph; 'semi' is not"),
         (["is-rational", "--graph", "SEMI"], 2, "antinef_closure needs a negative-definite graph; 'semi' is not"),
     ], ids=[
-        "edge-point-on-one-curve", "pushforward-upward", "declared-level", "zero-cycle", "h1-on-rational",
-        "h1-on-pg-cycle", "h1-above-pg", "h1-negative", "h1-missing", "indefinite-pg-test",
+        "edge-point-on-one-curve", "pushforward-upward", "declared-level", "zero-cycle", "level-on-a-graph",
+        "h1-on-rational", "h1-on-pg-cycle", "h1-above-pg", "h1-negative", "h1-missing", "indefinite-pg-test",
         "indefinite-colon-core", "indefinite-canonical-cycle", "non-pg-good-closure",
         "indefinite-fundamental-cycle", "indefinite-antinef-closure", "indefinite-is-rational",
         "semidefinite-fundamental-cycle", "semidefinite-antinef-closure", "semidefinite-is-rational",

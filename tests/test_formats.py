@@ -265,6 +265,54 @@ class TestRefusalMessages:
         assert str(err.value) == "step creating 'X' has no blow-up form and cannot be serialized"
 
 
+# every model the emitters take: none, empty, pg alone, and all three keys
+# inserted in either order
+_MODELS = [
+    None, {}, {"pg": 1},
+    {"pg": 1, "gorenstein": True, "cohom_cycle": "C"},
+    {"cohom_cycle": "C", "gorenstein": True, "pg": 1},
+]
+_CORPUS = [name for name in corpus.names() if " " not in name] + ["HJ(12,5)"]
+
+
+def _documents(name, model):
+    """The corpus entry as a graph document and, where it has a tower, as a
+    tower document with its cycles on the top, both carrying model."""
+    entry = corpus.get(name)
+    g = entry.graph
+    yield GraphDocument(g.name, g, dict(entry.cycles), model), emit_graph_document, parse_graph_document
+    if entry.tower is not None:
+        cycles = {key: (entry.tower.height, c) for key, c in entry.cycles.items()}
+        yield TowerDocument(entry.name, entry.tower, cycles, model), emit_tower_document, parse_tower_document
+
+
+class TestModelField:
+    """The emitters write a model by the rule the parser reads it with."""
+
+    @pytest.mark.parametrize("name", _CORPUS)
+    def test_every_corpus_document_round_trips_under_every_model(self, name):
+        for model in _MODELS:
+            for doc, emit, parse in _documents(name, model):
+                text = emit(doc)
+                assert parse(text) == doc
+                # the bytes do not depend on the order the keys went in
+                assert text == emit(doc._replace(model=None if model is None else dict(reversed(model.items()))))
+
+    @pytest.mark.parametrize("model, message", [
+        ({"gorenstein": True, "pg": 1, "note": "hi"}, "model: unknown model fields: ['note']"),
+        ({"pg": "1"}, "model.pg: expected an integer, got '1'"),
+        ({"pg": True}, "model.pg: expected an integer, got True"),
+        ({"gorenstein": 1}, "model.gorenstein: expected a boolean"),
+    ], ids=["unknown-key", "string-pg", "boolean-pg", "integer-gorenstein"])
+    def test_both_emitters_refuse_a_model_the_parser_refuses(self, model, message):
+        docs = list(_documents("ex244blown", model))
+        assert len(docs) == 2
+        for doc, emit, _ in docs:
+            with pytest.raises(InputError) as err:
+                emit(doc)
+            assert str(err.value) == message
+
+
 class TestFormatField:
     """A JSON true or 1.0 equals 1 in Python; neither is format 1."""
 

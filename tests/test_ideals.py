@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from antinef import birational, corpus, ideals
+from antinef import birational, corpus, ideals, lattice
 from antinef.birational import Tower, TowerStep, contract, free_point, relative_canonical
 from antinef.errors import PreconditionError, TheoremViolationError
 from antinef.graph import cycle, dual_graph, unit_cycle
@@ -95,7 +95,7 @@ class TestColonCore:
         assert rep.b == (1,)
         assert not rep.good
         assert rep.iterations_to_good == 1
-        assert rep.colength_core == 5
+        assert colength(rep.core_cycle, 0, 0) == 5
 
     def test_chain_example(self, chain_ideal):
         _, ideal = chain_ideal
@@ -120,6 +120,35 @@ class TestColonCore:
         rep = colon_and_core(ideal)
         assert ideal.z.dominates(rep.colon_cycle)
         assert rep.colon_cycle.is_effective
+
+    def test_computes_no_colength(self, chain_ideal, ex244_ideal):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            _count_calls(mp, lattice, "colength", calls)
+            _count_calls(mp, ideals, "colength", calls)
+            for _, ideal in (chain_ideal, ex244_ideal):
+                colon_and_core(ideal)
+            assert calls == []
+            good_gorenstein_crosscheck(ex244_ideal[1])  # a caller of colength, seen through the patch
+        assert calls == [ex244_ideal[1].z]
+
+    @pytest.mark.parametrize("plant, message", [
+        (lambda mp, z: mp.setattr(ideals, "excess", lambda coeffs, step: -1), "b_1 = -1 < 0"),
+        (lambda mp, z: mp.setattr(ideals, "contracts_to_smooth", lambda y: False),
+         "does not contract to a smooth point"),
+        (lambda mp, z: (mp.setattr(ideals, "lift", lambda *args: dict((2 * z).coeffs)),
+                        mp.setattr(ideals, "contracts_to_smooth", lambda y: True)),
+         "is not an effective anti-nef cycle"),
+        (lambda mp, z: mp.setattr(ideals, "is_antinef", lambda w: False), "is not an effective anti-nef cycle"),
+        (lambda mp, z: mp.setattr(ideals, "_pg_numeric", lambda w, c: False), "is not numerically p_g"),
+    ], ids=["negative-b", "y-not-smooth", "colon-not-effective", "colon-not-antinef", "colon-not-pg"])
+    def test_every_theorem_guard_raises(self, chain_ideal, plant, message):
+        _, ideal = chain_ideal
+        colon_and_core(ideal)  # the off-C sequence is kept, so a plant reaches only what Z enters
+        with pytest.MonkeyPatch.context() as mp:
+            plant(mp, ideal.z)
+            with pytest.raises(TheoremViolationError, match=message):
+                colon_and_core(ideal)
 
     def test_needs_pg_numeric(self, ex244):
         t = ex244.tower
@@ -595,8 +624,19 @@ def test_colon_iteration_reaches_the_good_closure_in_max_b_steps(data):
     # b is linear in Z, so a multiple of Z needs that many times the steps
     ideal = represent(ideal.model, ideal.tower, ideal.level, data.draw(st.integers(1, 4)) * ideal.z, h1=ideal.h1)
     rep = first = colon_and_core(ideal)
+    pg = ideal.model.pg
+    length = colength(ideal.z, pg, pg)
     cur, steps = ideal, 0
-    while not rep.good and steps <= first.iterations_to_good:
+    while True:
+        # the paper's colengths, by Riemann-Roch with F_i^2 = K.F_i = -1 and
+        # Z.F_i = -b_i: the k-th iterate is Z - sum min(k, b_i) F_i, and each
+        # iterate's core has colength 2 l(I) + e(I) - 2 sum b_i for its own b
+        c = [min(steps, b_i) for b_i in first.b]
+        now = colength(cur.z, pg, pg)
+        assert now == length - sum(c_i * b_i for c_i, b_i in zip(c, first.b)) + sum(c_i * (c_i - 1) // 2 for c_i in c)
+        assert colength(rep.core_cycle, pg, pg) == 2 * now + multiplicity(cur.z) - 2 * sum(rep.b)
+        if rep.good or steps > first.iterations_to_good:
+            break
         cur = represent(ideal.model, ideal.tower, ideal.level, rep.colon_cycle, h1=ideal.h1)
         rep, steps = colon_and_core(cur), steps + 1
     assert steps == first.iterations_to_good

@@ -109,6 +109,12 @@ class TestEnumerateMaxY:
             with pytest.raises(PreconditionError, match="cycles live on different graphs"):
                 enumerate_max_Y(fundamental_cycle(g), unit_cycle(other, vid))
 
+    @pytest.mark.parametrize("coeff", [-1, Fraction(1, 2)])
+    def test_refuses_a_cohomological_cycle_that_is_not_effective_and_integral(self, a1b, coeff):
+        z = cycle(a1b, {"E": 1, "C1": 2})
+        with pytest.raises(PreconditionError, match="^oracle needs an effective integral C$"):
+            enumerate_max_Y(z, cycle(a1b, {"E": coeff}))
+
     def test_candidate_guard(self):
         g = corpus.get("E8").graph
         z = 6 * fundamental_cycle(g)
