@@ -14,6 +14,7 @@ cohomological cycle.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
@@ -62,67 +63,73 @@ def replay(base: DualGraph, steps: Iterable[TowerStep]) -> DualGraph:
     return s.graph()
 
 
+_new = tuple.__new__  # builds a Vertex or a TowerStep in C, past the NamedTuple's Python __new__
+
+
 class _Surgery:
     """A dual graph as mutable lists in canonical order, patched in place:
     ``ids`` and ``verts`` sorted by id, ``edges`` as sorted (a, b, m) with
-    a < b.  :meth:`graph` freezes the lists into a DualGraph."""
+    a < b.  :meth:`graph` freezes the lists into a DualGraph that carries the
+    known definiteness of the graph they came from: a step, up or down, adds
+    or removes an orthogonal (-1)."""
 
-    __slots__ = ("name", "ids", "verts", "edges")
+    __slots__ = ("name", "ids", "verts", "edges", "definite")
 
     def __init__(self, g: DualGraph):
         self.name = g.name
         self.ids = list(g.ids)
         self.verts = list(g.vertices)
         self.edges = list(g.edges)
-
-    def _has(self, vid: str) -> bool:
-        ids = self.ids
-        k = bisect_left(ids, vid)
-        return k < len(ids) and ids[k] == vid
+        self.definite = g.__dict__.get("negative_definite")
 
     def insert(self, step: TowerStep) -> None:
         """:func:`apply_step`'s checks, then the surgery with sign +1."""
+        ids, at = self.ids, []
         for vid, m in step.attach:
-            if not self._has(vid):
+            k = bisect_left(ids, vid)
+            if k == len(ids) or ids[k] != vid:
                 raise InputError(f"step attaches to unknown vertex {vid!r}")
             if m < 1:
                 raise InputError("attach multiplicities must be >= 1")
-        if self._has(step.new_id):
+            at.append(k)
+        k = bisect_left(ids, step.new_id)
+        if k < len(ids) and ids[k] == step.new_id:
             raise InputError(f"vertex id {step.new_id!r} already exists on {self.name!r}")
-        self.patch(step.new_id, step.attach, 1)
+        self.patch(step.new_id, step.attach, 1, at)
 
-    def patch(self, new_id: str, attach: Sequence[tuple[str, int]], sign: int) -> None:
+    def patch(self, new_id: str, attach: Sequence[tuple[str, int]], sign: int,
+              at: Optional[Sequence[int]] = None) -> None:
         """Insert (sign +1) or remove (sign -1) the (-1)-curve new_id meeting
-        each (u, m) of attach m times.  Each u gains -sign.m^2 in
+        each (u, m) of attach m times; ``at`` holds the attachments'
+        positions when the caller has found them.  Each u gains -sign.m^2 in
         self-intersection and sign.m in kappa, and each pair u, w of attach
         loses sign.mu.mw from their edge; an edge that would go negative
-        refuses the blow-up.  Every vertex and edge touched is found by
+        refuses the blow-up.  Every vertex and edge touched is found by one
         bisection and replaced, inserted or deleted where it sits, so the
         Python work is in len(attach)^2, and list insertions and deletions
         move the rest in C."""
         ids, verts, edges = self.ids, self.verts, self.edges
-        for i in range(len(attach)):
-            for j in range(i + 1, len(attach)):
-                (u, mu), (w, mw) = attach[i], attach[j]
-                a, b = (u, w) if u < w else (w, u)
-                k = bisect_left(edges, (a, b))
-                hit = k < len(edges) and edges[k][0] == a and edges[k][1] == b
-                have = edges[k][2] if hit else 0
-                if have < sign * mu * mw:
-                    raise PreconditionError(
-                        f"cannot blow up: edge {(a, b)} has multiplicity {have} < {mu * mw}"
-                    )
-                m = have - sign * mu * mw
-                if m == 0:
-                    del edges[k]
-                elif hit:
-                    edges[k] = (a, b, m)
-                else:
-                    edges.insert(k, (a, b, m))
-        for u, m in attach:
-            k = bisect_left(ids, u)
-            v = verts[k]
-            verts[k] = Vertex(u, v.self_int - sign * m * m, v.kappa + sign * m)
+        for (u, mu), (w, mw) in combinations(attach, 2):
+            a, b = (u, w) if u < w else (w, u)
+            k = bisect_left(edges, (a, b))
+            hit = k < len(edges) and edges[k][0] == a and edges[k][1] == b
+            have = edges[k][2] if hit else 0
+            if have < sign * mu * mw:
+                raise PreconditionError(
+                    f"cannot blow up: edge {(a, b)} has multiplicity {have} < {mu * mw}"
+                )
+            m = have - sign * mu * mw
+            if m == 0:
+                del edges[k]
+            elif hit:
+                edges[k] = (a, b, m)
+            else:
+                edges.insert(k, (a, b, m))
+        if at is None:
+            at = [bisect_left(ids, u) for u, _ in attach]
+        for k, (u, m) in zip(at, attach):
+            _, e2, kappa = verts[k]
+            verts[k] = _new(Vertex, (u, e2 - sign * m * m, kappa + sign * m))
             e = (u, new_id, m) if u < new_id else (new_id, u, m)
             if sign > 0:
                 insort(edges, e)
@@ -131,14 +138,12 @@ class _Surgery:
         k = bisect_left(ids, new_id)
         if sign > 0:
             ids.insert(k, new_id)
-            verts.insert(k, Vertex(new_id, -1, -1))
+            verts.insert(k, _new(Vertex, (new_id, -1, -1)))
         else:
             del ids[k], verts[k]
 
     def graph(self) -> DualGraph:
-        g = DualGraph(self.name, tuple(self.verts), tuple(self.edges))
-        g.__dict__["ids"] = tuple(self.ids)
-        return g
+        return DualGraph(self.name, tuple(self.verts), tuple(self.edges), tuple(self.ids), self.definite)
 
 
 def blowup(g: DualGraph, step: TowerStep) -> tuple[DualGraph, TowerStep]:
@@ -175,17 +180,20 @@ def contract_all(g: DualGraph, may_contract: Callable[[TowerStep], bool]) -> Tow
     which ``may_contract(step)`` holds, where step is the :class:`TowerStep`
     that would re-insert it (its neighbours, sorted, as attachments); then it
     scans again.  A rule is a pure function of its step.  One set of lists is
-    patched for the whole sequence, as in :func:`replay`, with the neighbour
-    tuples kept beside it, and only the bottom is frozen.  A contraction keeps
+    patched for the whole sequence, as in :func:`replay`, with each curve's
+    neighbour map kept beside it, and only the bottom is frozen.  A contraction keeps
     the survivors' coefficients, so a caller's coefficient dict stays valid on
     every graph of the sequence.
     """
-    s, adj = _Surgery(g), dict(g.adjacency)
+    s = _Surgery(g)
+    adj: dict[str, dict[str, int]] = {vid: {} for vid in s.ids}
+    for a, b, m in g.edges:
+        adj[a][b] = adj[b][a] = m
     steps = []
     while len(s.ids) > 1:
         for v in s.verts:
             if v.self_int == -1 and v.kappa == -1:
-                step = TowerStep(v.id, adj[v.id])
+                step = _new(TowerStep, (v.id, tuple(sorted(adj[v.id].items()))))
                 if may_contract(step):
                     break
         else:
@@ -194,11 +202,11 @@ def contract_all(g: DualGraph, may_contract: Callable[[TowerStep], bool]) -> Tow
         # only the curves the contracted one met change neighbours
         del adj[step.new_id]
         for u, mu in step.attach:
-            nb = {w: m for w, m in adj[u] if w != step.new_id}
+            nb = adj[u]
+            del nb[step.new_id]
             for w, mw in step.attach:
                 if w != u:
                     nb[w] = nb.get(w, 0) + mu * mw
-            adj[u] = tuple(sorted(nb.items()))
         steps.append(step)
     return Tower(s.graph(), tuple(reversed(steps)), g)
 
@@ -261,17 +269,18 @@ class Tower(NamedTuple):
         """Total transform: the unique lift pairing to zero with every
         exceptional curve inserted between the two levels."""
         self._check_cycle(w, from_level)
+        top = self.graph(to_level)  # the one level check, before the direction
         if to_level < from_level:
             raise PreconditionError("pullback goes to a level >= its source")
-        top = self.graph(to_level)  # checks the level before it slices the steps
         return cycle(top, lift(w.as_dict(), self.steps[from_level:to_level]))
 
     def pushforward(self, w: Cycle, from_level: int, to_level: int) -> Cycle:
         """Restrict coefficients to the curves surviving at the lower level."""
         self._check_cycle(w, from_level)
+        target = self.graph(to_level)  # the one level check, before the direction
         if to_level > from_level:
             raise PreconditionError("pushforward goes to a level <= its source")
-        return w.restricted_to(self.graph(to_level))
+        return w.restricted_to(target)
 
     def _check_cycle(self, w: Cycle, level: int) -> None:
         if w.graph != self.graph(level):

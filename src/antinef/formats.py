@@ -170,17 +170,18 @@ def parse_graph_document(text: str | dict) -> GraphDocument:
     )
 
 
-def _graph_fields(g: DualGraph) -> dict[str, Any]:
-    """A graph's name, vertices and edges, as both document kinds write them."""
+def _graph_fields(name: str, g: DualGraph) -> dict[str, Any]:
+    """A name with a graph's vertices and edges, as both document kinds write
+    them: a graph document under its own name, a tower's base under the base's."""
     return {
-        "name": g.name,
+        "name": name,
         "vertices": [{"id": v.id, "self_int": v.self_int, "kappa": v.kappa} for v in g.vertices],
         "edges": [{"a": a, "b": b, "mult": m} for a, b, m in g.edges],
     }
 
 
 def emit_graph_document(doc: GraphDocument) -> str:
-    out: dict[str, Any] = {"format": FORMAT, **_graph_fields(doc.graph)}
+    out: dict[str, Any] = {"format": FORMAT, **_graph_fields(doc.name, doc.graph)}
     if doc.cycles:
         out["cycles"] = {name: coeff_map(doc.cycles[name]) for name in sorted(doc.cycles)}
     if doc.model is not None:
@@ -227,7 +228,7 @@ def parse_tower_document(text: str | dict) -> TowerDocument:
 
 def emit_tower_document(doc: TowerDocument) -> str:
     t = doc.tower
-    out: dict[str, Any] = {"format": FORMAT, "name": doc.name, "base": _graph_fields(t.bottom)}
+    out: dict[str, Any] = {"format": FORMAT, "name": doc.name, "base": _graph_fields(t.bottom.name, t.bottom)}
     steps = []
     for s in t.steps:
         if len(s.attach) == 1 and s.attach[0][1] == 1:

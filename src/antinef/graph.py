@@ -42,10 +42,15 @@ class Vertex(NamedTuple):
 
 
 class DualGraph(_Frozen):
-    def __init__(self, name: str, vertices: tuple[Vertex, ...], edges: tuple[tuple[str, str, int], ...]):
+    def __init__(self, name: str, vertices: tuple[Vertex, ...], edges: tuple[tuple[str, str, int], ...],
+                 _ids: Optional[tuple[str, ...]] = None, _definite: Optional[bool] = None):
+        # a builder that knows them, as a surgery does, seeds ids and negative_definite
         _set(self, "name", name)
         _set(self, "vertices", vertices)
         _set(self, "edges", edges)
+        for key, seed in (("ids", _ids), ("negative_definite", _definite)):
+            if seed is not None:
+                _set(self, key, seed)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -103,9 +108,10 @@ class DualGraph(_Frozen):
         det M and the canonical cycle's coefficients together."""
         return _eliminate(self.sparse_matrix(), [-v.kappa for v in self.vertices])
 
-    @property
+    @cached_property
     def negative_definite(self) -> bool:
-        """Sylvester's criterion on the intersection form, from the one elimination."""
+        """Sylvester's criterion on the intersection form, from the one
+        elimination or the definiteness its surgery carried."""
         return self._elimination.negative_definite
 
     @cached_property
@@ -182,12 +188,15 @@ class Cycle(_Frozen):
     ``coeffs`` is the nonzero (id, coefficient) pairs in vertex order, and
     ``rows`` is M.Z, the degrees Z.E_i in vertex order, computed once from
     the graph's cached rows; every pairing reads it.  Immutable; all
-    arithmetic returns fresh cycles.
+    arithmetic returns fresh cycles, and M.Z being linear, ``+``, ``-`` and
+    ``*`` carry it whenever every operand's is built.
     """
 
-    def __init__(self, graph: DualGraph, vec: tuple[Coeff, ...]):
+    def __init__(self, graph: DualGraph, vec: tuple[Coeff, ...], _rows: Optional[tuple[Coeff, ...]] = None):
         _set(self, "graph", graph)
         _set(self, "vec", vec)
+        if _rows is not None:  # M.Z, carried by the arithmetic below
+            _set(self, "rows", _rows)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -199,8 +208,13 @@ class Cycle(_Frozen):
 
     @cached_property
     def rows(self) -> tuple[Coeff, ...]:
-        z = self.vec
-        return _normal_vec(c * e2 + sum(m * z[j] for j, m in nbrs) for c, (e2, nbrs) in zip(z, self.graph._rows))
+        z, rows = self.vec, []
+        for c, (e2, nbrs) in zip(z, self.graph._rows):
+            row = c * e2
+            for j, m in nbrs:
+                row += m * z[j]
+            rows.append(row)
+        return _normal_vec(rows)
 
     @property
     def coeffs(self) -> tuple[tuple[str, Coeff], ...]:
@@ -234,7 +248,9 @@ class Cycle(_Frozen):
     def _binop(self, other: "Cycle", op: Callable[[Coeff, Coeff], Coeff]) -> "Cycle":
         if self.graph != other.graph:
             raise _graph_mismatch(self.graph, other.graph)
-        return Cycle(self.graph, _normal_vec(map(op, self.vec, other.vec)))
+        r, q = self.__dict__.get("rows"), other.__dict__.get("rows")
+        rows = None if r is None or q is None else _normal_vec(map(op, r, q))
+        return Cycle(self.graph, _normal_vec(map(op, self.vec, other.vec)), rows)
 
     def __add__(self, other: "Cycle") -> "Cycle":
         return self._binop(other, add)
@@ -245,7 +261,9 @@ class Cycle(_Frozen):
     def __mul__(self, scalar: Coeff) -> "Cycle":
         if not isinstance(scalar, (int, Fraction)):
             raise InputError(f"a cycle's scalar must be an integer or Fraction, got {type(scalar).__name__}")
-        return Cycle(self.graph, _normal_vec(scalar * c for c in self.vec))
+        r = self.__dict__.get("rows")
+        rows = None if r is None else _normal_vec(scalar * x for x in r)
+        return Cycle(self.graph, _normal_vec(scalar * c for c in self.vec), rows)
 
     __rmul__ = __mul__
 
@@ -300,7 +318,7 @@ def normal(c: Coeff) -> Coeff:
 def _normal_vec(values: Iterable[Coeff]) -> tuple[Coeff, ...]:
     """:func:`normal` on every value, skipped when all are ints already."""
     vec = tuple(values)
-    return vec if all(c.__class__ is int for c in vec) else tuple(map(normal, vec))
+    return vec if {int}.issuperset(map(type, vec)) else tuple(map(normal, vec))
 
 
 def zero_cycle(graph: DualGraph) -> Cycle:
@@ -445,9 +463,10 @@ def laufer_closure(g: DualGraph, z: list[int], on_step: Optional[Callable[[str, 
     While some Z.E_i > 0, z_i is raised by ceil(Z.E_i / -E_i^2) in one step:
     every anti-nef W >= Z has that much more there, as off-diagonal entries
     are >= 0.  Vertices go in order, so ``on_step(vid, new_coeff)`` sees a
-    reproducible sequence of raises.  The graph's one elimination decides
-    definiteness before the first scan, so a graph that is not negative
-    definite raises PreconditionError even when z is already anti-nef.
+    reproducible sequence of raises.  The graph's one elimination, or the
+    definiteness its surgery carried, decides definiteness before the first
+    scan, so a graph that is not negative definite raises PreconditionError
+    even when z is already anti-nef.
     """
     if not g.negative_definite:
         raise PreconditionError(f"antinef_closure needs a negative-definite graph; {g.name!r} is not")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antinef import birational, corpus
+from antinef import birational, corpus, graph
 from antinef.birational import (
     Tower,
     TowerStep,
@@ -150,6 +150,16 @@ class TestTower:
         z = fundamental_cycle(t.top)
         with pytest.raises(PreconditionError):
             t.pullback(z, 2, 0)
+
+    def test_a_level_out_of_range_is_refused_before_the_direction(self):
+        t = self._tower()
+        z, zb = fundamental_cycle(t.top), fundamental_cycle(t.bottom)
+        with pytest.raises(InputError, match=r"^tower has levels 0\.\.2, not 7$"):
+            t.pushforward(z, 2, 7)
+        with pytest.raises(InputError, match=r"^tower has levels 0\.\.2, not -1$"):
+            t.pullback(zb, 0, -1)
+        with pytest.raises(InputError, match=r"^tower has levels 0\.\.2, not 3$"):
+            t.pullback(z, 3, 2)
 
     def test_relative_canonical_checks_its_levels(self):
         t = self._tower()
@@ -334,6 +344,44 @@ def test_every_level_is_the_replay_of_the_steps_below_it(data):
         assert (levels[0], levels[-1]) == (t.bottom, t.top)
         for k in range(t.height + 1):
             assert t.graph(k) == levels[k] == replay(t.bottom, t.steps[:k])
+
+
+# bases that are not negative definite: two (-1)-curves meeting once
+# (semidefinite), a curve with E^2 = 0, one with E^2 = 1, and a cycle of
+# (-2)-curves (the affine A_3, semidefinite)
+_NOT_DEFINITE = [
+    dual_graph("semi", [("E1", -1, -1), ("E2", -1, -1)], [("E1", "E2")]),
+    dual_graph("zero", [("E", 0, -2)]),
+    dual_graph("plus", [("E", 1, -3), ("F", -2, 0)], [("E", "F")]),
+    dual_graph("affine", [(f"E{i}", -2, 0) for i in range(4)], [(f"E{i}", f"E{(i + 1) % 4}") for i in range(4)]),
+]
+
+
+def _own_definiteness(g):
+    """Definiteness from g's own elimination, whatever g carries."""
+    return graph._eliminate(g.sparse_matrix()).negative_definite
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_every_surgery_carries_its_parents_definiteness(data):
+    """A step adds or removes an orthogonal (-1), so the definiteness a
+    surgery carries up or down a tower of up to 500 levels is each graph's
+    own; a parent whose definiteness is unknown passes nothing on."""
+    base = data.draw(st.sampled_from([corpus.get(name).graph for name in ("A3", "D5", "ex244min")] + _NOT_DEFINITE))
+    base = dual_graph(base.name, base.vertices, base.edges)  # fresh: nothing cached
+    known = data.draw(st.booleans())
+    if known:
+        assert base.negative_definite == _own_definiteness(base)
+    want = _own_definiteness(base) if known else None
+    t = grow(data, Tower.base(base), data.draw(st.integers(min_value=1, max_value=500)))
+    h = t.height
+    down = contract_all(t.top, lambda step: True).bottom
+    mid = [t.graph(data.draw(st.integers(0, h // 2))), t.graph(data.draw(st.integers(h // 2 + 1, h)))]
+    levels = t.levels
+    assert {vars(g).get("negative_definite") for g in levels + (down, *mid)} == {want}
+    for g in [t.top, down, *mid, levels[data.draw(st.integers(0, h))]]:
+        assert g.negative_definite == _own_definiteness(g) == _own_definiteness(base)
 
 
 def test_contract_all_from_steps_and_blow_up_each_freeze_one_graph(monkeypatch):

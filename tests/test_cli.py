@@ -405,6 +405,10 @@ class TestRefusals:
          "edge point needs two distinct curves"),
         (["pushforward", "--tower", "EX", "--cycle", "E0:1", "--from", "0", "--to", "2"], 2,
          "pushforward goes to a level <= its source"),
+        (["pushforward", "--tower", "EX", "--cycle", "Z", "--from", "4", "--to", "7"], 1,
+         "tower has levels 0..4, not 7"),
+        (["pullback", "--tower", "EX", "--cycle", "E0:1", "--from", "0", "--to", "-1"], 1,
+         "tower has levels 0..4, not -1"),
         (["pg-test", "--tower", "EX", "--cycle", "Z", "--level", "0"], 1,
          "cycle 'Z' is declared at level 4, not 0"),
         (["pg-test", "--graph", "A1B", "--cycle", "E:0"], 2, "an ideal needs an integral cycle Z > 0"),
@@ -435,7 +439,8 @@ class TestRefusals:
          "antinef_closure needs a negative-definite graph; 'semi' is not"),
         (["is-rational", "--graph", "SEMI"], 2, "antinef_closure needs a negative-definite graph; 'semi' is not"),
     ], ids=[
-        "edge-point-on-one-curve", "pushforward-upward", "declared-level", "zero-cycle", "level-on-a-graph",
+        "edge-point-on-one-curve", "pushforward-upward", "pushforward-past-the-top", "pullback-below-the-base",
+        "declared-level", "zero-cycle", "level-on-a-graph",
         "h1-on-rational", "h1-on-pg-cycle", "h1-above-pg", "h1-negative", "h1-missing", "indefinite-pg-test",
         "indefinite-colon-core", "indefinite-canonical-cycle", "non-pg-good-closure",
         "indefinite-fundamental-cycle", "indefinite-antinef-closure", "indefinite-is-rational",

@@ -38,6 +38,15 @@ class TestGraphDocuments:
         text = emit_graph_document(_graph_doc(name))
         doc = parse_graph_document(text)
         assert emit_graph_document(doc) == text
+        assert doc.name == name  # ex244blown's graph is named ex244min
+
+    def test_a_document_named_apart_from_its_graph_keeps_its_name(self):
+        g = corpus.get("A3").graph
+        text = emit_graph_document(GraphDocument("other", g))
+        doc = parse_graph_document(text)
+        assert json.loads(text)["name"] == doc.name == doc.graph.name == "other"
+        assert (doc.graph.vertices, doc.graph.edges) == (g.vertices, g.edges)
+        assert emit_graph_document(doc) == text
 
     def test_genus_converts_to_kappa(self):
         text = json.dumps(

@@ -3,15 +3,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from antinef import corpus
 from antinef.errors import InputError, PreconditionError
 from antinef.graph import (
+    Cycle,
     _eliminate,
     cycle,
     det_bareiss,
     dual_graph,
+    normal,
     unit_cycle,
     validate_graph,
     zero_cycle,
@@ -160,6 +162,31 @@ def test_cycle_group_laws(a, b):
     assert za - za == zero_cycle(g)
     assert -(za + zb) == (-za) + (-zb)
     assert 2 * za == za + za
+
+
+_RATIONALS = st.one_of(_COEFFS, st.fractions(min_value=-4, max_value=4, max_denominator=3))
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_arithmetic_carries_m_z_when_every_operand_has_built_it(data):
+    """M.Z is linear: a sum, a difference and a multiple carry the rows of
+    operands that built theirs, equal to the rows their vector gives, in
+    normal form; an operand without built rows seeds nothing."""
+    g = corpus.get(data.draw(st.sampled_from(["D4", "E6", "HJ(7,3)"]))).graph
+    n = len(g.ids)
+    a, b = (Cycle(g, tuple(map(normal, data.draw(st.lists(_RATIONALS, min_size=n, max_size=n))))) for _ in "ab")
+    for z in (a, b):
+        if data.draw(st.booleans()):
+            assert z.rows  # built
+    scalar = data.draw(st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+    for result, operands in ((a + b, (a, b)), (a - b, (a, b)), (b - a, (a, b)), (scalar * a, (a,)),
+                             (b * scalar, (b,)), (-a, (a,))):
+        carried = vars(result).get("rows")
+        assert (carried is not None) == all("rows" in vars(z) for z in operands)
+        if carried is not None:
+            fresh = Cycle(g, result.vec).rows
+            assert carried == fresh and list(map(type, carried)) == list(map(type, fresh))
 
 
 class TestCorpusNames:

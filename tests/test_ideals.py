@@ -1,10 +1,12 @@
 """Ideal representations: colon, core, goodness, cones."""
 
+import random
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from antinef import birational, corpus, ideals, lattice
-from antinef.birational import Tower, TowerStep, contract, free_point, relative_canonical
+from antinef import birational, corpus, graph, ideals, lattice
+from antinef.birational import Tower, TowerStep, contract, edge_point, free_point, relative_canonical
 from antinef.errors import PreconditionError, TheoremViolationError
 from antinef.graph import cycle, dual_graph, unit_cycle
 from antinef.ideals import (
@@ -690,3 +692,27 @@ def test_good_closure_refuses_a_contraction_to_the_base_that_does_not_replay():
         mp.setattr(ideals, "contract_all", short)
         with pytest.raises(TheoremViolationError, match="did not replay to the off-C bottom"):
             good_closure(ideal)
+
+
+def test_a_tower_top_is_never_eliminated_once_its_base_is(monkeypatch):
+    """A blow-up keeps the form definite, and the surgery carries that up: a
+    200-level tower over a validated base, closed, cut by its colon and core
+    and tested for goodness on its top, runs the one elimination of the base."""
+    calls = []
+    eliminate = graph._eliminate
+    monkeypatch.setattr(graph, "_eliminate", lambda *args: calls.append(args) or eliminate(*args))
+    d5 = corpus.get("D5").graph
+    base = dual_graph(d5.name, d5.vertices, d5.edges)  # fresh: nothing cached
+    model = singularity_model(base)
+    rng = random.Random(200)
+    t = Tower.base(base)
+    for k in range(199):  # a crossing in every other step
+        top, new = t.top, f"F{k:03d}"
+        t = t.blow_up(free_point(rng.choice(top.ids), new) if k % 2 else edge_point(*rng.choice(top.edges)[:2], new))
+    zf = fundamental_cycle(base)
+    # the last centre is a free point on a curve B with Z_f.B < 0: a non-good ideal
+    t = t.blow_up(free_point(next(v for v in base.ids if row_pairing(zf, v) < 0), "F199"))
+    z = antinef_closure(t.pullback(zf, 0, t.height) + unit_cycle(t.top, "F199"))
+    ideal = represent(model, t, t.height, z)
+    assert max(colon_and_core(ideal).b) == 1 and not is_good(ideal)
+    assert len(calls) == 1 and t.top.negative_definite

@@ -1,10 +1,10 @@
 """Hygiene of the package: no unused imports, no unreferenced private
 module-level names, no public function that only its own module calls,
-one home for the int-if-integral rule and for the
-graph-mismatch message, no numpy or dataclasses anywhere, an oracle that
-imports only errors and graph, no query outside birational that builds
-every level of a tower, and a CLI call that loads only what its command
-runs."""
+one home for the int-if-integral rule and for the graph-mismatch message,
+no write into an object's ``__dict__``, no numpy or dataclasses anywhere,
+an oracle that imports only errors and graph, no query outside birational
+that builds every level of a tower, and a CLI call that loads only what
+its command runs."""
 
 import ast
 import json
@@ -142,6 +142,47 @@ def test_integral_test_scan_sees_a_planted_copy():
         "    return int(total) if total.denominator == 1 else total\n"
     )
     assert _integral_tests(source) == ["line 4"]
+
+
+_DICT_WRITERS = ("update", "setdefault", "pop", "popitem", "clear")
+
+
+def _dict_writes(source: str) -> list[str]:
+    """The lines that write into an object's ``__dict__`` (or ``vars(x)``):
+    an item set or deleted, a mutating method called, or the dict replaced.
+    A cached value is seeded through its object's constructor instead."""
+    def is_dict(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "__dict__") or (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "vars")
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) and is_dict(node.value):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "__dict__" and not isinstance(node.ctx, ast.Load):
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr in _DICT_WRITERS and is_dict(node.value):
+            lines.add(node.lineno)
+    return [f"line {line}" for line in sorted(lines)]
+
+
+def test_nothing_writes_into_an_objects_dict():
+    assert _scan(_dict_writes, with_init=True) == {}
+
+
+def test_dict_write_scan_sees_a_planted_copy():
+    source = (
+        "def f(g, ids):\n"
+        "    seen = g.__dict__.get('ids'), vars(g).get('rows')\n"
+        "    g.__dict__['ids'] = ids\n"
+        "    vars(g)['rows'] = seen\n"
+        "    g.graph.__dict__.update(ids=ids)\n"
+        "    del g.__dict__['ids']\n"
+        "    g.__dict__ = {}\n"
+        "    g.__dict__['n'] += 1\n"
+        "    return {'__dict__': 1}['__dict__'], g.__dict__['ids']\n"
+    )
+    assert _dict_writes(source) == ["line 3", "line 4", "line 5", "line 6", "line 7", "line 8"]
 
 
 def _attribute_reads(source: str, names: tuple[str, ...]) -> list[str]:
