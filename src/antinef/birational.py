@@ -8,13 +8,15 @@ whose curves all meet the new one once (:func:`free_point`,
 upper one, so contraction sequences become towers read in reverse.  Both
 directions are one signed surgery, and cycles move up the steps by one rule,
 :func:`lift` for total transforms and :func:`transported` for the
-cohomological cycle.
+cohomological cycle C, which is effective and integral.  The associated
+p_g-cycle follows its count: each branch through E_i is blown up C[E_i]
+times.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
@@ -340,28 +342,21 @@ def transport_cohom(t: Tower, c_base: Cycle) -> Cycle:
     """The cohomological cycle on the tower's top, carried up from the bottom
     by one pass of :func:`transported`.  A step only adds the new curve's
     coefficient, so C at a level is this cycle restricted to that level's
-    curves; each new coefficient is checked to be >= 0."""
+    curves.  C must be effective and integral; then each new coefficient,
+    sum m.C[u] - 1 when some C[u] > 0 and 0 otherwise, is again a
+    non-negative integer."""
     if not c_base.is_effective:
         raise PreconditionError("cohomological cycle must be effective")
+    if not c_base.is_integral:
+        raise PreconditionError("cohomological cycle must be integral")
     if c_base.graph != t.bottom:
         raise PreconditionError("cohomological cycle must live on the tower's bottom level")
     if c_base.is_zero:  # each step adds sum m.C[u] = 0: zero on every level
         return zero_cycle(t.top)
     coeffs = c_base.as_dict()
-    for k, step in enumerate(t.steps):
-        c = coeffs[step.new_id] = transported(coeffs, step.attach)
-        if c < 0:
-            raise PreconditionError(
-                f"cohomological cycle turned negative at level {k + 1}; inconsistent input"
-            )
+    for step in t.steps:
+        coeffs[step.new_id] = transported(coeffs, step.attach)
     return cycle(t.top, coeffs)
-
-
-def _fresh_id(taken, stem: str = "P") -> str:
-    n = 1
-    while f"{stem}{n}" in taken:
-        n += 1
-    return f"{stem}{n}"
 
 
 def associated_pg_cycle(
@@ -376,7 +371,11 @@ def associated_pg_cycle(
 
     ``branches`` lists, per vertex of the tower's top graph, how many
     transverse branches of the strict transform pass through it.  They must
-    balance the pairing: branches on E_i = -Z.E_i for every vertex.
+    balance the pairing: branches on E_i = -Z.E_i for every vertex.  A free
+    point on supp C lowers C by 1 on the new curve, so each branch through
+    E_i is blown up C[E_i] times, branch after branch in the order the records
+    first name their curves; the new curves are P1, P2, ... by one counter
+    that skips the top's own names, and Z gains each one's total transform.
     """
     g = t0.top
     if z.graph != g:
@@ -387,24 +386,22 @@ def associated_pg_cycle(
     for vid, n in branches:
         if vid not in g.ids:
             raise InputError(f"branch record names unknown vertex {vid!r}")
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InputError("branch counts must be integers")
         if n < 0:
             raise InputError("branch counts must be >= 0")
         counts[vid] = counts.get(vid, 0) + n
     for vid, row in zip(g.ids, z.rows):
         if counts.get(vid, 0) != -row:
             raise PreconditionError(f"branch balance fails on {vid!r}: {counts.get(vid, 0)} branches, -Z.E = {-row}")
-    live = [vid for vid, n in counts.items() for _ in range(n)]
-    zc, cc = z.as_dict(), transport_cohom(t0, c_base).as_dict()
-    t = t0
-    while True:
-        for i, vid in enumerate(live):
-            if cc.get(vid, 0) > 0:
-                break
-        else:
-            return t, cycle(t.top, zc)
-        step = free_point(vid, _fresh_id(set(t.top.ids) | set(live)))
-        t = t.blow_up(step)
-        # Z' = pullback + E_new, C' = pullback - E_new (the center is on supp C)
-        zc = lift(zc, [step], [1])
-        cc[step.new_id] = transported(cc, step.attach)
-        live[i] = step.new_id
+    cc = transport_cohom(t0, c_base).as_dict()
+    taken, steps = set(g.ids), []
+    names = (f"P{k}" for k in count(1) if f"P{k}" not in taken)
+    for vid, n in counts.items():
+        for _ in range(n):
+            tip = vid
+            for _ in range(cc.get(vid, 0)):
+                steps.append(free_point(tip, next(names)))
+                tip = steps[-1].new_id
+    t = Tower(t0.bottom, t0.steps + tuple(steps), replay(g, steps))
+    return t, cycle(t.top, lift(z.as_dict(), steps, [1] * len(steps)))

@@ -358,11 +358,11 @@ class ConeStats(NamedTuple):
         )
 
 
-def cone_model(e: int, g: int, a: int, pg: Optional[int] = None):
-    """Graded cone over a genus-g curve with a degree-e polarization and
-    a-invariant a: builds the one-vertex base, runs the associated-p_g-cycle
-    procedure on the maximal ideal, and checks the closed formulas
-    l = e+g-1, mu = e+1, e(I) - e(m) = (a+1)e.
+def cone_model(e: int, g: int, a: int):
+    """Graded cone over a genus-g curve with a degree-e polarization,
+    a-invariant a and pg = g: builds the one-vertex base, runs the
+    associated-p_g-cycle procedure on the maximal ideal, and checks the
+    closed formulas l = e+g-1, mu = e+1, e(I) - e(m) = (a+1)e.
 
     Returns (model, ideal, stats).
     """
@@ -372,18 +372,16 @@ def cone_model(e: int, g: int, a: int, pg: Optional[int] = None):
         raise PreconditionError(
             f"inconsistent cone parameters: a*e = {a * e} but deg K_C = {2 * g - 2}"
         )
-    if pg is None:
-        pg = g
     base = dual_graph(f"cone({e},{g},{a})", [("E", -e, 2 * g - 2 + e)])
     c_base = (a + 1) * unit_cycle(base, "E")
-    model = singularity_model(base, pg=pg, gorenstein=True)
+    model = singularity_model(base, pg=g, gorenstein=True)
     if model.c_base != c_base:
         raise TheoremViolationError("canonical cycle of the cone base is not (a+1)E")
     m_cycle = unit_cycle(base, "E")
     tower, z = associated_pg_cycle(Tower.base(base), m_cycle, [("E", e)], model.c_base)
     ideal = represent(model, tower, tower.height, z)
     stats = ConeStats(
-        colength=colength(z, pg, pg),
+        colength=colength(z, g, g),
         colength_expected=e + g - 1,
         mu=-pair(m_cycle, m_cycle) + 1,
         mu_expected=e + 1,

@@ -1,5 +1,6 @@
 """Blow-ups, contractions, towers, and cycle transport."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -232,15 +233,21 @@ class TestTransportRefusals:
     @pytest.mark.parametrize("c_base, message", [
         (lambda t: -unit_cycle(t.bottom, "E0"), "cohomological cycle must be effective"),
         (lambda t: unit_cycle(t.top, "E0"), "cohomological cycle must live on the tower's bottom level"),
-        # C = E0/2 transports to 1/2 - 1 on the curve blown up on E0
-        (lambda t: cycle(t.bottom, {"E0": Fraction(1, 2)}),
-         "cohomological cycle turned negative at level 1; inconsistent input"),
-    ], ids=["not-effective", "not-on-the-bottom", "turns-negative"])
+        # C = E0/2 would transport to 1/2 - 1 on the curve blown up on E0
+        (lambda t: cycle(t.bottom, {"E0": Fraction(1, 2)}), "cohomological cycle must be integral"),
+    ], ids=["not-effective", "not-on-the-bottom", "not-integral"])
     def test_transport_cohom(self, c_base, message):
         t = _ex244_steps()
         with pytest.raises(PreconditionError) as err:
             transport_cohom(t, c_base(t))
         assert str(err.value) == message
+
+    def test_a_non_integral_c_is_refused_where_it_would_stay_effective(self):
+        # C = 3/2 E0 over one free point of E0 would transport to 1/2
+        t = Tower.base(corpus.get("ex244min").graph).blow_up(free_point("E0", "E1"))
+        with pytest.raises(PreconditionError) as err:
+            transport_cohom(t, cycle(t.bottom, {"E0": Fraction(3, 2)}))
+        assert str(err.value) == "cohomological cycle must be integral"
 
     @pytest.mark.parametrize("z, branches, error, message", [
         (lambda t: unit_cycle(t.bottom, "E"), [("E", 1)], PreconditionError,
@@ -249,7 +256,15 @@ class TestTransportRefusals:
         (lambda t: antinef_closure(unit_cycle(t.top, "E")), [("X", 1)], InputError,
          "branch record names unknown vertex 'X'"),
         (lambda t: antinef_closure(unit_cycle(t.top, "E")), [("E", -1)], InputError, "branch counts must be >= 0"),
-    ], ids=["not-on-the-top", "not-antinef", "unknown-vertex", "negative-count"])
+        # -Z.E = 2 here, so each of these records would balance
+        (lambda t: antinef_closure(unit_cycle(t.top, "E")), [("E", 2.0)], InputError,
+         "branch counts must be integers"),
+        (lambda t: antinef_closure(unit_cycle(t.top, "E")), [("E", "2")], InputError,
+         "branch counts must be integers"),
+        (lambda t: antinef_closure(unit_cycle(t.top, "E")), [("E", True), ("E", 1)], InputError,
+         "branch counts must be integers"),
+    ], ids=["not-on-the-top", "not-antinef", "unknown-vertex", "negative-count", "float-count", "string-count",
+            "bool-count"])
     def test_associated_pg_cycle(self, z, branches, error, message):
         base = dual_graph("cone", [("E", -2, 2)])
         t = Tower.base(base).blow_up(free_point("E", "P"))
@@ -574,6 +589,22 @@ def test_a_zero_cohomological_cycle_skips_the_pass_and_matches_it(data):
         assert transport_cohom(t, c_base) == cycle(t.top, coeffs)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_transport_keeps_an_integral_effective_c_effective(data):
+    """Why ``transport_cohom`` needs no check inside its pass: over steps of
+    one attachment each, of multiplicity 1 to 3, an integral C >= 0 gains
+    sum m.C[u] - 1 >= 0 when some C[u] > 0, and 0 otherwise."""
+    base = corpus.get(data.draw(st.sampled_from(["A1", "A4", "D5", "ex244min"]))).graph
+    ids, steps = list(base.ids), []
+    for k in range(data.draw(st.integers(0, 20))):
+        steps.append(TowerStep(f"N{k}", ((data.draw(st.sampled_from(ids)), data.draw(st.integers(1, 3))),)))
+        ids.append(f"N{k}")
+    t = Tower.from_steps(base, steps)
+    c = transport_cohom(t, cycle(base, {vid: data.draw(st.integers(0, 3)) for vid in base.ids}))
+    assert c.is_effective and c.is_integral
+
+
 # --- associated_pg_cycle's loop as it was written on Cycles ------------------
 
 
@@ -621,3 +652,65 @@ def test_associated_pg_cycle_matches_the_cycle_loop(data):
     branches = data.draw(st.permutations([(vid, -row_pairing(z, vid)) for vid in g.ids]))
     want = _reference_associated_pg_cycle(t, z, branches, c_base)
     assert associated_pg_cycle(t, z, branches, c_base) == want
+
+
+def _assert_count_rule(t0, branches, c_base, t, z):
+    """The associated p_g-cycle checked by its count, in time linear in the
+    height: sum n.C[E_i] new curves over the records (E_i, n), each a free
+    point; one branch tip per branch, on its last new curve or on E_i when
+    C[E_i] = 0; Z.E = -(tips on E) for every curve E of the top; C = 0 at
+    every tip."""
+    c0 = transport_cohom(t0, c_base)
+    assert t.bottom == t0.bottom and t.steps[:t0.height] == t0.steps
+    new = t.steps[t0.height:]
+    assert len(new) == sum(n * c0.coeff(vid) for vid, n in branches)
+    assert all(len(step.attach) == 1 and step.attach[0][1] == 1 for step in new)
+    tips = Counter(vid for vid, n in branches for _ in range(n) if c0.coeff(vid) == 0)
+    continued = {step.attach[0][0] for step in new}
+    tips.update(step.new_id for step in new if step.new_id not in continued)
+    assert sum(tips.values()) == sum(n for _, n in branches)
+    assert dict(zip(t.top.ids, z.rows)) == {vid: -tips[vid] for vid in t.top.ids}
+    c = transport_cohom(t, c_base)
+    assert all(c.coeff(vid) == 0 for vid in tips)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_associated_pg_cycle_blows_each_branch_up_c_times(data):
+    if data.draw(st.booleans()):
+        # a cone base, Z = E with e branches and C = kE, up to heights near 2,000
+        e, genus = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3))
+        base = dual_graph("cone", [("E", -e, 2 * genus - 2 + e)])
+        t, z = Tower.base(base), unit_cycle(base, "E")
+        c_base = data.draw(st.integers(1, 2000 // e)) * z
+    else:
+        # ex244min with levels named P<k>, which the new curves' names skip
+        base = corpus.get("ex244min").graph
+        t = grow(data, Tower.base(base), data.draw(st.integers(0, 4)))
+        for k in data.draw(st.lists(st.integers(1, 9), unique=True, max_size=4)):
+            t = t.blow_up(free_point(data.draw(st.sampled_from(t.top.ids)), f"P{k}"))
+        c_base = data.draw(st.integers(1, 3)) * unit_cycle(base, "E0")
+        g = t.top
+        z = antinef_closure(cycle(g, data.draw(st.dictionaries(st.sampled_from(g.ids), st.integers(1, 3), min_size=1))))
+    branches = data.draw(st.permutations([(vid, -row_pairing(z, vid)) for vid in t.top.ids]))
+    top, z_top = associated_pg_cycle(t, z, branches, c_base)
+    _assert_count_rule(t, branches, c_base, top, z_top)
+    if top.height <= 30:
+        assert (top, z_top) == _reference_associated_pg_cycle(t, z, branches, c_base)
+
+
+def test_associated_pg_cycle_builds_its_top_by_one_replay(monkeypatch):
+    """The cone(1, 2000, 3998) base, C = 3,999 E and one branch: 3,999
+    blow-ups from one transport of C and one replay."""
+    calls = Counter()
+    for name in ("replay", "transport_cohom"):
+        def counted(*args, _f=getattr(birational, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(birational, name, counted)
+    base = dual_graph("cone(1,2000,3998)", [("E", -1, 3999)])
+    m, c_base = unit_cycle(base, "E"), 3999 * unit_cycle(base, "E")
+    t, z = associated_pg_cycle(Tower.base(base), m, [("E", 1)], c_base)
+    assert calls == {"replay": 1, "transport_cohom": 1}
+    assert t.height == 3999
+    _assert_count_rule(Tower.base(base), [("E", 1)], c_base, t, z)
