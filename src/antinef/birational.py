@@ -247,22 +247,16 @@ class Tower(NamedTuple):
         return tuple(levels)
 
     def graph(self, level: int) -> DualGraph:
-        """Level k, replayed from the nearer stored end in min(k, h - k) steps:
-        down from the top by :meth:`_Surgery.patch` with sign -1.  This is
-        the one level check: a level that is not an int, or is a bool,
-        raises InputError."""
+        """Level k: the stored top or bottom at either end, and otherwise
+        :func:`replay` up from the bottom in k steps.  This is the one level
+        check: a level that is not an int, or is a bool, raises InputError."""
         if isinstance(level, bool) or not isinstance(level, int):
             raise InputError(f"a tower level must be an int, not {type(level).__name__}")
         if not 0 <= level <= self.height:
             raise InputError(f"tower has levels 0..{self.height}, not {level}")
         if level == self.height:
             return self.top
-        if 2 * level <= self.height:
-            return self.bottom if level == 0 else replay(self.bottom, self.steps[:level])
-        s = _Surgery(self.top)
-        for step in reversed(self.steps[level:]):
-            s.patch(step.new_id, step.attach, -1)
-        return s.graph()
+        return self.bottom if level == 0 else replay(self.bottom, self.steps[:level])
 
     def blow_up(self, step: TowerStep) -> "Tower":
         return Tower(self.bottom, self.steps + (step,), apply_step(self.top, step))
@@ -331,20 +325,18 @@ def relative_canonical(t: Tower, top_level: Optional[int] = None, bottom_level: 
 
 def transported(coeffs: Mapping[str, Coeff], attach: Sequence[tuple[str, int]]) -> Coeff:
     """The cohomological cycle's coefficient on a curve inserted with these
-    attachments: its total transform sum m.C[u], minus 1 when the center lies
-    on supp C (some C[u] > 0)."""
-    on_curves = [coeffs.get(vid, 0) for vid, _ in attach]
-    lifted = sum(m * c for (_, m), c in zip(attach, on_curves))
-    return lifted - 1 if any(c > 0 for c in on_curves) else lifted
+    attachments: max(sum m.C[u] - 1, 0).  For an effective integral C and
+    every m >= 1 the sum is positive exactly when the center lies on supp C,
+    so this is the total transform less 1 there and 0 elsewhere."""
+    return max(sum(m * coeffs.get(vid, 0) for vid, m in attach) - 1, 0)
 
 
 def transport_cohom(t: Tower, c_base: Cycle) -> Cycle:
     """The cohomological cycle on the tower's top, carried up from the bottom
-    by one pass of :func:`transported`.  A step only adds the new curve's
-    coefficient, so C at a level is this cycle restricted to that level's
-    curves.  C must be effective and integral; then each new coefficient,
-    sum m.C[u] - 1 when some C[u] > 0 and 0 otherwise, is again a
-    non-negative integer."""
+    by one pass of :func:`transported`.  A level's C is this transport over
+    that level's own steps, the tower cut at the level.  C must be effective
+    and integral; then each new coefficient, max(sum m.C[u] - 1, 0), is
+    again a non-negative integer."""
     if not c_base.is_effective:
         raise PreconditionError("cohomological cycle must be effective")
     if not c_base.is_integral:

@@ -80,9 +80,15 @@ def _minimalize(g: DualGraph, c: Cycle) -> tuple[Tower, Cycle]:
     """Contract rational (-1)-curves down to a minimal resolution, keeping the
     cohomological cycle consistent; returns the tower with g on top and the
     cycle on the bottom graph.  A curve may go only if transport along its
-    re-insertion gives back C's coefficient on it."""
+    re-insertion gives back C's coefficient on it.  The transport rule holds
+    for an effective integral C, so a declared C that is not effective, then
+    one that is not integral, is refused before anything is contracted."""
     from .birational import contract_all, transported
 
+    if not c.is_effective:
+        raise PreconditionError("cohomological cycle must be effective")
+    if not c.is_integral:
+        raise PreconditionError("cohomological cycle must be integral")
     cc = c.as_dict()
     tower = contract_all(g, lambda step: cc.get(step.new_id, 0) == transported(cc, step.attach))
     return tower, c.restricted_to(tower.bottom)

@@ -123,7 +123,7 @@ def represent(
         raise PreconditionError("an ideal needs an integral cycle Z > 0")
     if not is_antinef(z):
         raise PreconditionError(f"{z} is not anti-nef")
-    c = transport_cohom(tower, model.c_base).restricted_to(g)
+    c = transport_cohom(Tower(tower.bottom, tower.steps[:level], g), model.c_base)
     numeric = _pg_numeric(z, c)
     if model.rational:
         if h1 not in (None, 0):
@@ -198,9 +198,8 @@ def _off_c_tower(g: DualGraph, c: Cycle) -> Tower:
     """The contraction sequence of g by :func:`_off_c`, checked to replay to g.
 
     It is contracted and checked once per graph and C, then kept with g,
-    keyed by C's vector on g (C restricted by name when it lives on another
-    graph); a failed check raises and keeps nothing."""
-    c = c.restricted_to(g)
+    keyed by the vector of C, which lives on g; a failed check raises and
+    keeps nothing."""
     kept = g._off_c_towers.get(c.vec)
     if kept is None:
         local = contract_all(g, _off_c(c))

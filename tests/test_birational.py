@@ -71,6 +71,11 @@ class TestBlowup:
         with pytest.raises(InputError):
             blowup(g, free_point("E1", "E1"))
 
+    def test_an_attachment_of_multiplicity_0_is_refused(self):
+        with pytest.raises(InputError) as err:
+            apply_step(corpus.get("A2").graph, TowerStep("C", (("E1", 0),)))
+        assert str(err.value) == "attach multiplicities must be >= 1"
+
 
 class TestContract:
     def test_roundtrip_free(self):
@@ -414,22 +419,25 @@ def test_contract_all_from_steps_and_blow_up_each_freeze_one_graph(monkeypatch):
         assert len(frozen) == 1
 
 
-def test_a_level_is_replayed_from_the_nearer_end(monkeypatch):
+def test_a_level_is_replayed_up_from_the_bottom(monkeypatch):
     t = Tower.base(corpus.get("D5").graph)
     for k in range(25):  # crossings and free points, so edges are patched both ways
         last, new = t.top.ids[-1], f"F{k:02d}"
         nb = t.top.adjacency[last][0][0]
         t = t.blow_up(free_point(last, new) if k % 2 else edge_point(last, nb, new))
     levels = t.levels
-    patches = []
+    signs = []
     patch = birational._Surgery.patch
-    monkeypatch.setattr(birational._Surgery, "patch", lambda s, *args: patches.append(args) or patch(s, *args))
+    monkeypatch.setattr(birational._Surgery, "patch",
+                        lambda s, new_id, attach, sign, *at: signs.append(sign) or patch(s, new_id, attach, sign, *at))
     for k in range(t.height + 1):
-        patches.clear()
+        signs.clear()
         g = t.graph(k)
-        assert len(patches) <= min(k, t.height - k)
+        # the ends are stored; a level between is k steps up from the bottom
+        assert signs == ([] if k == t.height else [1] * k)
         assert g == levels[k]
         _assert_canonical(g)
+    assert t.graph(0) is t.bottom and t.graph(t.height) is t.top
 
 
 def test_a_level_out_of_range_is_refused():

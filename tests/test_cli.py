@@ -1,13 +1,14 @@
 """Command-line surface: thin-wrapper behavior and exit codes."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from antinef import corpus
-from antinef.cli import _build_parser, _read, main
-from antinef.errors import InputError
+from antinef import birational, corpus
+from antinef.cli import _build_parser, _minimalize, _read, main
+from antinef.errors import InputError, PreconditionError
 from antinef.formats import emit_graph_document, emit_tower_document, GraphDocument, TowerDocument
 from antinef.graph import cycle, dual_graph
 from antinef.lattice import fundamental_cycle, is_rational
@@ -101,6 +102,26 @@ class TestDeclaredCohomologicalCycle:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "not a minimal resolution" in captured.err
+
+    @pytest.mark.parametrize("cohom, message", [
+        # unchecked, the transport rule would contract E1..E4 under the first and
+        # none under the second, and blame the model or the graph
+        ({"E0": Fraction(1, 2), **{f"E{i}": Fraction(-1, 2) for i in range(1, 5)}},
+         "cohomological cycle must be effective"),
+        ({"E0": Fraction(1, 2)}, "cohomological cycle must be integral"),
+    ], ids=["not-effective", "not-integral"])
+    def test_minimalization_refuses_a_cycle_its_transport_does_not_hold_for(self, capsys, tmp_path, cohom,
+                                                                           message):
+        g = corpus.get("ex244blown").graph
+        contracted = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(birational, "contract_all", lambda *args: contracted.append(args))
+            with pytest.raises(PreconditionError) as err:
+                _minimalize(g, cycle(g, cohom))
+        assert (str(err.value), contracted) == (message, [])
+        graph_file = _ex244_graph_file(tmp_path, cohom)
+        assert main(["colon-core", "--graph", graph_file, "--cycle", "Z"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestOneParse:
@@ -289,7 +310,8 @@ class TestCorpus:
         (f"HJ({'7' * 5000},2)", f"unknown corpus name 'HJ({'7' * 5000},2)'"),
         ("A12345", "unknown corpus name 'A12345'"),
         ("HJ(100000,99999)", "HJ chains have at most 9999 curves"),
-    ], ids=["A-5000-digits", "HJ-5000-digits", "A-5-digits", "HJ-of-99999-curves"])
+        ("HJ(4,2)", "HJ needs 1 <= q < n coprime, got (4,2)"),
+    ], ids=["A-5000-digits", "HJ-5000-digits", "A-5-digits", "HJ-of-99999-curves", "HJ-not-coprime"])
     def test_a_name_past_the_bounds_is_refused(self, capsys, name, message):
         assert main(["corpus", "show", name]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -381,19 +403,21 @@ def _ex244_tower_file_with_cohom(tmp_path, level):
     return str(path)
 
 
+def _graph_doc_file(tmp_path, key, g, cycles=None, model=None):
+    path = tmp_path / f"{key}.json"
+    path.write_text(emit_graph_document(GraphDocument(name=g.name, graph=g, cycles=cycles or {}, model=model)))
+    return str(path)
+
+
 def _indefinite_graph_file(tmp_path):
     g = dual_graph("bad", [("E", 0, -2)])
-    path = tmp_path / "bad.json"
-    path.write_text(emit_graph_document(GraphDocument(name="bad", graph=g, cycles={"Z": cycle(g, {"E": 1})})))
-    return str(path)
+    return _graph_doc_file(tmp_path, "bad", g, {"Z": cycle(g, {"E": 1})})
 
 
 def _semidefinite_graph_file(tmp_path):
     """Two (-1)-curves meeting once: det M = 0, and E1 + E2 is already anti-nef."""
     g = dual_graph("semi", [("E1", -1, -1), ("E2", -1, -1)], [("E1", "E2")])
-    path = tmp_path / "semi.json"
-    path.write_text(emit_graph_document(GraphDocument(name="semi", graph=g, cycles={"Z": cycle(g, {"E1": 1, "E2": 1})})))
-    return str(path)
+    return _graph_doc_file(tmp_path, "semi", g, {"Z": cycle(g, {"E1": 1, "E2": 1})})
 
 
 class TestRefusals:
@@ -438,6 +462,19 @@ class TestRefusals:
         (["antinef-closure", "--graph", "SEMI", "--cycle", "Z"], 2,
          "antinef_closure needs a negative-definite graph; 'semi' is not"),
         (["is-rational", "--graph", "SEMI"], 2, "antinef_closure needs a negative-definite graph; 'semi' is not"),
+        (["good-test", "--tower", "EX", "--cycle", "E0:1,E1:1,E2:1,E3:1,E4:1", "--h1", "0"], 2,
+         "is_good needs a numerically-p_g ideal"),
+        (["cone", "--e", "0", "--g", "1", "--a", "0"], 2, "cone model needs e >= 1, g >= 0, a >= 0"),
+        (["antinef-closure", "--graph", "A3", "--cycle", "E1:1/2"], 2, "antinef_closure needs an integral cycle"),
+        (["multiplicity", "--graph", "A3", "--cycle", "E1:-1"], 2, "multiplicity needs Z > 0"),
+        (["multiplicity", "--graph", "A3", "--cycle", "E1:1/2"], 2, "multiplicity needs an integral cycle"),
+        (["colength", "--graph", "EXMIN", "--cycle", "E0:1"], 2,
+         "colength formula gave 0 <= 0 for Z > 0; analytic inputs are inconsistent"),
+        (["oracle", "zf", "--graph", "A13"], 2, "graph has 13 vertices, oracle bound allows 12"),
+        (["pg-test", "--graph", "A1C", "--cycle", "E1:1"], 2, "rational base forces a zero cohomological cycle"),
+        (["pg-test", "--graph", "G2GOR", "--cycle", "E:1"], 2, "gorenstein flag needs an integral canonical cycle"),
+        (["pg-test", "--graph", "G2", "--cycle", "E:1"], 2,
+         "non-rational non-Gorenstein base needs a caller-supplied cohomological cycle"),
     ], ids=[
         "edge-point-on-one-curve", "pushforward-upward", "pushforward-past-the-top", "pullback-below-the-base",
         "declared-level", "zero-cycle", "level-on-a-graph",
@@ -445,10 +482,21 @@ class TestRefusals:
         "indefinite-colon-core", "indefinite-canonical-cycle", "non-pg-good-closure",
         "indefinite-fundamental-cycle", "indefinite-antinef-closure", "indefinite-is-rational",
         "semidefinite-fundamental-cycle", "semidefinite-antinef-closure", "semidefinite-is-rational",
+        "good-test-of-a-non-pg-ideal", "cone-of-degree-0", "closure-of-a-fraction", "multiplicity-of-a-negative",
+        "multiplicity-of-a-fraction", "colength-without-h1", "oracle-past-its-bound", "c-on-a-rational-base",
+        "gorenstein-z_k-not-integral", "non-gorenstein-without-c",
     ])
     def test_exit_code_and_message(self, capsys, tmp_path, a1b_file, ex244_tower_file, argv, code, message):
+        a1, genus2 = corpus.get("A1").graph, dual_graph("genus2", [("E", -3, 5)])  # Z_K = 5/3 E
         files = {"A1B": a1b_file, "EX": ex244_tower_file, "BAD": _indefinite_graph_file(tmp_path),
-                 "SEMI": _semidefinite_graph_file(tmp_path)}
+                 "SEMI": _semidefinite_graph_file(tmp_path),
+                 "A3": _graph_doc_file(tmp_path, "A3", corpus.get("A3").graph),
+                 "A13": _graph_doc_file(tmp_path, "A13", corpus.get("A13").graph),
+                 "EXMIN": _graph_doc_file(tmp_path, "EXMIN", corpus.get("ex244min").graph,
+                                          model={"pg": 1, "gorenstein": True}),
+                 "A1C": _graph_doc_file(tmp_path, "A1C", a1, {"C": cycle(a1, {"E1": 1})}, {"cohom_cycle": "C"}),
+                 "G2GOR": _graph_doc_file(tmp_path, "G2GOR", genus2, model={"pg": 1, "gorenstein": True}),
+                 "G2": _graph_doc_file(tmp_path, "G2", genus2, model={"pg": 1})}
         assert main([files.get(arg, arg) for arg in argv]) == code
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -124,6 +124,11 @@ class TestCycles:
         with pytest.raises(InputError):
             cycle(corpus.get("A2").graph, {"E1": value})
 
+    def test_a_scalar_that_is_not_exact_is_refused(self):
+        with pytest.raises(InputError) as err:
+            unit_cycle(corpus.get("A2").graph, "E1") * 1.5
+        assert str(err.value) == "a cycle's scalar must be an integer or Fraction, got float"
+
     def test_fraction_coefficients(self):
         g = corpus.get("A2").graph
         z = cycle(g, {"E1": Fraction(1, 2)})

@@ -74,6 +74,30 @@ class TestModel:
         with pytest.raises(PreconditionError):
             singularity_model(corpus.get("ex244min").graph)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda model, t, other, m2: singularity_model(model.base, pg=1, c_base=unit_cycle(other, "E0")),
+         "cohomological cycle must live on the base graph"),
+        (lambda model, t, other, m2: represent(model, Tower.base(other), 0, unit_cycle(other, "E0")),
+         "tower must sit over the model's base graph"),
+        (lambda model, t, other, m2: represent(model, t, 0, unit_cycle(other, "E0"), h1=1),
+         "cycle lives on 'other', not tower level 0"),
+        (lambda model, t, other, m2: good_gorenstein_crosscheck(
+            _rational_ideal(corpus.get("HJ(5,2)").graph, [], {"E1": 1, "E2": 1})[1]),
+         "this criterion needs a Gorenstein model"),
+        (lambda model, t, other, m2: good_gorenstein_crosscheck(m2),
+         "this criterion needs a numerically-p_g (hence stable) ideal"),
+        (lambda model, t, other, m2: stability_defect(m2), "non-p_g ideal needs caller-supplied h1(-2Z)"),
+    ], ids=["c-on-another-graph", "tower-over-another-base", "z-on-another-graph", "crosscheck-not-gorenstein",
+            "crosscheck-not-pg", "defect-without-h1"])
+    def test_a_refusal_names_its_cause(self, ex244, call, message):
+        t = ex244.tower
+        model = singularity_model(t.bottom, pg=1, gorenstein=True)
+        other = dual_graph("other", [("E0", -2, 2)])  # ex244min's lattice under another name
+        m2 = represent(model, t, 0, 2 * unit_cycle(t.bottom, "E0"), h1=0)  # not numerically p_g
+        with pytest.raises(PreconditionError) as err:
+            call(model, t, other, m2)
+        assert str(err.value) == message
+
     def test_gorenstein_cohom_is_canonical(self):
         base = corpus.get("ex244min").graph
         model = singularity_model(base, pg=1, gorenstein=True)
@@ -533,6 +557,25 @@ def test_a_failed_replay_check_raises_and_is_not_kept():
         assert colon_and_core(ideal) == rep
     assert len(replayed) == 3
     assert (rep.b, rep.y, rep.contraction_tower) == _reference_colon_and_core(ideal)
+
+
+def test_represent_carries_c_only_up_to_its_level():
+    base = corpus.get("ex244min").graph
+    model = singularity_model(base, pg=1, gorenstein=True)  # C = E0
+    t = Tower.base(base)
+    for i in range(1, 5):  # E1..E4 on E0, then a chain up from E1
+        t = t.blow_up(free_point("E0", f"E{i}"))
+    for k in range(4):
+        t = t.blow_up(free_point(t.top.ids[-1] if k else "E1", f"P{k}"))
+    assert t.height == 8
+    e0 = unit_cycle(base, "E0")
+    for level in range(t.height + 1):
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            _count_calls(mp, birational, "transported", calls)
+            ideal = represent(model, t, level, t.pullback(e0, 0, level), h1=1)
+        assert len(calls) == level
+        assert ideal.c == unit_cycle(t.graph(level), "E0")
 
 
 # --- metamorphic invariants at height ---------------------------------------------

@@ -359,6 +359,12 @@ def test_errors_are_raised_again_on_every_call():
         (lambda: fundamental_cycle(semi, start="E2"), refused.format("semi")),
         (lambda: is_rational(semi), refused.format("semi")),
         (lambda: antinef_closure(cycle(semi, {"E1": 1, "E2": 1})), refused.format("semi")),
+        (lambda: epsilon(1, 2, 0, 0), "h1_Z=2 outside [0, pg=1]"),
+        (lambda: contracts_to_smooth(-unit_cycle(flat, "E1")), "contracts_to_smooth needs an effective cycle"),
+        (lambda: pair(unit_cycle(zero, "E"), unit_cycle(semi, "E1")),
+         "cycles live on different graphs ('zero' vs 'semi')"),
+        (lambda: unit_cycle(zero, "E").dominates(unit_cycle(semi, "E1")),
+         "cycles live on different graphs ('zero' vs 'semi')"),
     ]:
         for _ in range(2):
             with pytest.raises(PreconditionError) as err:
