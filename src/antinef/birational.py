@@ -4,13 +4,15 @@ A tower is a bottom-up chain of dual graphs in which each level adds one
 exceptional curve, described by a :class:`TowerStep`: a blow-up is a step
 whose curves all meet the new one once (:func:`free_point`,
 :func:`edge_point`).  Blow-ups extend a tower upward; contracting a rational
-(-1)-curve produces the lower graph together with the step that rebuilds the
-upper one, so contraction sequences become towers read in reverse.  Both
-directions are one signed surgery, and cycles move up the steps by one rule,
-:func:`lift` for total transforms and :func:`transported` for the
-cohomological cycle C, which is effective and integral.  The associated
-p_g-cycle follows its count: each branch through E_i is blown up C[E_i]
-times.
+(-1)-curve that meets another curve produces the lower graph together with
+the step that rebuilds the upper one, so contraction sequences become towers
+read in reverse.  Each direction has its own surgery: :func:`replay` inserts
+curves into sorted lists and :func:`contract_all` removes them from
+neighbour maps, so replaying a contraction sequence checks one against the
+other.  Cycles move up the steps by one rule, :func:`lift` for total
+transforms and :func:`transported` for the cohomological cycle C, which is
+effective and integral.  The associated p_g-cycle follows its count: each
+branch through E_i is blown up C[E_i] times.
 """
 
 from __future__ import annotations
@@ -55,10 +57,9 @@ def apply_step(g: DualGraph, step: TowerStep) -> DualGraph:
 
 def replay(base: DualGraph, steps: Iterable[TowerStep]) -> DualGraph:
     """The graph the steps build on base, in
-    :func:`~antinef.graph.dual_graph`'s canonical order.  The steps patch one
-    set of lists, each by bisection in Python work of the curve's degree, and
-    only the result is frozen into a graph.  This is the one path by which a
-    tower's graphs are built."""
+    :func:`~antinef.graph.dual_graph`'s canonical order: the steps are
+    inserted into one set of lists, and only the result is frozen into a
+    graph.  This is the one path by which graphs are built up from steps."""
     s = _Surgery(base)
     for step in steps:
         s.insert(step)
@@ -69,11 +70,11 @@ _new = tuple.__new__  # builds a Vertex or a TowerStep in C, past the NamedTuple
 
 
 class _Surgery:
-    """A dual graph as mutable lists in canonical order, patched in place:
-    ``ids`` and ``verts`` sorted by id, ``edges`` as sorted (a, b, m) with
-    a < b.  :meth:`graph` freezes the lists into a DualGraph that carries the
-    known definiteness of the graph they came from: a step, up or down, adds
-    or removes an orthogonal (-1)."""
+    """A dual graph as mutable lists in canonical order, grown in place by
+    :meth:`insert`: ``ids`` and ``verts`` sorted by id, ``edges`` as sorted
+    (a, b, m) with a < b.  :meth:`graph` freezes the lists into a DualGraph
+    that carries the known definiteness of the graph they came from: a step
+    adds an orthogonal (-1)."""
 
     __slots__ = ("name", "ids", "verts", "edges", "definite")
 
@@ -85,64 +86,52 @@ class _Surgery:
         self.definite = g.__dict__.get("negative_definite")
 
     def insert(self, step: TowerStep) -> None:
-        """:func:`apply_step`'s checks, then the surgery with sign +1."""
-        ids, at = self.ids, []
-        for vid, m in step.attach:
+        """Insert the step's (-1)-curve: each u it meets m times gains -m^2 in
+        self-intersection and m in kappa, and each pair of attachments loses
+        mu.mw from their edge, which must have it.  The step names a new str
+        id and at least one known curve, each once with an int multiplicity
+        >= 1.  Each curve and edge touched is found by one bisection, the
+        duplicate-id check's giving the new curve's place, so the Python work
+        is in len(attach)^2; list insertions and deletions move the rest in C."""
+        ids, verts, edges = self.ids, self.verts, self.edges
+        new_id, attach = step
+        if not isinstance(new_id, str):
+            raise InputError(f"a step's new id must be a str, not {type(new_id).__name__}")
+        if not attach:
+            raise InputError(f"step {new_id!r} attaches to no curve")
+        at = []
+        for vid, m in attach:
+            if not isinstance(vid, str):
+                raise InputError(f"a step attaches to curve ids, not {type(vid).__name__}")
             k = bisect_left(ids, vid)
             if k == len(ids) or ids[k] != vid:
                 raise InputError(f"step attaches to unknown vertex {vid!r}")
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise InputError(f"attach multiplicities must be ints, not {type(m).__name__}")
             if m < 1:
                 raise InputError("attach multiplicities must be >= 1")
+            if k in at:
+                raise InputError(f"step attaches to {vid!r} twice")
             at.append(k)
-        k = bisect_left(ids, step.new_id)
-        if k < len(ids) and ids[k] == step.new_id:
-            raise InputError(f"vertex id {step.new_id!r} already exists on {self.name!r}")
-        self.patch(step.new_id, step.attach, 1, at)
-
-    def patch(self, new_id: str, attach: Sequence[tuple[str, int]], sign: int,
-              at: Optional[Sequence[int]] = None) -> None:
-        """Insert (sign +1) or remove (sign -1) the (-1)-curve new_id meeting
-        each (u, m) of attach m times; ``at`` holds the attachments'
-        positions when the caller has found them.  Each u gains -sign.m^2 in
-        self-intersection and sign.m in kappa, and each pair u, w of attach
-        loses sign.mu.mw from their edge; an edge that would go negative
-        refuses the blow-up.  Every vertex and edge touched is found by one
-        bisection and replaced, inserted or deleted where it sits, so the
-        Python work is in len(attach)^2, and list insertions and deletions
-        move the rest in C."""
-        ids, verts, edges = self.ids, self.verts, self.edges
+        k = bisect_left(ids, new_id)
+        if k < len(ids) and ids[k] == new_id:
+            raise InputError(f"vertex id {new_id!r} already exists on {self.name!r}")
         for (u, mu), (w, mw) in combinations(attach, 2):
             a, b = (u, w) if u < w else (w, u)
-            k = bisect_left(edges, (a, b))
-            hit = k < len(edges) and edges[k][0] == a and edges[k][1] == b
-            have = edges[k][2] if hit else 0
-            if have < sign * mu * mw:
-                raise PreconditionError(
-                    f"cannot blow up: edge {(a, b)} has multiplicity {have} < {mu * mw}"
-                )
-            m = have - sign * mu * mw
-            if m == 0:
-                del edges[k]
-            elif hit:
-                edges[k] = (a, b, m)
+            j = bisect_left(edges, (a, b))
+            have = edges[j][2] if j < len(edges) and edges[j][0] == a and edges[j][1] == b else 0
+            if have < mu * mw:
+                raise PreconditionError(f"cannot blow up: edge {(a, b)} has multiplicity {have} < {mu * mw}")
+            if have == mu * mw:
+                del edges[j]
             else:
-                edges.insert(k, (a, b, m))
-        if at is None:
-            at = [bisect_left(ids, u) for u, _ in attach]
-        for k, (u, m) in zip(at, attach):
-            _, e2, kappa = verts[k]
-            verts[k] = _new(Vertex, (u, e2 - sign * m * m, kappa + sign * m))
-            e = (u, new_id, m) if u < new_id else (new_id, u, m)
-            if sign > 0:
-                insort(edges, e)
-            else:
-                del edges[bisect_left(edges, e)]
-        k = bisect_left(ids, new_id)
-        if sign > 0:
-            ids.insert(k, new_id)
-            verts.insert(k, _new(Vertex, (new_id, -1, -1)))
-        else:
-            del ids[k], verts[k]
+                edges[j] = (a, b, have - mu * mw)
+        for j, (u, m) in zip(at, attach):
+            _, e2, kappa = verts[j]
+            verts[j] = _new(Vertex, (u, e2 - m * m, kappa + m))
+            insort(edges, (u, new_id, m) if u < new_id else (new_id, u, m))
+        ids.insert(k, new_id)
+        verts.insert(k, _new(Vertex, (new_id, -1, -1)))
 
     def graph(self) -> DualGraph:
         return DualGraph(self.name, tuple(self.verts), tuple(self.edges), tuple(self.ids), self.definite)
@@ -154,15 +143,16 @@ def blowup(g: DualGraph, step: TowerStep) -> tuple[DualGraph, TowerStep]:
 
 
 def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
-    """Contract a rational (-1)-curve; returns the lower graph and the
-    step that rebuilds g from it: :func:`contract_all` limited to vid."""
+    """Contract a rational (-1)-curve that meets another curve; returns the
+    lower graph and the step that rebuilds g from it: :func:`contract_all`
+    limited to vid."""
     v = g.vertex(vid)
     if v.self_int != -1 or v.kappa != -1:
         raise PreconditionError(
             f"{vid!r} is not a rational (-1)-curve (self {v.self_int}, kappa {v.kappa})"
         )
-    if len(g.vertices) == 1:
-        raise PreconditionError("cannot contract the last curve of a graph")
+    if not g.adjacency[vid]:
+        raise PreconditionError(f"cannot contract {vid!r}: it meets no other curve")
     t = contract_all(g, lambda step: step.new_id == vid)
     return t.bottom, t.steps[0]
 
@@ -178,39 +168,43 @@ def contract_all(g: DualGraph, may_contract: Callable[[TowerStep], bool]) -> Tow
     sequence as a tower with g on top, bottom = most contracted.
 
     Each scan runs over the current graph's curves in canonical order and
-    contracts the first rational (-1)-curve, other than the last curve, for
+    contracts the first rational (-1)-curve that meets another curve and for
     which ``may_contract(step)`` holds, where step is the :class:`TowerStep`
     that would re-insert it (its neighbours, sorted, as attachments); then it
-    scans again.  A rule is a pure function of its step.  One set of lists is
-    patched for the whole sequence, as in :func:`replay`, with each curve's
-    neighbour map kept beside it, and only the bottom is frozen.  A contraction keeps
-    the survivors' coefficients, so a caller's coefficient dict stays valid on
+    scans again.  A rule is a pure function of its step.  The graph is kept
+    as two maps in canonical order, each curve's vertex and its neighbour
+    map, and only the bottom is frozen, carrying g's known definiteness: a
+    contraction removes an orthogonal (-1).  A contraction keeps the
+    survivors' coefficients, so a caller's coefficient dict stays valid on
     every graph of the sequence.
     """
-    s = _Surgery(g)
-    adj: dict[str, dict[str, int]] = {vid: {} for vid in s.ids}
+    verts = {v.id: v for v in g.vertices}
+    adj: dict[str, dict[str, int]] = {vid: {} for vid in verts}
     for a, b, m in g.edges:
         adj[a][b] = adj[b][a] = m
     steps = []
-    while len(s.ids) > 1:
-        for v in s.verts:
-            if v.self_int == -1 and v.kappa == -1:
+    while True:
+        for v in verts.values():
+            if v.self_int == -1 and v.kappa == -1 and adj[v.id]:
                 step = _new(TowerStep, (v.id, tuple(sorted(adj[v.id].items()))))
                 if may_contract(step):
                     break
         else:
             break
-        s.patch(step.new_id, step.attach, -1)
-        # only the curves the contracted one met change neighbours
-        del adj[step.new_id]
+        # only the curves the contracted one met change
+        del verts[step.new_id], adj[step.new_id]
         for u, mu in step.attach:
+            _, e2, kappa = verts[u]
+            verts[u] = _new(Vertex, (u, e2 + mu * mu, kappa - mu))
             nb = adj[u]
             del nb[step.new_id]
             for w, mw in step.attach:
                 if w != u:
                     nb[w] = nb.get(w, 0) + mu * mw
         steps.append(step)
-    return Tower(s.graph(), tuple(reversed(steps)), g)
+    edges = sorted((a, b, m) for a, nb in adj.items() for b, m in nb.items() if a < b)
+    bottom = DualGraph(g.name, tuple(verts.values()), tuple(edges), tuple(verts), g.__dict__.get("negative_definite"))
+    return Tower(bottom, tuple(reversed(steps)), g)
 
 
 class Tower(NamedTuple):

@@ -195,7 +195,8 @@ def _off_c(c: Cycle):
 
 
 def _off_c_tower(g: DualGraph, c: Cycle) -> Tower:
-    """The contraction sequence of g by :func:`_off_c`, checked to replay to g.
+    """The contraction sequence of g by :func:`_off_c`, checked to replay to g:
+    the neighbour maps that contracted it against the lists that insert it back.
 
     It is contracted and checked once per graph and C, then kept with g,
     keyed by the vector of C, which lives on g; a failed check raises and

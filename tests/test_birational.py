@@ -26,7 +26,7 @@ from antinef.birational import (
 from antinef.cli import _minimalize
 from antinef.errors import InputError, PreconditionError
 from antinef.graph import Vertex, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
-from antinef.ideals import colon_and_core, represent, singularity_model
+from antinef.ideals import _off_c, colon_and_core, represent, singularity_model
 from antinef.lattice import (
     antinef_closure,
     arithmetic_genus,
@@ -71,10 +71,20 @@ class TestBlowup:
         with pytest.raises(InputError):
             blowup(g, free_point("E1", "E1"))
 
-    def test_an_attachment_of_multiplicity_0_is_refused(self):
+    @pytest.mark.parametrize("step, message", [
+        (TowerStep("C", (("E1", 0),)), "attach multiplicities must be >= 1"),
+        (TowerStep("C", ()), "step 'C' attaches to no curve"),
+        (TowerStep("C", (("E1", 1.5),)), "attach multiplicities must be ints, not float"),
+        (TowerStep("C", (("E1", True),)), "attach multiplicities must be ints, not bool"),
+        (TowerStep(7, (("E1", 1),)), "a step's new id must be a str, not int"),
+        (TowerStep("C", ((1, 1),)), "a step attaches to curve ids, not int"),
+        (TowerStep("C", (("E1", 1), ("E1", 1))), "step attaches to 'E1' twice"),
+    ], ids=["multiplicity-0", "no-attachment", "float-multiplicity", "bool-multiplicity", "int-id",
+            "int-attachment", "a-curve-twice"])
+    def test_a_malformed_step_is_refused(self, step, message):
         with pytest.raises(InputError) as err:
-            apply_step(corpus.get("A2").graph, TowerStep("C", (("E1", 0),)))
-        assert str(err.value) == "attach multiplicities must be >= 1"
+            apply_step(corpus.get("A2").graph, step)
+        assert str(err.value) == message
 
 
 class TestContract:
@@ -366,6 +376,27 @@ def test_every_level_is_the_replay_of_the_steps_below_it(data):
             assert t.graph(k) == levels[k] == replay(t.bottom, t.steps[:k])
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_contraction_down_and_insertion_up_agree_at_height(data):
+    """contract_all keeps its own neighbour maps going down, replay its
+    sorted lists going up.  Over a minimal base, contracting every rational
+    (-1)-curve of a tower up to 300 levels high reaches the base, and the
+    steps of that sequence, or of one that misses a cohomological cycle C,
+    replay to the top; a (-1)-curve set beside the base, meeting nothing,
+    stays."""
+    base = corpus.get(data.draw(st.sampled_from(["A3", "D5", "E6", "HJ(7,3)", "ex244min"]))).graph
+    t = grow(data, Tower.base(base), data.draw(st.integers(min_value=0, max_value=300)))
+    everything = contract_all(t.top, lambda step: True)
+    assert everything.bottom == base
+    assert replay(everything.bottom, everything.steps) == t.top
+    c = transport_cohom(t, cycle(base, {vid: data.draw(st.integers(0, 2)) for vid in base.ids}))
+    off_c = contract_all(t.top, _off_c(c))
+    assert replay(off_c.bottom, off_c.steps) == t.top
+    split = dual_graph(base.name, base.vertices + (Vertex("X", -1, -1),), base.edges)
+    assert contract_all(replay(split, t.steps), lambda step: True) == Tower.from_steps(split, everything.steps)
+
+
 # bases that are not negative definite: two (-1)-curves meeting once
 # (semidefinite), a curve with E^2 = 0, one with E^2 = 1, and a cycle of
 # (-2)-curves (the affine A_3, semidefinite)
@@ -409,8 +440,7 @@ def test_contract_all_from_steps_and_blow_up_each_freeze_one_graph(monkeypatch):
     for k in range(20):
         t = t.blow_up(free_point(t.top.ids[-1], f"F{k:02d}"))  # a chain above E5
     frozen = []
-    freeze = birational._Surgery.graph
-    monkeypatch.setattr(birational._Surgery, "graph", lambda s: frozen.append(s) or freeze(s))
+    monkeypatch.setattr(birational, "DualGraph", lambda *args: frozen.append(args) or graph.DualGraph(*args))
     for build, height in ((lambda: contract_all(t.top, lambda step: True), 20),
                           (lambda: Tower.from_steps(t.bottom, t.steps), 20),
                           (lambda: t.blow_up(free_point("E1", "P")), 21)):
@@ -421,20 +451,19 @@ def test_contract_all_from_steps_and_blow_up_each_freeze_one_graph(monkeypatch):
 
 def test_a_level_is_replayed_up_from_the_bottom(monkeypatch):
     t = Tower.base(corpus.get("D5").graph)
-    for k in range(25):  # crossings and free points, so edges are patched both ways
+    for k in range(25):  # crossings and free points, so edges are cut as well as added
         last, new = t.top.ids[-1], f"F{k:02d}"
         nb = t.top.adjacency[last][0][0]
         t = t.blow_up(free_point(last, new) if k % 2 else edge_point(last, nb, new))
     levels = t.levels
-    signs = []
-    patch = birational._Surgery.patch
-    monkeypatch.setattr(birational._Surgery, "patch",
-                        lambda s, new_id, attach, sign, *at: signs.append(sign) or patch(s, new_id, attach, sign, *at))
+    inserted = []
+    insert = birational._Surgery.insert
+    monkeypatch.setattr(birational._Surgery, "insert", lambda s, step: inserted.append(step) or insert(s, step))
     for k in range(t.height + 1):
-        signs.clear()
+        inserted.clear()
         g = t.graph(k)
         # the ends are stored; a level between is k steps up from the bottom
-        assert signs == ([] if k == t.height else [1] * k)
+        assert inserted == ([] if k == t.height else list(t.steps[:k]))
         assert g == levels[k]
         _assert_canonical(g)
     assert t.graph(0) is t.bottom and t.graph(t.height) is t.top

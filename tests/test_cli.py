@@ -475,6 +475,10 @@ class TestRefusals:
         (["pg-test", "--graph", "G2GOR", "--cycle", "E:1"], 2, "gorenstein flag needs an integral canonical cycle"),
         (["pg-test", "--graph", "G2", "--cycle", "E:1"], 2,
          "non-rational non-Gorenstein base needs a caller-supplied cohomological cycle"),
+        *[([command, "--graph", "SPLIT", "--cycle", "E1:1"], 2,
+           "base graph 'split' is invalid: graph is not connected (unreachable: X)")
+          for command in ("pg-test", "colon-core", "good-test", "good-closure")],
+        (["contract", "--graph", "SPLIT", "--vertex", "X"], 2, "cannot contract 'X': it meets no other curve"),
     ], ids=[
         "edge-point-on-one-curve", "pushforward-upward", "pushforward-past-the-top", "pullback-below-the-base",
         "declared-level", "zero-cycle", "level-on-a-graph",
@@ -485,9 +489,12 @@ class TestRefusals:
         "good-test-of-a-non-pg-ideal", "cone-of-degree-0", "closure-of-a-fraction", "multiplicity-of-a-negative",
         "multiplicity-of-a-fraction", "colength-without-h1", "oracle-past-its-bound", "c-on-a-rational-base",
         "gorenstein-z_k-not-integral", "non-gorenstein-without-c",
+        "disconnected-pg-test", "disconnected-colon-core", "disconnected-good-test", "disconnected-good-closure",
+        "contract-a-curve-that-meets-nothing",
     ])
     def test_exit_code_and_message(self, capsys, tmp_path, a1b_file, ex244_tower_file, argv, code, message):
         a1, genus2 = corpus.get("A1").graph, dual_graph("genus2", [("E", -3, 5)])  # Z_K = 5/3 E
+        split = dual_graph("split", [("E1", -2, 0), ("X", -1, -1)])  # an A1 beside a (-1)-curve it misses
         files = {"A1B": a1b_file, "EX": ex244_tower_file, "BAD": _indefinite_graph_file(tmp_path),
                  "SEMI": _semidefinite_graph_file(tmp_path),
                  "A3": _graph_doc_file(tmp_path, "A3", corpus.get("A3").graph),
@@ -496,7 +503,8 @@ class TestRefusals:
                                           model={"pg": 1, "gorenstein": True}),
                  "A1C": _graph_doc_file(tmp_path, "A1C", a1, {"C": cycle(a1, {"E1": 1})}, {"cohom_cycle": "C"}),
                  "G2GOR": _graph_doc_file(tmp_path, "G2GOR", genus2, model={"pg": 1, "gorenstein": True}),
-                 "G2": _graph_doc_file(tmp_path, "G2", genus2, model={"pg": 1})}
+                 "G2": _graph_doc_file(tmp_path, "G2", genus2, model={"pg": 1}),
+                 "SPLIT": _graph_doc_file(tmp_path, "SPLIT", split)}
         assert main([files.get(arg, arg) for arg in argv]) == code
         assert capsys.readouterr() == ("", f"error: {message}\n")
 

@@ -242,10 +242,11 @@ def test_index_scan_sees_a_planted_copy():
     assert _index_space_reads(source) == ["line 3", "line 4", "line 5"]
 
 
-def _downward_patches(source: str) -> list[str]:
-    """The functions, by qualified name, that call ``.patch(new_id, attach,
-    -1)``: a surgery that takes a curve out.  A level is read up from the
-    bottom, so only the contraction loop goes down."""
+def _surgery_builders(source: str) -> list[str]:
+    """The functions, by qualified name, that construct a ``_Surgery``: the
+    lists a tower's graphs are grown on.  A level is read up from the
+    bottom and the contraction loop keeps its own maps, so only the two
+    builders up the steps make one."""
     found = []
 
     def visit(node, where):
@@ -253,34 +254,34 @@ def _downward_patches(source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, where + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute) and child.func.attr == "patch":
-                signs = child.args[2:3] + [kw.value for kw in child.keywords if kw.arg == "sign"]
-                if any(ast.unparse(sign) == "-1" for sign in signs):
-                    found.append(".".join(where))
+            if isinstance(child, ast.Call) and (
+                isinstance(child.func, ast.Name) and child.func.id == "_Surgery"
+                or isinstance(child.func, ast.Attribute) and child.func.attr == "_Surgery"
+            ):
+                found.append(".".join(where))
             visit(child, where)
 
     visit(ast.parse(source), ())
     return found
 
 
-def test_only_contract_all_patches_a_graph_downward():
-    assert _scan(_downward_patches, with_init=True) == {"birational.py": ["contract_all"]}
+def test_only_replay_and_levels_build_a_surgery():
+    assert _scan(_surgery_builders, with_init=True) == {"birational.py": ["replay", "Tower.levels"]}
 
 
-def test_downward_patch_scan_sees_a_planted_copy():
+def test_surgery_scan_sees_a_planted_copy():
     source = (
         "class Tower:\n"
-        "    def graph(self, s, step):\n"
-        "        s.patch(step.new_id, step.attach, -1)\n"
-        "        return s.patch(step.new_id, step.attach, 1)\n"
-        "def contract_all(s, step):\n"
+        "    def graph(self):\n"
+        "        return birational._Surgery(self.top)\n"
+        "def contract_all(g):\n"
         "    def down():\n"
-        "        s.patch(step.new_id, step.attach, sign=-1)\n"
+        "        return _Surgery(g).graph()\n"
         "    return down\n"
-        "def f(p):\n"
-        "    return p.patch(-1), p.match('a', (), -1)\n"
+        "def f(s):\n"
+        "    return s._Surgery, _Surgery.insert(s, 1), Surgery(s), _Surgery\n"
     )
-    assert _downward_patches(source) == ["Tower.graph", "contract_all.down"]
+    assert _surgery_builders(source) == ["Tower.graph", "contract_all.down"]
 
 
 def _public_functions(source: str) -> list[tuple[str, int]]:
