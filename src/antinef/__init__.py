@@ -9,7 +9,7 @@ from importlib import import_module as _import_module
 
 _EXPORTS = {
     "birational": (
-        "Tower", "TowerStep", "associated_pg_cycle", "blowup", "contract", "contract_all", "edge_point",
+        "Tower", "TowerStep", "associated_pg_cycle", "contract", "contract_all", "edge_point",
         "free_point", "relative_canonical", "transport_cohom",
     ),
     "errors": ("InputError", "LatticeError", "PreconditionError", "TheoremViolationError"),

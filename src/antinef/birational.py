@@ -137,73 +137,64 @@ class _Surgery:
         return DualGraph(self.name, tuple(self.verts), tuple(self.edges), tuple(self.ids), self.definite)
 
 
-def blowup(g: DualGraph, step: TowerStep) -> tuple[DualGraph, TowerStep]:
-    """Blow up a free point on one curve or the intersection point of two."""
-    return apply_step(g, step), step
-
-
 def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
     """Contract a rational (-1)-curve that meets another curve; returns the
     lower graph and the step that rebuilds g from it: :func:`contract_all`
     limited to vid."""
-    v = g.vertex(vid)
+    p = g.position(vid)
+    v = g.vertices[p]
     if v.self_int != -1 or v.kappa != -1:
         raise PreconditionError(
             f"{vid!r} is not a rational (-1)-curve (self {v.self_int}, kappa {v.kappa})"
         )
     if not g.adjacency[vid]:
         raise PreconditionError(f"cannot contract {vid!r}: it meets no other curve")
-    t = contract_all(g, lambda step: step.new_id == vid)
+    t = contract_all(g, lambda q, attach: q == p)
     return t.bottom, t.steps[0]
 
 
-def excess(coeffs: Mapping[str, Coeff], step: TowerStep) -> Coeff:
-    """W[E] - sum m.W[u] over the step's attachments, for the curve E the
-    step inserts: -W.E, since E^2 = -1 and E meets each u m times."""
-    return coeffs.get(step.new_id, 0) - sum(m * coeffs.get(u, 0) for u, m in step.attach)
-
-
-def contract_all(g: DualGraph, may_contract: Callable[[TowerStep], bool]) -> Tower:
+def contract_all(g: DualGraph, may_contract: Callable[[int, tuple[tuple[int, int], ...]], bool]) -> Tower:
     """Contract rational (-1)-curves of g while one may go; returns the
     sequence as a tower with g on top, bottom = most contracted.
 
     Each scan runs over the current graph's curves in canonical order and
     contracts the first rational (-1)-curve that meets another curve and for
-    which ``may_contract(step)`` holds, where step is the :class:`TowerStep`
-    that would re-insert it (its neighbours, sorted, as attachments); then it
-    scans again.  A rule is a pure function of its step.  The graph is kept
-    as two maps in canonical order, each curve's vertex and its neighbour
-    map, and only the bottom is frozen, carrying g's known definiteness: a
-    contraction removes an orthogonal (-1).  A contraction keeps the
-    survivors' coefficients, so a caller's coefficient dict stays valid on
-    every graph of the sequence.
+    which ``may_contract(p, attach)`` holds, p being its position on g and
+    attach its neighbours as sorted (position on g, m) pairs; then it scans
+    again.  A rule is a pure function of (p, attach), and reads a cycle on g
+    by its ``vec``: a contraction keeps the survivors' coefficients.  The
+    graph is kept as two maps by position on g, from ``g.sparse_matrix()``:
+    each curve's vertex and its neighbour map.  Each step is named as it is
+    made, and only the bottom is frozen, carrying g's known definiteness: a
+    contraction removes an orthogonal (-1).
     """
-    verts = {v.id: v for v in g.vertices}
-    adj: dict[str, dict[str, int]] = {vid: {} for vid in verts}
-    for a, b, m in g.edges:
-        adj[a][b] = adj[b][a] = m
-    steps = []
+    verts = dict(enumerate(g.vertices))
+    adj = dict(enumerate(g.sparse_matrix()))
+    for p, nb in adj.items():
+        del nb[p]  # the diagonal: nb is p's neighbour map
+    ids, steps = g.ids, []
     while True:
-        for v in verts.values():
-            if v.self_int == -1 and v.kappa == -1 and adj[v.id]:
-                step = _new(TowerStep, (v.id, tuple(sorted(adj[v.id].items()))))
-                if may_contract(step):
+        for p, v in verts.items():
+            if v.self_int == -1 and v.kappa == -1 and adj[p]:
+                attach = tuple(sorted(adj[p].items()))
+                if may_contract(p, attach):
                     break
         else:
             break
         # only the curves the contracted one met change
-        del verts[step.new_id], adj[step.new_id]
-        for u, mu in step.attach:
-            _, e2, kappa = verts[u]
-            verts[u] = _new(Vertex, (u, e2 + mu * mu, kappa - mu))
+        del verts[p], adj[p]
+        for u, mu in attach:
+            vid, e2, kappa = verts[u]
+            verts[u] = _new(Vertex, (vid, e2 + mu * mu, kappa - mu))
             nb = adj[u]
-            del nb[step.new_id]
-            for w, mw in step.attach:
+            del nb[p]
+            for w, mw in attach:
                 if w != u:
                     nb[w] = nb.get(w, 0) + mu * mw
-        steps.append(step)
-    edges = sorted((a, b, m) for a, nb in adj.items() for b, m in nb.items() if a < b)
-    bottom = DualGraph(g.name, tuple(verts.values()), tuple(edges), tuple(verts), g.__dict__.get("negative_definite"))
+        steps.append(_new(TowerStep, (ids[p], tuple([(ids[u], m) for u, m in attach]))))
+    edges = sorted((ids[a], ids[b], m) for a, nb in adj.items() for b, m in nb.items() if a < b)
+    bottom = DualGraph(g.name, tuple(verts.values()), tuple(edges), tuple(ids[p] for p in verts),
+                       g.__dict__.get("negative_definite"))
     return Tower(bottom, tuple(reversed(steps)), g)
 
 
@@ -317,12 +308,12 @@ def relative_canonical(t: Tower, top_level: Optional[int] = None, bottom_level: 
     return k
 
 
-def transported(coeffs: Mapping[str, Coeff], attach: Sequence[tuple[str, int]]) -> Coeff:
+def transported(coeffs: Mapping, attach: Sequence[tuple]) -> Coeff:
     """The cohomological cycle's coefficient on a curve inserted with these
-    attachments: max(sum m.C[u] - 1, 0).  For an effective integral C and
-    every m >= 1 the sum is positive exactly when the center lies on supp C,
-    so this is the total transform less 1 there and 0 elsewhere."""
-    return max(sum(m * coeffs.get(vid, 0) for vid, m in attach) - 1, 0)
+    attachments, C keyed as they name curves: max(sum m.C[u] - 1, 0).  For
+    an effective integral C and every m >= 1 the sum is positive exactly
+    when the center lies on supp C: the total transform less 1 there, else 0."""
+    return max(sum(m * coeffs.get(u, 0) for u, m in attach) - 1, 0)
 
 
 def transport_cohom(t: Tower, c_base: Cycle) -> Cycle:

@@ -89,8 +89,8 @@ def _minimalize(g: DualGraph, c: Cycle) -> tuple[Tower, Cycle]:
         raise PreconditionError("cohomological cycle must be effective")
     if not c.is_integral:
         raise PreconditionError("cohomological cycle must be integral")
-    cc = c.as_dict()
-    tower = contract_all(g, lambda step: cc.get(step.new_id, 0) == transported(cc, step.attach))
+    cc = dict(enumerate(c.vec))
+    tower = contract_all(g, lambda p, attach: cc[p] == transported(cc, attach))
     return tower, c.restricted_to(tower.bottom)
 
 
@@ -201,7 +201,7 @@ def _validate(args, src: _Input):
 
 
 def _blowup(args, src: _Input) -> str:
-    from .birational import blowup, edge_point, free_point
+    from .birational import apply_step, edge_point, free_point
 
     new_id = vertex_id(args.new_id, "--new-id")
     ids = [part.strip() for part in args.center.split(",") if part.strip()]
@@ -210,7 +210,7 @@ def _blowup(args, src: _Input) -> str:
     step = free_point(ids[0], new_id) if len(ids) == 1 else edge_point(ids[0], ids[1], new_id)
     if isinstance(src.doc, TowerDocument):
         return emit_tower_document(src.doc._replace(tower=src.doc.tower.blow_up(step)))
-    return _graph_text(blowup(src.graph, step)[0])
+    return _graph_text(apply_step(src.graph, step))
 
 
 def _contract(args, src: _Input) -> str:

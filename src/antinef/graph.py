@@ -121,9 +121,9 @@ class DualGraph(_Frozen):
 
     @cached_property
     def _off_c_towers(self) -> dict[tuple[Coeff, ...], tuple]:
-        """(bottom, steps) of each checked contraction sequence that misses a
-        cohomological cycle C, by C's vector on this graph; filled by
-        :mod:`antinef.ideals`."""
+        """(bottom, steps, the steps by position here) of each checked contraction
+        sequence off a cohomological cycle C, by C's vector on this graph; none
+        refers to this graph.  Filled by :mod:`antinef.ideals`."""
         return {}
 
     @cached_property

@@ -4,22 +4,23 @@ ideals, core, goodness, good closures, and the graded-cone model.
 A minimal reduction is never materialized; every colon/core output is
 computed at the cycle level via the contraction-sequence description:
 contract rational (-1)-curves E_i disjoint from the cohomological cycle,
-read b_i = -Z.F_i off the step that re-inserts E_i (F_i its total
-transform; by the projection formula b_i = Z[E_i] - sum m.Z[u] over the
-step's attachments), accumulate Y = sum of min(1, b_i) F_i in one bottom-up
-pass over the steps, then Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}.  The
-sequence depends only on the graph and C, as Z enters only through the b_i,
-so it is contracted and checked once per graph and C and kept with the graph;
-the good closure is Z pushed down that same kept sequence.
+read b_i = -Z.F_i by the projection formula as Z[E_i] - sum m.Z[u] over the
+curves u that E_i meets m times when contracted (F_i its total transform),
+accumulate Y = sum of min(1, b_i) F_i in one bottom-up pass, then
+Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}; the rules and both passes read cycles
+by position on Z's graph.  The sequence depends only on the graph and C, as
+Z enters only through the b_i, so it is contracted and checked once per
+graph and C and kept with the graph, positions included; the good closure
+is Z pushed down that same kept sequence.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .birational import Tower, TowerStep, associated_pg_cycle, contract_all, excess, lift, replay, transport_cohom
+from .birational import Tower, associated_pg_cycle, contract_all, replay, transport_cohom
 from .errors import PreconditionError, TheoremViolationError
-from .graph import Cycle, DualGraph, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
+from .graph import Cycle, DualGraph, dual_graph, unit_cycle, validate_graph, zero_cycle
 from .lattice import (
     canonical_cycle,
     colength,
@@ -187,42 +188,43 @@ class CoreReport(NamedTuple):
 
 
 def _off_c(c: Cycle):
-    """colon/core's contraction rule: the curve is off supp C and C.E = 0."""
-    cc = c.as_dict()
+    """colon/core's contraction rule, by position on C's graph: the curve is off supp C and C.E = 0."""
     # a contracted curve is off supp C, so C keeps its coefficients on every
     # graph of the sequence
-    return lambda step: step.new_id not in cc and excess(cc, step) == 0
+    cv = c.vec
+    return lambda p, attach: not cv[p] and sum(m * cv[q] for q, m in attach) == 0
 
 
-def _off_c_tower(g: DualGraph, c: Cycle) -> Tower:
-    """The contraction sequence of g by :func:`_off_c`, checked to replay to g:
-    the neighbour maps that contracted it against the lists that insert it back.
+def _off_c_tower(g: DualGraph, c: Cycle) -> tuple[Tower, tuple]:
+    """The contraction sequence of g by :func:`_off_c`, checked to replay to g
+    (the neighbour maps that contracted it against the lists that insert it
+    back), and its steps by position on g, (p, ((q, m), ...)).
 
     It is contracted and checked once per graph and C, then kept with g,
-    keyed by the vector of C, which lives on g; a failed check raises and
-    keeps nothing."""
+    keyed by the vector of C, which lives on g; the kept value holds no
+    reference to g, and a failed check raises and keeps nothing."""
     kept = g._off_c_towers.get(c.vec)
     if kept is None:
         local = contract_all(g, _off_c(c))
         if replay(local.bottom, local.steps) != g:
             raise TheoremViolationError("contraction sequence did not replay to the input graph")
-        kept = g._off_c_towers[c.vec] = local.bottom, local.steps
-    return Tower(*kept, g)
+        seq = tuple((g.position(s.new_id), tuple((g.position(u), m) for u, m in s.attach)) for s in local.steps)
+        kept = g._off_c_towers[c.vec] = local.bottom, local.steps, seq
+    return Tower(kept[0], kept[1], g), kept[2]
 
 
 def colon_and_core(ideal: IdealRep) -> CoreReport:
     """Compute Q:I and core(I) for a numerically-p_g ideal.
 
-    One pass over the contraction sequence (:func:`~antinef.birational.contract_all`)
-    of rational (-1)-curves E_1, E_2, ... disjoint from the cohomological
-    cycle.  By the projection formula, b_i = -Z.F_i = -(pi_* Z).E_i on the
-    graph E_i is contracted from, which the step re-inserting E_i gives as
-    :func:`~antinef.birational.excess`: Z[E_i] - sum m.Z[u] over its
-    attachments.  Y = sum over b_i > 0 of F_i is one bottom-up accumulation
-    over the steps (:func:`~antinef.birational.lift`):
-    Y[E_i] = sum m.Y[attach] + [b_i > 0].  The sequence depends only on the
-    graph and C, so it is contracted and checked once per pair and kept
-    with the graph; later calls with the same C read only Z.
+    Two vector passes over the contraction sequence
+    (:func:`~antinef.birational.contract_all`) of rational (-1)-curves E_1,
+    E_2, ... disjoint from the cohomological cycle, by their positions on
+    Z's graph.  By the projection formula, b_i = -Z.F_i = -(pi_* Z).E_i on
+    the graph E_i is contracted from: Z[E_i] - sum m.Z[u] over the curves u
+    it meets m times there.  Y = sum over b_i > 0 of F_i is one bottom-up
+    accumulation: Y[E_i] = sum m.Y[u] + [b_i > 0].  The sequence depends only
+    on the graph and C, so it is contracted and checked once per pair and
+    kept with the graph; later calls with the same C read only Z.
 
     Any failure of the construction's guarantees (Z - Y not anti-nef, Y not
     contracting to a smooth point, negative b_i) is raised as a theorem
@@ -232,14 +234,17 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
         raise PreconditionError("colon_and_core needs a numerically-p_g ideal")
     z = ideal.z
     g = z.graph  # represent checked that this is the tower's graph at ideal.level
-    local = _off_c_tower(g, ideal.c)
-    zc = z.as_dict()
+    local, seq = _off_c_tower(g, ideal.c)
+    zv = z.vec
     b: list[int] = []
-    for step in reversed(local.steps):  # top-down: E_1 is contracted first
-        b.append(excess(zc, step))
+    for p, attach in reversed(seq):  # top-down: E_1 is contracted first
+        b.append(zv[p] - sum(m * zv[q] for q, m in attach))
         if b[-1] < 0:
-            raise TheoremViolationError(f"b_{len(b)} = {b[-1]} < 0 for contracted curve {step.new_id!r}")
-    y = cycle(g, lift({}, local.steps, [int(b_i > 0) for b_i in reversed(b)]))
+            raise TheoremViolationError(f"b_{len(b)} = {b[-1]} < 0 for contracted curve {g.ids[p]!r}")
+    yv = [0] * len(zv)
+    for (p, attach), b_i in zip(seq, reversed(b)):
+        yv[p] = sum(m * yv[q] for q, m in attach) + (b_i > 0)
+    y = Cycle(g, tuple(yv))
     if not y.is_zero:
         if not contracts_to_smooth(y):
             raise TheoremViolationError(f"Y = {y} does not contract to a smooth point")
@@ -261,17 +266,18 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
 
 def is_good(ideal: IdealRep) -> bool:
     """Minimal-representation criterion: after contracting (-1)-curves with
-    Z.E = 0, every remaining rational (-1)-curve must meet the cohomological
-    cycle."""
+    Z.E = 0, no rational (-1)-curve that meets another curve misses the
+    cohomological cycle."""
     if not ideal.pg_numeric:
         raise PreconditionError("is_good needs a numerically-p_g ideal")
     # a contraction keeps the survivors' coefficients: pi_* Z and pi_* C are
-    # Z and C read on the curves that are left
-    zc = ideal.z.as_dict()
-    g = contract_all(ideal.z.graph, lambda step: excess(zc, step) == 0).bottom
-    off_c = _off_c(ideal.c)
+    # Z and C read on the curves that are left, by their positions on g
+    g, zv = ideal.z.graph, ideal.z.vec
+    low = contract_all(g, lambda p, attach: zv[p] == sum(m * zv[q] for q, m in attach)).bottom
+    off_c, at = _off_c(ideal.c), g.position
     return not any(
-        v.self_int == -1 and v.kappa == -1 and off_c(TowerStep(v.id, g.adjacency[v.id])) for v in g.vertices
+        v.self_int == -1 and v.kappa == -1 and nb and off_c(at(v.id), tuple((at(u), m) for u, m in nb))
+        for v, nb in zip(low.vertices, low.adjacency.values())
     )
 
 
@@ -292,8 +298,8 @@ def good_closure(ideal: IdealRep) -> IdealRep:
     if not ideal.pg_numeric:
         raise PreconditionError("good_closure needs a numerically-p_g ideal")
     model = ideal.model
-    local = _off_c_tower(ideal.z.graph, ideal.c)
-    lower = contract_all(local.bottom, lambda step: True)
+    local, _ = _off_c_tower(ideal.z.graph, ideal.c)
+    lower = contract_all(local.bottom, lambda p, attach: True)
     # contraction keeps the canonical order and the base's name, so the
     # bottom graph equals the base exactly when it is the same lattice
     if lower.bottom != model.base:

@@ -3,8 +3,8 @@
 All operations are pure functions over immutable graphs and cycles, and all
 arithmetic is exact.  Every pairing on one graph reads a cycle's cached M.Z,
 ``Cycle.rows``: W.V, Z.E_i (:func:`row_pairing`) and anti-nefness; the
-contraction rules of :mod:`antinef.ideals` read -W.E from a step, by
-:func:`antinef.birational.excess`.  Every result passes through
+contraction rules of :mod:`antinef.ideals` read -W.E on a lower graph as
+W[E] - sum m.W[u], by position in W's ``vec``.  Every result passes through
 :func:`antinef.graph.normal`, so an integral value is an int.
 """
 

@@ -31,6 +31,13 @@ The dense fraction-free determinant: the ``graph.det_bareiss`` that the
 graph's one sparse elimination replaced, unchanged.  ``test_graph.py``
 checks the elimination's ``det`` and definiteness against it, and the
 wrapper that ``det_bareiss`` now is.
+
+Contraction rules on the step that would re-insert a curve: ``excess``, -W.E
+read from a dict keyed by vertex id, is the ``birational.excess`` that rules
+reading a cycle's vector by position replaced, unchanged; ``by_step`` runs a
+rule on such steps in ``contract_all``, which passes positions.
+``test_birational.py`` checks that both kinds of rule build the same towers,
+and colon/core's b and Y against ``excess`` and ``birational.lift``.
 """
 
 from __future__ import annotations
@@ -40,6 +47,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
 
+from antinef.birational import TowerStep
 from antinef.errors import InputError, PreconditionError, TheoremViolationError
 from antinef.graph import Coeff, Cycle, DualGraph, _Frozen, _graph_mismatch, _set, cycle, normal, zero_cycle
 
@@ -515,3 +523,20 @@ def det_bareiss(m: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+# --- contraction rules on steps, by vertex id --------------------------------
+
+
+def excess(coeffs: Mapping[str, Coeff], step: TowerStep) -> Coeff:
+    """W[E] - sum m.W[u] over the step's attachments, for the curve E the
+    step inserts: -W.E, since E^2 = -1 and E meets each u m times."""
+    return coeffs.get(step.new_id, 0) - sum(m * coeffs.get(u, 0) for u, m in step.attach)
+
+
+def by_step(g: DualGraph, rule: Callable[[TowerStep], bool]) -> Callable[[int, tuple], bool]:
+    """A rule on the step that would re-insert a curve as a rule of
+    ``contract_all(g, ...)``, which passes the curve and its attachments by
+    position on g."""
+    ids = g.ids
+    return lambda p, attach: rule(TowerStep(ids[p], tuple((ids[q], m) for q, m in attach)))

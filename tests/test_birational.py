@@ -6,18 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from antinef import birational, corpus, graph
+from antinef import birational, corpus, graph, ideals
 from antinef.birational import (
     Tower,
     TowerStep,
     apply_step,
     associated_pg_cycle,
-    blowup,
     contract,
     contract_all,
     edge_point,
-    excess,
     free_point,
+    lift,
     relative_canonical,
     replay,
     transport_cohom,
@@ -26,7 +25,7 @@ from antinef.birational import (
 from antinef.cli import _minimalize
 from antinef.errors import InputError, PreconditionError
 from antinef.graph import Vertex, cycle, dual_graph, unit_cycle, validate_graph, zero_cycle
-from antinef.ideals import _off_c, colon_and_core, represent, singularity_model
+from antinef.ideals import _off_c, colon_and_core, is_good, represent, singularity_model
 from antinef.lattice import (
     antinef_closure,
     arithmetic_genus,
@@ -35,6 +34,7 @@ from antinef.lattice import (
     pair,
     row_pairing,
 )
+from oracle_reference import by_step, excess
 from towers import grow
 
 
@@ -46,7 +46,7 @@ def _mult(g, a, b):
 class TestBlowup:
     def test_free_point_surgery(self):
         g = corpus.get("A1").graph
-        g2, step = blowup(g, free_point("E1", "C"))
+        g2 = apply_step(g, free_point("E1", "C"))
         assert g2.vertex("E1").self_int == -3
         assert g2.vertex("E1").kappa == 1
         assert g2.vertex("C").self_int == -1 and g2.vertex("C").kappa == -1
@@ -55,7 +55,7 @@ class TestBlowup:
 
     def test_edge_point_surgery(self):
         g = corpus.get("A2").graph
-        g2, _ = blowup(g, edge_point("E1", "E2", "C"))
+        g2 = apply_step(g, edge_point("E1", "E2", "C"))
         assert _mult(g2, "E1", "E2") == 0
         assert _mult(g2, "E1", "C") == 1 and _mult(g2, "E2", "C") == 1
         assert g2.vertex("E1").self_int == -3 and g2.vertex("E2").self_int == -3
@@ -64,12 +64,12 @@ class TestBlowup:
     def test_edge_point_needs_an_edge(self):
         g = corpus.get("D4").graph  # E3 and E4 are both leaves, not adjacent
         with pytest.raises(PreconditionError):
-            blowup(g, edge_point("E3", "E4", "C"))
+            apply_step(g, edge_point("E3", "E4", "C"))
 
     def test_duplicate_id_rejected(self):
         g = corpus.get("A1").graph
         with pytest.raises(InputError):
-            blowup(g, free_point("E1", "E1"))
+            apply_step(g, free_point("E1", "E1"))
 
     @pytest.mark.parametrize("step, message", [
         (TowerStep("C", (("E1", 0),)), "attach multiplicities must be >= 1"),
@@ -90,14 +90,14 @@ class TestBlowup:
 class TestContract:
     def test_roundtrip_free(self):
         g = corpus.get("A3").graph
-        g2, _ = blowup(g, free_point("E2", "C"))
+        g2 = apply_step(g, free_point("E2", "C"))
         lower, step = contract(g2, "C")
         assert lower == g
         assert apply_step(lower, step) == g2
 
     def test_roundtrip_edge(self):
         g = corpus.get("A3").graph
-        g2, _ = blowup(g, edge_point("E1", "E2", "C"))
+        g2 = apply_step(g, edge_point("E1", "E2", "C"))
         lower, step = contract(g2, "C")
         assert lower == g
         assert apply_step(lower, step) == g2
@@ -368,7 +368,7 @@ def test_surgery_keeps_canonical_order(data):
 def test_every_level_is_the_replay_of_the_steps_below_it(data):
     base = corpus.get(data.draw(st.sampled_from(["A3", "D5", "E6", "HJ(7,3)", "ex244min"]))).graph
     grown = grow(data, Tower.base(base), data.draw(st.integers(min_value=0, max_value=120)))
-    for t in (grown, Tower.from_steps(base, grown.steps), contract_all(grown.top, lambda step: True)):
+    for t in (grown, Tower.from_steps(base, grown.steps), contract_all(grown.top, lambda p, attach: True)):
         levels = t.levels
         assert len(levels) == t.height + 1 == len(t.steps) + 1
         assert (levels[0], levels[-1]) == (t.bottom, t.top)
@@ -387,14 +387,14 @@ def test_contraction_down_and_insertion_up_agree_at_height(data):
     stays."""
     base = corpus.get(data.draw(st.sampled_from(["A3", "D5", "E6", "HJ(7,3)", "ex244min"]))).graph
     t = grow(data, Tower.base(base), data.draw(st.integers(min_value=0, max_value=300)))
-    everything = contract_all(t.top, lambda step: True)
+    everything = contract_all(t.top, lambda p, attach: True)
     assert everything.bottom == base
     assert replay(everything.bottom, everything.steps) == t.top
     c = transport_cohom(t, cycle(base, {vid: data.draw(st.integers(0, 2)) for vid in base.ids}))
     off_c = contract_all(t.top, _off_c(c))
     assert replay(off_c.bottom, off_c.steps) == t.top
     split = dual_graph(base.name, base.vertices + (Vertex("X", -1, -1),), base.edges)
-    assert contract_all(replay(split, t.steps), lambda step: True) == Tower.from_steps(split, everything.steps)
+    assert contract_all(replay(split, t.steps), lambda p, attach: True) == Tower.from_steps(split, everything.steps)
 
 
 # bases that are not negative definite: two (-1)-curves meeting once
@@ -427,7 +427,7 @@ def test_every_surgery_carries_its_parents_definiteness(data):
     want = _own_definiteness(base) if known else None
     t = grow(data, Tower.base(base), data.draw(st.integers(min_value=1, max_value=500)))
     h = t.height
-    down = contract_all(t.top, lambda step: True).bottom
+    down = contract_all(t.top, lambda p, attach: True).bottom
     mid = [t.graph(data.draw(st.integers(0, h // 2))), t.graph(data.draw(st.integers(h // 2 + 1, h)))]
     levels = t.levels
     assert {vars(g).get("negative_definite") for g in levels + (down, *mid)} == {want}
@@ -441,7 +441,7 @@ def test_contract_all_from_steps_and_blow_up_each_freeze_one_graph(monkeypatch):
         t = t.blow_up(free_point(t.top.ids[-1], f"F{k:02d}"))  # a chain above E5
     frozen = []
     monkeypatch.setattr(birational, "DualGraph", lambda *args: frozen.append(args) or graph.DualGraph(*args))
-    for build, height in ((lambda: contract_all(t.top, lambda step: True), 20),
+    for build, height in ((lambda: contract_all(t.top, lambda p, attach: True), 20),
                           (lambda: Tower.from_steps(t.bottom, t.steps), 20),
                           (lambda: t.blow_up(free_point("E1", "P")), 21)):
         frozen.clear()
@@ -581,21 +581,63 @@ def test_contract_all_matches_the_four_loops(data):
     else:
         c_any = c
     zc, cc, ca = z.as_dict(), c.as_dict(), c_any.as_dict()
-    disjoint = contract_all(g, lambda step: step.new_id not in cc and excess(cc, step) == 0)
+    disjoint = contract_all(g, by_step(g, lambda step: step.new_id not in cc and excess(cc, step) == 0))
     assert disjoint == _reference_loop(
         g, lambda cur, lower, step: c.coeff(step.new_id) == 0 and _pairs_to_zero(c)(cur, lower, step)
     )
-    assert contract_all(g, lambda step: excess(zc, step) == 0) == _reference_loop(g, _pairs_to_zero(z))
-    everything = contract_all(g, lambda step: True)
+    assert contract_all(g, by_step(g, lambda step: excess(zc, step) == 0)) == _reference_loop(g, _pairs_to_zero(z))
+    everything = contract_all(g, lambda p, attach: True)
     assert everything == _reference_loop(g, lambda cur, lower, step: True)
     assert everything.levels[0] == t.levels[0]
-    minimal = contract_all(g, lambda step: ca.get(step.new_id, 0) == transported(ca, step.attach))
+    minimal = contract_all(g, by_step(g, lambda step: ca.get(step.new_id, 0) == transported(ca, step.attach)))
     assert minimal == _reference_loop(g, _transports_back(c_any), spare_last=True)
     # the library and CLI paths run the same engine
     assert _minimalize(g, c_any) == (minimal, c_any.restricted_to(minimal.levels[0]))
     ideal = represent(model, t, t.height, z, h1=model.pg)
     if ideal.pg_numeric:
         assert colon_and_core(ideal).contraction_tower == disjoint
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_rules_by_position_contract_like_their_name_keyed_references(data):
+    """The four contraction rules read cycles by position on the top: the
+    off-C rule, is_good's Z.E = 0 rule, the minimalization's transport rule
+    and True.  On towers up to 300 levels high each builds the same tower
+    as its name-keyed reference run on the step that would re-insert the
+    curve, and colon/core's b and Y are those of excess and lift."""
+    name = data.draw(st.sampled_from(["A3", "D5", "E6", "HJ(7,3)", "ex244min"]))
+    base = corpus.get(name).graph
+    model = singularity_model(base, pg=1, gorenstein=True) if name == "ex244min" else singularity_model(base)
+    t = grow(data, Tower.base(base), data.draw(st.integers(min_value=0, max_value=300)))
+    for k in range(data.draw(st.integers(0, 3))):  # curves met twice, so that multiplicities count
+        t = t.blow_up(TowerStep(f"M{k}", ((data.draw(st.sampled_from(t.top.ids)), 2),)))
+    g = t.top
+    c = transport_cohom(t, model.c_base)
+    raised = data.draw(st.dictionaries(st.sampled_from(g.ids), st.integers(1, 3), max_size=3))
+    z = antinef_closure(t.pullback(fundamental_cycle(base), 0, t.height) + cycle(g, raised))
+    # C itself, or effective cycles that some contraction would not transport
+    c_any = data.draw(st.sampled_from([c, c + unit_cycle(g, data.draw(st.sampled_from(g.ids))), cycle(
+        g, data.draw(st.dictionaries(st.sampled_from(g.ids), st.integers(0, 2), max_size=6)))]))
+    zc, ca = z.as_dict(), c_any.as_dict()
+    ideal = represent(model, t, t.height, z, h1=model.pg)
+
+    assert contract_all(g, _off_c(c_any)) == contract_all(
+        g, by_step(g, lambda step: step.new_id not in ca and excess(ca, step) == 0))
+    assert _minimalize(g, c_any)[0] == contract_all(
+        g, by_step(g, lambda step: ca.get(step.new_id, 0) == transported(ca, step.attach)))
+    assert contract_all(g, lambda p, attach: True) == contract_all(g, by_step(g, lambda step: True))
+    if not ideal.pg_numeric:
+        return
+    rules = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "contract_all", lambda graph, rule: rules.append(rule) or contract_all(graph, rule))
+        is_good(ideal)
+    assert contract_all(g, rules[0]) == contract_all(g, by_step(g, lambda step: excess(zc, step) == 0))
+    rep = colon_and_core(ideal)
+    steps = rep.contraction_tower.steps
+    assert rep.b == tuple(excess(zc, step) for step in reversed(steps))
+    assert rep.y == cycle(g, lift({}, steps, [int(b > 0) for b in reversed(rep.b)]))
 
 
 @settings(max_examples=40, deadline=None)

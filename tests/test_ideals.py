@@ -159,22 +159,26 @@ class TestColonCore:
         assert calls == [ex244_ideal[1].z]
 
     @pytest.mark.parametrize("plant, message", [
-        (lambda mp, z: mp.setattr(ideals, "excess", lambda coeffs, step: -1), "b_1 = -1 < 0"),
-        (lambda mp, z: mp.setattr(ideals, "contracts_to_smooth", lambda y: False),
+        (lambda mp, ideal: _b1_lowered_to(ideal, -1), "b_1 = -1 < 0"),
+        (lambda mp, ideal: mp.setattr(ideals, "contracts_to_smooth", lambda y: False),
          "does not contract to a smooth point"),
-        (lambda mp, z: (mp.setattr(ideals, "lift", lambda *args: dict((2 * z).coeffs)),
-                        mp.setattr(ideals, "contracts_to_smooth", lambda y: True)),
+        (lambda mp, ideal: mp.setattr(ideals, "Cycle", lambda g, vec: 2 * ideal.z)
+         or mp.setattr(ideals, "contracts_to_smooth", lambda y: True),
          "is not an effective anti-nef cycle"),
-        (lambda mp, z: mp.setattr(ideals, "is_antinef", lambda w: False), "is not an effective anti-nef cycle"),
-        (lambda mp, z: mp.setattr(ideals, "_pg_numeric", lambda w, c: False), "is not numerically p_g"),
+        (lambda mp, ideal: mp.setattr(ideals, "is_antinef", lambda w: False), "is not an effective anti-nef cycle"),
+        (lambda mp, ideal: mp.setattr(ideals, "_pg_numeric", lambda w, c: False), "is not numerically p_g"),
     ], ids=["negative-b", "y-not-smooth", "colon-not-effective", "colon-not-antinef", "colon-not-pg"])
     def test_every_theorem_guard_raises(self, chain_ideal, plant, message):
+        """Each guard raises on its own fault, planted where colon/core reads
+        it: b from Z's vector, Y (here 2Z) as the cycle its pass builds, and
+        the checks on Y and Z - Y.  A plant returns the ideal to run, or None
+        for the ideal as it is."""
         _, ideal = chain_ideal
         colon_and_core(ideal)  # the off-C sequence is kept, so a plant reaches only what Z enters
         with pytest.MonkeyPatch.context() as mp:
-            plant(mp, ideal.z)
+            planted = plant(mp, ideal) or ideal
             with pytest.raises(TheoremViolationError, match=message):
-                colon_and_core(ideal)
+                colon_and_core(planted)
 
     def test_needs_pg_numeric(self, ex244):
         t = ex244.tower
@@ -185,6 +189,14 @@ class TestColonCore:
         assert not ideal.pg_numeric
         with pytest.raises(PreconditionError):
             colon_and_core(ideal)
+
+
+def _b1_lowered_to(ideal, b1):
+    """The ideal with Z lowered on E_1, the first curve the off-C sequence
+    contracts, so that b_1 = Z[E_1] - sum m.Z[u] reads b1."""
+    rep = colon_and_core(ideal)
+    e1 = rep.contraction_tower.steps[-1].new_id
+    return ideal._replace(z=ideal.z - (rep.b[0] - b1) * unit_cycle(ideal.z.graph, e1))
 
 
 class TestGoodness:
@@ -539,6 +551,38 @@ def test_two_cohomological_cycles_on_one_graph_keep_their_own_sequences():
     assert [s.new_id for s in reps[1].contraction_tower.steps] == ["Q"]
     assert reps[2:] == reps[:2]
     assert len(t.top._off_c_towers) == 2
+
+
+def _holds(x, target, seen):
+    """Whether x is target or holds it through tuples, lists, dicts and
+    instance attributes."""
+    if x is target:
+        return True
+    if isinstance(x, (str, int)) or id(x) in seen:
+        return False
+    seen.add(id(x))
+    if isinstance(x, dict):
+        parts = [*x, *x.values()]
+    elif isinstance(x, (tuple, list)):
+        parts = x
+    else:
+        parts = vars(x).values() if hasattr(x, "__dict__") else ()
+    return any(_holds(part, target, seen) for part in parts)
+
+
+def test_the_kept_off_c_sequence_holds_no_reference_to_its_graph():
+    """The sequence is kept in a cache on g, so a reference back to g would
+    make a cycle of references that only the garbage collector frees."""
+    t, gorenstein, other, z = _two_models()
+    g = t.top
+    for model in (gorenstein, other):
+        ideal = represent(model, t, t.height, z)
+        colon_and_core(ideal)
+        good_closure(ideal)
+    kept = g._off_c_towers
+    assert len(kept) == 2
+    assert not any(_holds(value, g, set()) for value in kept.values())
+    assert _holds(((1, [2]), {"k": z}), g, set())  # the walk finds g where it is: z.graph
 
 
 def test_a_failed_replay_check_raises_and_is_not_kept():

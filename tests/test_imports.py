@@ -438,7 +438,7 @@ def test_message_scan_sees_a_planted_copy():
 PUBLIC = sorted("""
     ConeStats CoreReport Cycle DualGraph IdealRep InputError LatticeError PreconditionError SingularityModel
     TheoremViolationError Tower TowerStep ValidationReport Vertex antinef_closure arithmetic_genus
-    associated_pg_cycle blowup canonical_cycle colength colon_and_core cone_model contract contract_all
+    associated_pg_cycle canonical_cycle colength colon_and_core cone_model contract contract_all
     contracts_to_smooth core_monotone_check cycle dual_graph edge_point epsilon free_point fundamental_cycle
     good_closure good_gorenstein_crosscheck includes is_antinef is_good is_numerically_gorenstein is_rational
     k_dot multiplicity pair product relative_canonical represent row_pairing singularity_model
