@@ -7,22 +7,23 @@ whose curves all meet the new one once (:func:`free_point`,
 (-1)-curve that meets another curve produces the lower graph together with
 the step that rebuilds the upper one, so contraction sequences become towers
 read in reverse.  Each direction has its own surgery: :func:`replay` inserts
-curves into sorted lists and :func:`contract_all` removes them from
-neighbour maps, so replaying a contraction sequence checks one against the
-other.  Cycles move up the steps by one rule, :func:`lift` for total
-transforms and :func:`transported` for the cohomological cycle C, which is
-effective and integral.  The associated p_g-cycle follows its count: each
-branch through E_i is blown up C[E_i] times.
+curves into sorted lists and :func:`contract_positions` removes them from
+neighbour maps by position, which :func:`contract_all` names; replaying a
+contraction sequence checks one against the other.  A cycle moves up the
+steps in place, on a list by position or a dict over the top's ids, by one
+rule: :func:`lift` for total transforms, :func:`transported` for the
+cohomological cycle C, which is effective and integral.  The associated
+p_g-cycle follows its count: each branch through E_i is blown up C[E_i] times.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import combinations, count
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from itertools import combinations, count, repeat
+from typing import Callable, Iterable, Iterator, MutableSequence, NamedTuple, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
-from .graph import Coeff, Cycle, DualGraph, Vertex, cycle, zero_cycle
+from .graph import Coeff, Cycle, DualGraph, Vertex, _normal_vec, zero_cycle
 from .lattice import contracts_to_smooth, is_antinef
 
 
@@ -142,43 +143,41 @@ def contract(g: DualGraph, vid: str) -> tuple[DualGraph, TowerStep]:
     lower graph and the step that rebuilds g from it: :func:`contract_all`
     limited to vid."""
     p = g.position(vid)
-    v = g.vertices[p]
+    t = contract_all(g, lambda q, attach: q == p)
+    if t.steps:
+        return t.bottom, t.steps[0]
+    v = g.vertices[p]  # not a candidate: say why
     if v.self_int != -1 or v.kappa != -1:
         raise PreconditionError(
             f"{vid!r} is not a rational (-1)-curve (self {v.self_int}, kappa {v.kappa})"
         )
-    if not g.adjacency[vid]:
-        raise PreconditionError(f"cannot contract {vid!r}: it meets no other curve")
-    t = contract_all(g, lambda q, attach: q == p)
-    return t.bottom, t.steps[0]
+    raise PreconditionError(f"cannot contract {vid!r}: it meets no other curve")
 
 
-def contract_all(g: DualGraph, may_contract: Callable[[int, tuple[tuple[int, int], ...]], bool]) -> Tower:
-    """Contract rational (-1)-curves of g while one may go; returns the
-    sequence as a tower with g on top, bottom = most contracted.
+def candidates(verts: dict[int, Vertex], adj: dict[int, dict[int, int]]) -> Iterator[tuple[int, tuple]]:
+    """The curves a contraction may take, in the maps' order: each rational
+    (-1)-curve that meets another curve, with its neighbours as sorted (p, m)."""
+    for p, v in verts.items():
+        if v.self_int == -1 and v.kappa == -1 and adj[p]:
+            yield p, tuple(sorted(adj[p].items()))
 
-    Each scan runs over the current graph's curves in canonical order and
-    contracts the first rational (-1)-curve that meets another curve and for
-    which ``may_contract(p, attach)`` holds, p being its position on g and
-    attach its neighbours as sorted (position on g, m) pairs; then it scans
-    again.  A rule is a pure function of (p, attach), and reads a cycle on g
-    by its ``vec``: a contraction keeps the survivors' coefficients.  The
-    graph is kept as two maps by position on g, from ``g.sparse_matrix()``:
-    each curve's vertex and its neighbour map.  Each step is named as it is
-    made, and only the bottom is frozen, carrying g's known definiteness: a
-    contraction removes an orthogonal (-1).
-    """
+
+def contract_positions(g: DualGraph, may_contract: Callable[[int, tuple[tuple[int, int], ...]], bool]) -> tuple:
+    """Contract rational (-1)-curves of g, all by position on g: each scan
+    takes the first of the :func:`candidates` (p, attach) for which
+    ``may_contract(p, attach)`` holds, until none does.  Returns the
+    survivors' vertex and neighbour maps, from ``g.sparse_matrix()``, and
+    the sequence bottom first.  A rule reads a cycle on g by its ``vec``: a
+    contraction keeps the survivors' coefficients."""
     verts = dict(enumerate(g.vertices))
     adj = dict(enumerate(g.sparse_matrix()))
     for p, nb in adj.items():
         del nb[p]  # the diagonal: nb is p's neighbour map
-    ids, steps = g.ids, []
+    seq = []
     while True:
-        for p, v in verts.items():
-            if v.self_int == -1 and v.kappa == -1 and adj[p]:
-                attach = tuple(sorted(adj[p].items()))
-                if may_contract(p, attach):
-                    break
+        for p, attach in candidates(verts, adj):
+            if may_contract(p, attach):
+                break
         else:
             break
         # only the curves the contracted one met change
@@ -191,11 +190,14 @@ def contract_all(g: DualGraph, may_contract: Callable[[int, tuple[tuple[int, int
             for w, mw in attach:
                 if w != u:
                     nb[w] = nb.get(w, 0) + mu * mw
-        steps.append(_new(TowerStep, (ids[p], tuple([(ids[u], m) for u, m in attach]))))
-    edges = sorted((ids[a], ids[b], m) for a, nb in adj.items() for b, m in nb.items() if a < b)
-    bottom = DualGraph(g.name, tuple(verts.values()), tuple(edges), tuple(ids[p] for p in verts),
-                       g.__dict__.get("negative_definite"))
-    return Tower(bottom, tuple(reversed(steps)), g)
+        seq.append((p, attach))
+    return verts, adj, tuple(reversed(seq))
+
+
+def contract_all(g: DualGraph, may_contract: Callable[[int, tuple[tuple[int, int], ...]], bool]) -> Tower:
+    """The sequence of :func:`contract_positions` as a tower with g on top,
+    bottom = most contracted, named by :meth:`Tower.contracted`."""
+    return Tower.contracted(g, *contract_positions(g, may_contract))
 
 
 class Tower(NamedTuple):
@@ -217,6 +219,17 @@ class Tower(NamedTuple):
         """The tower the steps build on base; only its top is built."""
         steps = tuple(steps)
         return cls(base, steps, replay(base, steps))
+
+    @classmethod
+    def contracted(cls, g: DualGraph, verts: dict, adj: dict, seq: Sequence[tuple]) -> "Tower":
+        """A :func:`contract_positions` result on g, named, and only its bottom
+        frozen, with g's definiteness: a contraction removes an orthogonal (-1)."""
+        ids = g.ids
+        edges = sorted((ids[a], ids[b], m) for a, nb in adj.items() for b, m in nb.items() if a < b)
+        bottom = DualGraph(g.name, tuple(verts.values()), tuple(edges), tuple(ids[p] for p in verts),
+                           g.__dict__.get("negative_definite"))
+        return cls(bottom, tuple(_new(TowerStep, (ids[p], tuple([(ids[u], m) for u, m in attach])))
+                                 for p, attach in seq), g)
 
     @property
     def height(self) -> int:
@@ -253,7 +266,7 @@ class Tower(NamedTuple):
         top = self.graph(to_level)  # the one level check, before the direction
         if to_level < from_level:
             raise PreconditionError("pullback goes to a level >= its source")
-        return cycle(top, lift(w.as_dict(), self.steps[from_level:to_level]))
+        return _carried(w, top, self.steps[from_level:to_level], lift)
 
     def pushforward(self, w: Cycle, from_level: int, to_level: int) -> Cycle:
         """Restrict coefficients to the curves surviving at the lower level."""
@@ -270,25 +283,35 @@ class Tower(NamedTuple):
             )
 
 
-def lift(
-    coeffs: dict[str, Coeff], steps: Sequence[TowerStep], marks: Optional[Sequence[int]] = None
-) -> dict[str, Coeff]:
-    """One pass up the steps, bottom first: the total transform of a cycle
-    plus, for each step k, marks[k] times the total transform of the curve
-    step k inserts.  Each new curve gets acc[new] = sum m.acc[attach] + mark.
-
-    With no marks this is the pullback; with every mark 1 it is the relative
-    canonical cycle, since the total transform of E_k is E_k plus the lifts
-    of E_k onto every later curve.
-    """
-    acc = dict(coeffs)
-    for k, step in enumerate(steps):
-        c = sum(m * acc.get(vid, 0) for vid, m in step.attach)
-        if marks is not None:
-            c += marks[k]
-        if c != 0:
-            acc[step.new_id] = c
+def lift(acc: MutableSequence | dict, steps: Sequence[tuple], marks: Iterable[int] = repeat(0)):
+    """One pass up the steps in place on acc, which holds every curve they
+    name, keyed as they name them (a list by position, a dict by id): each
+    new curve gets acc[new] = sum m.acc[attach] + mark.  With no marks this
+    is the total transform; with every mark 1 the relative canonical cycle,
+    the total transform of E_k being E_k plus its lifts onto later curves."""
+    for (new, attach), mark in zip(steps, marks):
+        acc[new] = sum(m * acc[u] for u, m in attach) + mark
     return acc
+
+
+def _transport(acc: dict, steps: Sequence[TowerStep]) -> None:
+    """The cohomological cycle carried up the steps in place by :func:`transported`."""
+    for new, attach in steps:
+        acc[new] = transported(acc, attach)
+
+
+def _carried(w: Cycle, top: DualGraph, steps: Sequence[TowerStep], carry: Callable, *marks: Iterable[int]) -> Cycle:
+    """w carried up the steps onto top by ``carry(acc, steps, *marks)``, run
+    in place on a dict over top's ids, from w's coefficients and 0 on the
+    curves w's graph lacks.  A step that names a curve top lacks is refused."""
+    acc = dict(zip(top.ids, w.restricted_to(top).vec))
+    try:
+        carry(acc, steps, *marks)
+    except KeyError as err:
+        raise InputError(f"a step attaches to {err.args[0]!r}, which {top.name!r} lacks") from None
+    if len(acc) != len(top.ids):
+        raise InputError(f"a step inserts {list(acc)[len(top.ids)]!r}, which {top.name!r} lacks")
+    return Cycle(top, _normal_vec(acc.values()))
 
 
 def relative_canonical(t: Tower, top_level: Optional[int] = None, bottom_level: int = 0) -> Cycle:
@@ -301,19 +324,18 @@ def relative_canonical(t: Tower, top_level: Optional[int] = None, bottom_level: 
     t.graph(bottom_level)
     if bottom_level > top_level:
         raise PreconditionError(f"bottom level {bottom_level} is above top level {top_level}")
-    steps = t.steps[bottom_level:top_level]
-    k = cycle(top, lift({}, steps, [1] * len(steps)))
+    k = _carried(zero_cycle(top), top, t.steps[bottom_level:top_level], lift, repeat(1))
     if not contracts_to_smooth(k):
         raise TheoremViolationError("relative canonical cycle fails -K^2 + K.K_X = 0")
     return k
 
 
-def transported(coeffs: Mapping, attach: Sequence[tuple]) -> Coeff:
-    """The cohomological cycle's coefficient on a curve inserted with these
-    attachments, C keyed as they name curves: max(sum m.C[u] - 1, 0).  For
-    an effective integral C and every m >= 1 the sum is positive exactly
-    when the center lies on supp C: the total transform less 1 there, else 0."""
-    return max(sum(m * coeffs.get(u, 0) for u, m in attach) - 1, 0)
+def transported(acc: MutableSequence | dict, attach: Sequence[tuple]) -> Coeff:
+    """C's coefficient on a curve inserted with these attachments, C keyed as
+    they name curves: max(sum m.C[u] - 1, 0).  For an effective integral C
+    and every m >= 1 the sum is positive exactly when the center lies on
+    supp C: the total transform less 1 there, else 0."""
+    return max(sum(m * acc[u] for u, m in attach) - 1, 0)
 
 
 def transport_cohom(t: Tower, c_base: Cycle) -> Cycle:
@@ -330,10 +352,7 @@ def transport_cohom(t: Tower, c_base: Cycle) -> Cycle:
         raise PreconditionError("cohomological cycle must live on the tower's bottom level")
     if c_base.is_zero:  # each step adds sum m.C[u] = 0: zero on every level
         return zero_cycle(t.top)
-    coeffs = c_base.as_dict()
-    for step in t.steps:
-        coeffs[step.new_id] = transported(coeffs, step.attach)
-    return cycle(t.top, coeffs)
+    return _carried(c_base, t.top, t.steps, _transport)
 
 
 def associated_pg_cycle(
@@ -371,14 +390,14 @@ def associated_pg_cycle(
     for vid, row in zip(g.ids, z.rows):
         if counts.get(vid, 0) != -row:
             raise PreconditionError(f"branch balance fails on {vid!r}: {counts.get(vid, 0)} branches, -Z.E = {-row}")
-    cc = transport_cohom(t0, c_base).as_dict()
+    c = transport_cohom(t0, c_base)
     taken, steps = set(g.ids), []
     names = (f"P{k}" for k in count(1) if f"P{k}" not in taken)
     for vid, n in counts.items():
         for _ in range(n):
             tip = vid
-            for _ in range(cc.get(vid, 0)):
+            for _ in range(c.coeff(vid)):
                 steps.append(free_point(tip, next(names)))
                 tip = steps[-1].new_id
     t = Tower(t0.bottom, t0.steps + tuple(steps), replay(g, steps))
-    return t, cycle(t.top, lift(z.as_dict(), steps, [1] * len(steps)))
+    return t, _carried(z, t.top, steps, lift, repeat(1))

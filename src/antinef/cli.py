@@ -89,8 +89,8 @@ def _minimalize(g: DualGraph, c: Cycle) -> tuple[Tower, Cycle]:
         raise PreconditionError("cohomological cycle must be effective")
     if not c.is_integral:
         raise PreconditionError("cohomological cycle must be integral")
-    cc = dict(enumerate(c.vec))
-    tower = contract_all(g, lambda p, attach: cc[p] == transported(cc, attach))
+    cv = c.vec
+    tower = contract_all(g, lambda p, attach: cv[p] == transported(cv, attach))
     return tower, c.restricted_to(tower.bottom)
 
 

@@ -6,19 +6,21 @@ computed at the cycle level via the contraction-sequence description:
 contract rational (-1)-curves E_i disjoint from the cohomological cycle,
 read b_i = -Z.F_i by the projection formula as Z[E_i] - sum m.Z[u] over the
 curves u that E_i meets m times when contracted (F_i its total transform),
-accumulate Y = sum of min(1, b_i) F_i in one bottom-up pass, then
-Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}; the rules and both passes read cycles
-by position on Z's graph.  The sequence depends only on the graph and C, as
-Z enters only through the b_i, so it is contracted and checked once per
-graph and C and kept with the graph, positions included; the good closure
-is Z pushed down that same kept sequence.
+accumulate Y = sum of min(1, b_i) F_i in one bottom-up lift, then
+Q:I = I_{Z-Y} and core(I) = I_{2Z-Y}.  The rules, both passes and goodness
+read cycles by position on Z's graph, off the positional contraction core;
+only the kept tower is named.  The sequence depends only on the graph and C,
+as Z enters only through the b_i, so it is contracted and checked once per
+graph and C and kept with the graph; the good closure is Z pushed down it.
 """
 
 from __future__ import annotations
 
+from itertools import starmap
 from typing import NamedTuple, Optional
 
-from .birational import Tower, associated_pg_cycle, contract_all, replay, transport_cohom
+from .birational import (Tower, associated_pg_cycle, candidates, contract_all, contract_positions, lift, replay,
+                         transport_cohom)
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, dual_graph, unit_cycle, validate_graph, zero_cycle
 from .lattice import (
@@ -196,19 +198,17 @@ def _off_c(c: Cycle):
 
 
 def _off_c_tower(g: DualGraph, c: Cycle) -> tuple[Tower, tuple]:
-    """The contraction sequence of g by :func:`_off_c`, checked to replay to g
-    (the neighbour maps that contracted it against the lists that insert it
-    back), and its steps by position on g, (p, ((q, m), ...)).
-
-    It is contracted and checked once per graph and C, then kept with g,
-    keyed by the vector of C, which lives on g; the kept value holds no
-    reference to g, and a failed check raises and keeps nothing."""
+    """The contraction sequence of g by :func:`_off_c`, as a named tower
+    checked to replay to g and as the core's steps by position on g, (p,
+    ((q, m), ...)).  It is contracted and checked once per graph and C, then
+    kept with g, keyed by the vector of C; the kept value holds no reference
+    to g, and a failed check raises and keeps nothing."""
     kept = g._off_c_towers.get(c.vec)
     if kept is None:
-        local = contract_all(g, _off_c(c))
+        verts, adj, seq = contract_positions(g, _off_c(c))
+        local = Tower.contracted(g, verts, adj, seq)
         if replay(local.bottom, local.steps) != g:
             raise TheoremViolationError("contraction sequence did not replay to the input graph")
-        seq = tuple((g.position(s.new_id), tuple((g.position(u), m) for u, m in s.attach)) for s in local.steps)
         kept = g._off_c_towers[c.vec] = local.bottom, local.steps, seq
     return Tower(kept[0], kept[1], g), kept[2]
 
@@ -217,14 +217,13 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
     """Compute Q:I and core(I) for a numerically-p_g ideal.
 
     Two vector passes over the contraction sequence
-    (:func:`~antinef.birational.contract_all`) of rational (-1)-curves E_1,
-    E_2, ... disjoint from the cohomological cycle, by their positions on
-    Z's graph.  By the projection formula, b_i = -Z.F_i = -(pi_* Z).E_i on
-    the graph E_i is contracted from: Z[E_i] - sum m.Z[u] over the curves u
-    it meets m times there.  Y = sum over b_i > 0 of F_i is one bottom-up
-    accumulation: Y[E_i] = sum m.Y[u] + [b_i > 0].  The sequence depends only
-    on the graph and C, so it is contracted and checked once per pair and
-    kept with the graph; later calls with the same C read only Z.
+    (:func:`~antinef.birational.contract_positions`) of rational
+    (-1)-curves E_1, E_2, ... disjoint from the cohomological cycle, by
+    their positions on Z's graph.  By the projection formula, b_i = -Z.F_i =
+    -(pi_* Z).E_i on the graph E_i is contracted from: Z[E_i] - sum m.Z[u]
+    over the curves u it meets m times there.  Y = sum over b_i > 0 of F_i
+    is one :func:`~antinef.birational.lift` with marks [b_i > 0].  The
+    sequence is kept with the graph, so later calls with the same C read only Z.
 
     Any failure of the construction's guarantees (Z - Y not anti-nef, Y not
     contracting to a smooth point, negative b_i) is raised as a theorem
@@ -241,10 +240,7 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
         b.append(zv[p] - sum(m * zv[q] for q, m in attach))
         if b[-1] < 0:
             raise TheoremViolationError(f"b_{len(b)} = {b[-1]} < 0 for contracted curve {g.ids[p]!r}")
-    yv = [0] * len(zv)
-    for (p, attach), b_i in zip(seq, reversed(b)):
-        yv[p] = sum(m * yv[q] for q, m in attach) + (b_i > 0)
-    y = Cycle(g, tuple(yv))
+    y = Cycle(g, tuple(lift([0] * len(zv), seq, [b_i > 0 for b_i in reversed(b)])))
     if not y.is_zero:
         if not contracts_to_smooth(y):
             raise TheoremViolationError(f"Y = {y} does not contract to a smooth point")
@@ -272,13 +268,9 @@ def is_good(ideal: IdealRep) -> bool:
         raise PreconditionError("is_good needs a numerically-p_g ideal")
     # a contraction keeps the survivors' coefficients: pi_* Z and pi_* C are
     # Z and C read on the curves that are left, by their positions on g
-    g, zv = ideal.z.graph, ideal.z.vec
-    low = contract_all(g, lambda p, attach: zv[p] == sum(m * zv[q] for q, m in attach)).bottom
-    off_c, at = _off_c(ideal.c), g.position
-    return not any(
-        v.self_int == -1 and v.kappa == -1 and nb and off_c(at(v.id), tuple((at(u), m) for u, m in nb))
-        for v, nb in zip(low.vertices, low.adjacency.values())
-    )
+    zv = ideal.z.vec
+    verts, adj, _ = contract_positions(ideal.z.graph, lambda p, attach: zv[p] == sum(m * zv[q] for q, m in attach))
+    return not any(starmap(_off_c(ideal.c), candidates(verts, adj)))
 
 
 def good_gorenstein_crosscheck(ideal: IdealRep) -> bool:

@@ -37,7 +37,20 @@ read from a dict keyed by vertex id, is the ``birational.excess`` that rules
 reading a cycle's vector by position replaced, unchanged; ``by_step`` runs a
 rule on such steps in ``contract_all``, which passes positions.
 ``test_birational.py`` checks that both kinds of rule build the same towers,
-and colon/core's b and Y against ``excess`` and ``birational.lift``.
+and colon/core's b and Y against ``excess`` and ``lift``.
+
+Cycles carried up a tower's steps as dicts keyed by vertex id, a curve with
+coefficient 0 left out: the ``lift`` and ``transported`` that
+``birational``'s key-agnostic ones replaced, unchanged.  Those run in place
+on a container that holds every curve the steps name.
+``test_birational.py`` checks pullbacks, relative canonical cycles, the
+transported cohomological cycle, the associated p_g-cycle and colon/core's
+Y against them.
+
+Goodness on a frozen lower graph, scanned by vertex id: the
+``ideals.is_good`` that the positional contraction core and its one
+candidate rule replaced, unchanged.  ``test_ideals.py`` checks that both
+give the same answer, and colon/core's.
 """
 
 from __future__ import annotations
@@ -45,11 +58,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from antinef.birational import TowerStep
+from antinef.birational import TowerStep, contract_all
 from antinef.errors import InputError, PreconditionError, TheoremViolationError
 from antinef.graph import Coeff, Cycle, DualGraph, _Frozen, _graph_mismatch, _set, cycle, normal, zero_cycle
+from antinef.ideals import IdealRep, _off_c
 
 if TYPE_CHECKING:
     import numpy as np
@@ -540,3 +554,55 @@ def by_step(g: DualGraph, rule: Callable[[TowerStep], bool]) -> Callable[[int, t
     position on g."""
     ids = g.ids
     return lambda p, attach: rule(TowerStep(ids[p], tuple((ids[q], m) for q, m in attach)))
+
+
+# --- cycles carried up the steps, by vertex id -------------------------------
+
+
+def lift(
+    coeffs: dict[str, Coeff], steps: Sequence[TowerStep], marks: Optional[Sequence[int]] = None
+) -> dict[str, Coeff]:
+    """One pass up the steps, bottom first: the total transform of a cycle
+    plus, for each step k, marks[k] times the total transform of the curve
+    step k inserts.  Each new curve gets acc[new] = sum m.acc[attach] + mark.
+
+    With no marks this is the pullback; with every mark 1 it is the relative
+    canonical cycle, since the total transform of E_k is E_k plus the lifts
+    of E_k onto every later curve.
+    """
+    acc = dict(coeffs)
+    for k, step in enumerate(steps):
+        c = sum(m * acc.get(vid, 0) for vid, m in step.attach)
+        if marks is not None:
+            c += marks[k]
+        if c != 0:
+            acc[step.new_id] = c
+    return acc
+
+
+def transported(coeffs: Mapping, attach: Sequence[tuple]) -> Coeff:
+    """The cohomological cycle's coefficient on a curve inserted with these
+    attachments, C keyed as they name curves: max(sum m.C[u] - 1, 0).  For
+    an effective integral C and every m >= 1 the sum is positive exactly
+    when the center lies on supp C: the total transform less 1 there, else 0."""
+    return max(sum(m * coeffs.get(u, 0) for u, m in attach) - 1, 0)
+
+
+# --- goodness on a frozen lower graph, by vertex id ---------------------------
+
+
+def is_good(ideal: IdealRep) -> bool:
+    """Minimal-representation criterion: after contracting (-1)-curves with
+    Z.E = 0, no rational (-1)-curve that meets another curve misses the
+    cohomological cycle."""
+    if not ideal.pg_numeric:
+        raise PreconditionError("is_good needs a numerically-p_g ideal")
+    # a contraction keeps the survivors' coefficients: pi_* Z and pi_* C are
+    # Z and C read on the curves that are left, by their positions on g
+    g, zv = ideal.z.graph, ideal.z.vec
+    low = contract_all(g, lambda p, attach: zv[p] == sum(m * zv[q] for q, m in attach)).bottom
+    off_c, at = _off_c(ideal.c), g.position
+    return not any(
+        v.self_int == -1 and v.kappa == -1 and nb and off_c(at(v.id), tuple((at(u), m) for u, m in nb))
+        for v, nb in zip(low.vertices, low.adjacency.values())
+    )

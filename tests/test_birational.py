@@ -16,11 +16,9 @@ from antinef.birational import (
     contract_all,
     edge_point,
     free_point,
-    lift,
     relative_canonical,
     replay,
     transport_cohom,
-    transported,
 )
 from antinef.cli import _minimalize
 from antinef.errors import InputError, PreconditionError
@@ -34,7 +32,7 @@ from antinef.lattice import (
     pair,
     row_pairing,
 )
-from oracle_reference import by_step, excess
+from oracle_reference import by_step, excess, lift, transported
 from towers import grow
 
 
@@ -285,6 +283,23 @@ class TestTransportRefusals:
         t = Tower.base(base).blow_up(free_point("E", "P"))
         with pytest.raises(error) as err:
             associated_pg_cycle(t, z(t), branches, 2 * unit_cycle(base, "E"))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("step, top, message", [
+        # Q is on neither graph: the pullback answered 2*E1, the transport
+        # 1*E2, and relative_canonical blamed the theorem
+        (free_point("Q", "E3"), "A3", "a step attaches to 'Q', which 'A3' lacks"),
+        (free_point("E1", "X"), "A2", "a step inserts 'X', which 'A2' lacks"),
+    ], ids=["attaches-to-a-missing-curve", "inserts-a-missing-curve"])
+    @pytest.mark.parametrize("call", [
+        lambda t: t.pullback(2 * unit_cycle(t.bottom, "E1"), 0, 1),
+        lambda t: transport_cohom(t, unit_cycle(t.bottom, "E2")),
+        lambda t: relative_canonical(t),
+    ], ids=["pullback", "transport_cohom", "relative_canonical"])
+    def test_a_hand_built_tower_whose_steps_name_a_curve_its_top_lacks(self, step, top, message, call):
+        t = Tower(corpus.get("A2").graph, (step,), corpus.get(top).graph)
+        with pytest.raises(InputError) as err:
+            call(t)
         assert str(err.value) == message
 
 
@@ -631,13 +646,58 @@ def test_rules_by_position_contract_like_their_name_keyed_references(data):
         return
     rules = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ideals, "contract_all", lambda graph, rule: rules.append(rule) or contract_all(graph, rule))
+        mp.setattr(ideals, "contract_positions",
+                   lambda graph, rule: rules.append(rule) or birational.contract_positions(graph, rule))
         is_good(ideal)
     assert contract_all(g, rules[0]) == contract_all(g, by_step(g, lambda step: excess(zc, step) == 0))
     rep = colon_and_core(ideal)
     steps = rep.contraction_tower.steps
     assert rep.b == tuple(excess(zc, step) for step in reversed(steps))
     assert rep.y == cycle(g, lift({}, steps, [int(b > 0) for b in reversed(rep.b)]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_upward_passes_match_their_name_keyed_references(data):
+    """Every pass up a tower runs in place on a container that holds every
+    curve the steps name: pullback, relative_canonical, transport_cohom,
+    associated_pg_cycle's Z and colon/core's Y equal the name-keyed lift and
+    transported, on towers up to 300 levels high with curves met twice and
+    an effective integral C != 0."""
+    name = data.draw(st.sampled_from(["A3", "D5", "E6", "HJ(7,3)", "ex244min"]))
+    base = corpus.get(name).graph
+    model = singularity_model(base, pg=1, gorenstein=True) if name == "ex244min" else singularity_model(base)
+    t = grow(data, Tower.base(base), data.draw(st.integers(min_value=0, max_value=300)))
+    for k in range(data.draw(st.integers(0, 3))):  # curves met twice, so that multiplicities count
+        t = t.blow_up(TowerStep(f"M{k}", ((data.draw(st.sampled_from(t.top.ids)), 2),)))
+    g, h = t.top, t.height
+    lo = data.draw(st.integers(0, h))
+    hi = data.draw(st.integers(lo, h))
+    below = t.graph(lo)
+    coeff = st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    w = cycle(below, data.draw(st.dictionaries(st.sampled_from(below.ids), coeff, max_size=6)))
+    steps = t.steps[lo:hi]
+    assert t.pullback(w, lo, hi) == cycle(t.graph(hi), lift(w.as_dict(), steps))
+    assert relative_canonical(t, hi, lo) == cycle(t.graph(hi), lift({}, steps, [1] * len(steps)))
+
+    c_base = cycle(base, {vid: data.draw(st.integers(0, 2)) for vid in base.ids})
+    c_base = c_base + unit_cycle(base, data.draw(st.sampled_from(base.ids)))
+    coeffs = c_base.as_dict()
+    for step in t.steps:
+        coeffs[step.new_id] = transported(coeffs, step.attach)
+    assert transport_cohom(t, c_base) == cycle(g, coeffs)
+
+    raised = data.draw(st.dictionaries(st.sampled_from(g.ids), st.integers(1, 3), max_size=3))
+    z = antinef_closure(t.pullback(fundamental_cycle(base), 0, h) + cycle(g, raised))
+    branches = [(vid, -row) for vid, row in zip(g.ids, z.rows) if row]
+    grown, zp = associated_pg_cycle(t, z, branches, c_base)
+    new = grown.steps[h:]
+    assert zp == cycle(grown.top, lift(z.as_dict(), new, [1] * len(new)))
+
+    ideal = represent(model, t, h, z, h1=model.pg)
+    if ideal.pg_numeric:
+        rep = colon_and_core(ideal)
+        assert rep.y == cycle(g, lift({}, rep.contraction_tower.steps, [int(b > 0) for b in reversed(rep.b)]))
 
 
 @settings(max_examples=40, deadline=None)

@@ -23,6 +23,7 @@ from antinef.ideals import (
     stability_defect,
 )
 from antinef.lattice import antinef_closure, colength, fundamental_cycle, multiplicity, pair, row_pairing
+from oracle_reference import is_good as reference_is_good, lift
 from towers import grow
 
 
@@ -354,13 +355,7 @@ class TestGorensteinColengthFormula:
 
 
 def _reference_pullback(t, w, lo, hi):
-    coeffs = dict(w.coeffs)
-    for k in range(lo, hi):
-        step = t.steps[k]
-        lift = sum(m * coeffs.get(vid, 0) for vid, m in step.attach)
-        if lift != 0:
-            coeffs[step.new_id] = lift
-    return cycle(t.graph(hi), coeffs)
+    return cycle(t.graph(hi), lift(dict(w.coeffs), t.steps[lo:hi]))
 
 
 def _reference_relative_canonical(t):
@@ -518,7 +513,7 @@ def test_the_off_c_sequence_is_contracted_and_checked_once_per_graph():
     g, h = t.top, t.height
     contracted, replayed = [], []
     with pytest.MonkeyPatch.context() as mp:
-        _count_calls(mp, ideals, "contract_all", contracted)
+        _count_calls(mp, ideals, "contract_positions", contracted)
         _count_calls(mp, ideals, "replay", replayed)
         ideal = represent(model, t, h, z)
         rep = colon_and_core(ideal)
@@ -679,6 +674,24 @@ def test_relabelling_the_curves_maps_colon_and_core_across(data):
     assert rep2.core_cycle == _renamed(rep.core_cycle, g2, rename)
     assert (rep2.good, rep2.iterations_to_good) == (rep.good, rep.iterations_to_good)
     assert sorted(rep2.b) == sorted(rep.b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_is_good_by_position_matches_its_name_keyed_reference(data):
+    """is_good reads the contraction core's maps and its one candidate rule:
+    it equals the reference that froze the lower graph and scanned it by
+    name, and colon/core's verdict.  A (-1)-curve X set beside the graph,
+    meeting nothing, with Z[X] > 0 (so Z.X < 0 and it stays) and C[X] = 0,
+    is no candidate and changes neither answer."""
+    ideal = _tall_ideal(data)
+    good = is_good(ideal)
+    assert good == reference_is_good(ideal) == colon_and_core(ideal).good
+    g = ideal.z.graph
+    split = dual_graph(g.name, g.vertices + (graph.Vertex("X", -1, -1),), g.edges)
+    z = cycle(split, {**ideal.z.as_dict(), "X": data.draw(st.integers(1, 3))})
+    beside = ideal._replace(z=z, c=cycle(split, ideal.c.as_dict()))
+    assert is_good(beside) == reference_is_good(beside) == good
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,8 +3,9 @@ module-level names, no public function that only its own module calls,
 one home for the int-if-integral rule and for the graph-mismatch message,
 no write into an object's ``__dict__``, no numpy or dataclasses anywhere,
 an oracle that imports only errors and graph, no query outside birational
-that builds every level of a tower, and a CLI call that loads only what
-its command runs."""
+that builds every level of a tower, no cycle turned back into names and no
+name looked up in ideals, and a CLI call that loads only what its command
+runs."""
 
 import ast
 import json
@@ -240,6 +241,41 @@ def test_index_scan_sees_a_planted_copy():
         "    return rows, column, diagonal, g.matrix(), z.rows\n"
     )
     assert _index_space_reads(source) == ["line 3", "line 4", "line 5"]
+
+
+def _name_round_trips(source: str) -> list[str]:
+    """Calls of ``.as_dict()``: a cycle turned back into a dict keyed by
+    name, which the passes up and down a tower never need, since they run by
+    position or over the top's ids."""
+    return [
+        f"line {line}" for line in sorted(
+            node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "as_dict"
+        )
+    ]
+
+
+def test_no_module_turns_a_cycle_back_into_names():
+    assert _scan(_name_round_trips, with_init=True) == {}
+
+
+def test_ideals_reads_no_position_of_a_name():
+    """colon/core, goodness and the good closure take positions from the
+    contraction core, never from a name."""
+    assert _attribute_reads((PACKAGE / "ideals.py").read_text(encoding="utf-8"), ("position",)) == []
+
+
+def test_name_round_trip_scans_see_a_planted_copy():
+    source = (
+        "def as_dict(self):\n"
+        "    return dict(self.coeffs)\n"
+        "def f(t, w, g):\n"
+        "    coeffs = w.as_dict()\n"
+        "    seq = [g.position(s.new_id) for s in t.steps]\n"
+        "    return cycle(g, lift(t.pullback(w, 0, 1).as_dict(), t.steps)), g.positions, w.as_dict\n"
+    )
+    assert _name_round_trips(source) == ["line 4", "line 6"]
+    assert _attribute_reads(source, ("position",)) == ["line 5"]
 
 
 def _surgery_builders(source: str) -> list[str]:
