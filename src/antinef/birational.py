@@ -3,17 +3,19 @@
 A tower is a bottom-up chain of dual graphs in which each level adds one
 exceptional curve, described by a :class:`TowerStep`: a blow-up is a step
 whose curves all meet the new one once (:func:`free_point`,
-:func:`edge_point`).  Blow-ups extend a tower upward; contracting a rational
-(-1)-curve that meets another curve produces the lower graph together with
-the step that rebuilds the upper one, so contraction sequences become towers
-read in reverse.  Each direction has its own surgery: :func:`replay` inserts
-curves into sorted lists and :func:`contract_positions` removes them from
-neighbour maps by position, which :func:`contract_all` names; replaying a
-contraction sequence checks one against the other.  A cycle moves up the
-steps in place, on a list by position or a dict over the top's ids, by one
-rule: :func:`lift` for total transforms, :func:`transported` for the
-cohomological cycle C, which is effective and integral.  The associated
-p_g-cycle follows its count: each branch through E_i is blown up C[E_i] times.
+:func:`edge_point`).  A tower is what its steps build: ``Tower(bottom,
+steps)`` replays its top, and only a builder that holds the top hands it
+over.  Contracting a rational (-1)-curve that meets another curve gives the
+lower graph and the step that rebuilds the upper one, so contraction
+sequences are towers read in reverse.  Each direction has its own surgery:
+:func:`replay` inserts curves into sorted lists and
+:func:`contract_positions` removes them from neighbour maps by position,
+which :func:`contract_all` names; replaying a contraction sequence checks one
+against the other.  A cycle moves up the steps in place, on a list by
+position or a dict over the top's ids, by one rule: :func:`lift` for total
+transforms, :func:`transported` for the cohomological cycle C, which is
+effective and integral.  The associated p_g-cycle follows its count: each
+branch through E_i is blown up C[E_i] times.
 """
 
 from __future__ import annotations
@@ -200,25 +202,29 @@ def contract_all(g: DualGraph, may_contract: Callable[[int, tuple[tuple[int, int
     return Tower.contracted(g, *contract_positions(g, may_contract))
 
 
-class Tower(NamedTuple):
-    """A chain of graphs given by its bottom (level 0, the most contracted),
-    the steps up from it and its top: level k is ``replay(bottom,
-    steps[:k])``.  Only the two ends are stored; a level between is replayed
-    when asked for."""
+class Tower(NamedTuple("Tower", [("bottom", DualGraph), ("steps", tuple[TowerStep, ...]), ("top", DualGraph)])):
+    """A chain of graphs: its bottom (level 0, the most contracted), the
+    steps up from it and the top they build, which ``Tower(bottom, steps)``
+    replays, checking each step; a builder that holds the top hands it over
+    by ``_make``.  Level k is ``replay(bottom, steps[:k])``, built when asked."""
 
-    bottom: DualGraph
-    steps: tuple[TowerStep, ...]
-    top: DualGraph
+    __slots__ = ()
+
+    def __new__(cls, bottom: DualGraph, steps: Iterable[TowerStep] = ()) -> "Tower":
+        steps = tuple(steps)
+        return cls._make((bottom, steps, replay(bottom, steps) if steps else bottom))
+
+    def __getnewargs__(self):  # copy and pickle rebuild the tower through its replay
+        return self[:2]
 
     @classmethod
     def base(cls, g: DualGraph) -> "Tower":
-        return cls(g, (), g)
+        return cls(g)
 
     @classmethod
     def from_steps(cls, base: DualGraph, steps: Iterable[TowerStep]) -> "Tower":
         """The tower the steps build on base; only its top is built."""
-        steps = tuple(steps)
-        return cls(base, steps, replay(base, steps))
+        return cls(base, steps)
 
     @classmethod
     def contracted(cls, g: DualGraph, verts: dict, adj: dict, seq: Sequence[tuple]) -> "Tower":
@@ -228,8 +234,8 @@ class Tower(NamedTuple):
         edges = sorted((ids[a], ids[b], m) for a, nb in adj.items() for b, m in nb.items() if a < b)
         bottom = DualGraph(g.name, tuple(verts.values()), tuple(edges), tuple(ids[p] for p in verts),
                            g.__dict__.get("negative_definite"))
-        return cls(bottom, tuple(_new(TowerStep, (ids[p], tuple([(ids[u], m) for u, m in attach])))
-                                 for p, attach in seq), g)
+        return cls._make((bottom, tuple(_new(TowerStep, (ids[p], tuple([(ids[u], m) for u, m in attach])))
+                                        for p, attach in seq), g))
 
     @property
     def height(self) -> int:
@@ -257,7 +263,7 @@ class Tower(NamedTuple):
         return self.bottom if level == 0 else replay(self.bottom, self.steps[:level])
 
     def blow_up(self, step: TowerStep) -> "Tower":
-        return Tower(self.bottom, self.steps + (step,), apply_step(self.top, step))
+        return Tower._make((self.bottom, self.steps + (step,), apply_step(self.top, step)))
 
     def pullback(self, w: Cycle, from_level: int, to_level: int) -> Cycle:
         """Total transform: the unique lift pairing to zero with every
@@ -301,16 +307,10 @@ def _transport(acc: dict, steps: Sequence[TowerStep]) -> None:
 
 
 def _carried(w: Cycle, top: DualGraph, steps: Sequence[TowerStep], carry: Callable, *marks: Iterable[int]) -> Cycle:
-    """w carried up the steps onto top by ``carry(acc, steps, *marks)``, run
-    in place on a dict over top's ids, from w's coefficients and 0 on the
-    curves w's graph lacks.  A step that names a curve top lacks is refused."""
+    """w carried up the steps onto top by ``carry(acc, steps, *marks)``, in
+    place on a dict over top's ids, 0 on the curves w's graph lacks."""
     acc = dict(zip(top.ids, w.restricted_to(top).vec))
-    try:
-        carry(acc, steps, *marks)
-    except KeyError as err:
-        raise InputError(f"a step attaches to {err.args[0]!r}, which {top.name!r} lacks") from None
-    if len(acc) != len(top.ids):
-        raise InputError(f"a step inserts {list(acc)[len(top.ids)]!r}, which {top.name!r} lacks")
+    carry(acc, steps, *marks)
     return Cycle(top, _normal_vec(acc.values()))
 
 
@@ -399,5 +399,5 @@ def associated_pg_cycle(
             for _ in range(c.coeff(vid)):
                 steps.append(free_point(tip, next(names)))
                 tip = steps[-1].new_id
-    t = Tower(t0.bottom, t0.steps + tuple(steps), replay(g, steps))
+    t = Tower._make((t0.bottom, t0.steps + tuple(steps), replay(g, steps)))
     return t, _carried(z, t.top, steps, lift, repeat(1))

@@ -208,7 +208,7 @@ def parse_tower_document(text: str | dict) -> TowerDocument:
             vid = str(_need(s, "vertex", sp))
             if t.height == 0 or t.steps[-1].new_id != vid:
                 _fail(sp, "contraction in a tower script may only undo the most recent blow-up")
-            t = Tower(t.bottom, t.steps[:-1], t.graph(t.height - 1))
+            t = Tower(t.bottom, t.steps[:-1])
         else:
             _fail(sp, f"unknown op {op!r}")
     cycles: dict[str, tuple[int, Cycle]] = {}

@@ -126,7 +126,7 @@ def represent(
         raise PreconditionError("an ideal needs an integral cycle Z > 0")
     if not is_antinef(z):
         raise PreconditionError(f"{z} is not anti-nef")
-    c = transport_cohom(Tower(tower.bottom, tower.steps[:level], g), model.c_base)
+    c = transport_cohom(Tower._make((tower.bottom, tower.steps[:level], g)), model.c_base)
     numeric = _pg_numeric(z, c)
     if model.rational:
         if h1 not in (None, 0):
@@ -210,7 +210,7 @@ def _off_c_tower(g: DualGraph, c: Cycle) -> tuple[Tower, tuple]:
         if replay(local.bottom, local.steps) != g:
             raise TheoremViolationError("contraction sequence did not replay to the input graph")
         kept = g._off_c_towers[c.vec] = local.bottom, local.steps, seq
-    return Tower(kept[0], kept[1], g), kept[2]
+    return Tower._make((kept[0], kept[1], g)), kept[2]
 
 
 def colon_and_core(ideal: IdealRep) -> CoreReport:
@@ -298,7 +298,7 @@ def good_closure(ideal: IdealRep) -> IdealRep:
         raise TheoremViolationError("contracting all (-1)-curves did not reach the model base")
     if replay(model.base, lower.steps) != local.bottom:
         raise TheoremViolationError("contraction to the base did not replay to the off-C bottom")
-    full = Tower(model.base, lower.steps + local.steps, local.top)
+    full = Tower._make((model.base, lower.steps + local.steps, local.top))
     result = represent(model, full, lower.height, ideal.z.restricted_to(local.bottom))
     if not is_good(result):
         raise TheoremViolationError("good closure is not good")

@@ -1,5 +1,7 @@
 """Blow-ups, contractions, towers, and cycle transport."""
 
+import copy
+import pickle
 from collections import Counter
 from fractions import Fraction
 
@@ -285,22 +287,26 @@ class TestTransportRefusals:
             associated_pg_cycle(t, z(t), branches, 2 * unit_cycle(base, "E"))
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("step, top, message", [
-        # Q is on neither graph: the pullback answered 2*E1, the transport
-        # 1*E2, and relative_canonical blamed the theorem
-        (free_point("Q", "E3"), "A3", "a step attaches to 'Q', which 'A3' lacks"),
-        (free_point("E1", "X"), "A2", "a step inserts 'X', which 'A2' lacks"),
-    ], ids=["attaches-to-a-missing-curve", "inserts-a-missing-curve"])
-    @pytest.mark.parametrize("call", [
-        lambda t: t.pullback(2 * unit_cycle(t.bottom, "E1"), 0, 1),
-        lambda t: transport_cohom(t, unit_cycle(t.bottom, "E2")),
-        lambda t: relative_canonical(t),
-    ], ids=["pullback", "transport_cohom", "relative_canonical"])
-    def test_a_hand_built_tower_whose_steps_name_a_curve_its_top_lacks(self, step, top, message, call):
-        t = Tower(corpus.get("A2").graph, (step,), corpus.get(top).graph)
+    @pytest.mark.parametrize("bottom, steps, message", [
+        # over the old top A2 the pullback of E1 + 5.E2 answered 1*E1 + 1*E2
+        ("A2", (free_point("E1", "E2"),), "vertex id 'E2' already exists on 'A2'"),
+        # over the top the steps build in order, the pullback of 2.E1 lost 2*Y
+        # and relative_canonical answered 1*X + 1*Y
+        ("A1", (free_point("X", "Y"), free_point("E1", "X")), "step attaches to unknown vertex 'X'"),
+        # over the old top A3 the pullback of 2.E1 answered 2*E1
+        ("A2", (free_point("Q", "E3"),), "step attaches to unknown vertex 'Q'"),
+    ], ids=["re-insert", "out-of-order", "foreign-attach"])
+    def test_steps_that_build_no_tower_are_refused_at_construction(self, bottom, steps, message):
         with pytest.raises(InputError) as err:
-            call(t)
+            Tower(corpus.get(bottom).graph, steps)
         assert str(err.value) == message
+
+    def test_a_tower_takes_no_top(self):
+        a2, a3, steps = corpus.get("A2").graph, corpus.get("A3").graph, (free_point("E2", "E3"),)
+        with pytest.raises(TypeError):
+            Tower(a2, steps, a3)
+        with pytest.raises(TypeError):
+            Tower(a2, steps, top=a3)
 
 
 @given(st.data())
@@ -375,7 +381,46 @@ def test_surgery_keeps_canonical_order(data):
         assert _refusal(lambda: replay(base, t.steps[:k] + (bad,))) == _refusal(lambda: apply_step(g, bad))
 
 
-# --- a tower is its bottom, its steps and its top ------------------------------
+# --- a tower is what its steps build -------------------------------------------
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.data())
+def test_a_tower_is_the_replay_of_its_steps(data):
+    """Tower(bottom, steps) replays the top that blow_up hands over, and
+    copy, deepcopy and pickle rebuild an equal tower through that replay.  A
+    step list moved out of order, with a step repeated or with an attachment
+    renamed to an id on no level is refused when the tower is built, and a
+    top cannot be handed in."""
+    base = corpus.get(data.draw(st.sampled_from(["A3", "D5", "E6", "HJ(7,3)", "ex244min"]))).graph
+    t = grow(data, Tower.base(base), data.draw(st.integers(min_value=0, max_value=120)))
+    assert Tower(t.bottom, t.steps) == Tower.from_steps(t.bottom, t.steps) == t
+    assert copy.copy(t) == copy.deepcopy(t) == pickle.loads(pickle.dumps(t)) == t
+    with pytest.raises(TypeError):
+        Tower(*t)
+    with pytest.raises(TypeError):
+        Tower(t.bottom, t.steps, top=t.top)
+    if not t.steps:
+        return
+    steps = list(t.steps)
+    position = {step.new_id: k for k, step in enumerate(steps)}
+    later = [(j, position[u]) for j, step in enumerate(steps) for u, _ in step.attach if u in position]
+    kinds = ["repeat", "rename"] + (["early"] if later else [])
+    kind, k = data.draw(st.sampled_from(kinds)), data.draw(st.integers(0, len(steps) - 1))
+    if kind == "early":  # before the step that inserts a curve it attaches to
+        j, i = data.draw(st.sampled_from(later))
+        steps.insert(i, steps.pop(j))
+        message = "step attaches to unknown vertex"
+    elif kind == "repeat":
+        steps.insert(data.draw(st.integers(k + 1, len(steps))), steps[k])
+        message = f"vertex id {steps[k].new_id!r} already exists"
+    else:
+        assert "nowhere" not in t.top.ids
+        new_id, ((_, m), *rest) = steps[k]
+        steps[k] = TowerStep(new_id, (("nowhere", m), *rest))
+        message = "step attaches to unknown vertex 'nowhere'"
+    with pytest.raises(InputError, match=message):
+        Tower(t.bottom, steps)
 
 
 @settings(max_examples=6, deadline=None)
@@ -565,7 +610,9 @@ def _transports_back(c):
     (restricted to the lower graph) back to C itself."""
     def may_go(cur, lower, step):
         c_low = c.restricted_to(lower)
-        lifted = Tower(lower, (step,), cur).pullback(c_low, 0, 1)
+        t = Tower(lower, (step,))
+        assert t.top == cur
+        lifted = t.pullback(c_low, 0, 1)
         if any(c_low.coeff(u) > 0 for u, _ in step.attach):
             lifted = lifted - unit_cycle(cur, step.new_id)
         return lifted == c.restricted_to(cur)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from antinef import corpus
 from antinef.birational import Tower, TowerStep
+from antinef.cli import main
 from antinef.errors import InputError
 from antinef.formats import (
     GraphDocument,
@@ -130,6 +131,19 @@ class TestTowerDocuments:
         assert doc.tower.height == 3
         t = corpus.get("ex244blown").tower
         assert doc.tower == Tower.from_steps(t.bottom, t.steps[:3])
+
+    def test_a_step_is_checked_as_it_is_read_though_a_contract_undoes_it(self, tmp_path, capsys):
+        base = json.loads(emit_graph_document(_graph_doc("A2")))
+        obj = {"format": 1, "base": base, "steps": [{"op": "blowup_free", "vertex": "Q", "new_id": "P"},
+                                                     {"op": "contract", "vertex": "P"}]}
+        message = "step attaches to unknown vertex 'Q'"
+        with pytest.raises(InputError) as err:
+            parse_tower_document(obj)
+        assert str(err.value) == message
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(obj))
+        assert main(["relative-canonical", "--tower", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_cycle_level_bounds_checked(self):
         obj = json.loads(emit_tower_document(self._doc()))

@@ -4,7 +4,8 @@ one home for the int-if-integral rule and for the graph-mismatch message,
 no write into an object's ``__dict__``, no numpy or dataclasses anywhere,
 an oracle that imports only errors and graph, no query outside birational
 that builds every level of a tower, no cycle turned back into names and no
-name looked up in ideals, and a CLI call that loads only what its command
+name looked up in ideals, no tower handed its top but by the builders of
+birational and ideals, and a CLI call that loads only what its command
 runs."""
 
 import ast
@@ -318,6 +319,57 @@ def test_surgery_scan_sees_a_planted_copy():
         "    return s._Surgery, _Surgery.insert(s, 1), Surgery(s), _Surgery\n"
     )
     assert _surgery_builders(source) == ["Tower.graph", "contract_all.down"]
+
+
+def _tower_triples(source: str) -> list[str]:
+    """Calls that hand a tower its top: ``Tower(...)`` with three positional
+    arguments or a ``top=`` keyword, and ``Tower._make``, by which only a
+    builder that holds the right top may make one.  A call inside ``with
+    pytest.raises(TypeError)`` checks that the triple is refused."""
+    tree = ast.parse(source)
+    refused = {
+        id(call) for node in ast.walk(tree) if isinstance(node, ast.With) and any(
+            isinstance(item.context_expr, ast.Call) and ast.unparse(item.context_expr) == "pytest.raises(TypeError)"
+            for item in node.items)
+        for call in ast.walk(node) if isinstance(call, ast.Call)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in refused:
+            continue
+        name = ast.unparse(node.func).rsplit(".", 2)[-2:]
+        if name[-1] == "Tower" and (len(node.args) > 2 or any(k.arg == "top" for k in node.keywords)):
+            found.append((node.lineno, "Tower"))
+        elif name == ["Tower", "_make"]:
+            found.append((node.lineno, "Tower._make"))
+    return [f"{call} (line {line})" for line, call in sorted(found)]
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_only_the_builders_in_birational_and_ideals_hand_a_tower_its_top():
+    found = _scan(_tower_triples, with_init=True)
+    found.update((f"tests/{path.name}", lines) for path in sorted(TESTS.glob("*.py"))
+                 if (lines := _tower_triples(path.read_text(encoding="utf-8"))))
+    assert {name: {call.split(" (")[0] for call in calls} for name, calls in found.items()} == {
+        "birational.py": {"Tower._make"}, "ideals.py": {"Tower._make"}}
+
+
+def test_tower_triple_scan_sees_a_planted_copy():
+    source = (
+        "def f(t, g, steps):\n"
+        "    a = Tower(g, steps)\n"
+        "    b = Tower(g, steps, t.top)\n"
+        "    c = birational.Tower(g, steps=steps, top=t.top)\n"
+        "    with pytest.raises(TypeError):\n"
+        "        Tower(g, steps, t.top)\n"
+        "    with pytest.raises(InputError):\n"
+        "        Tower(g, steps, t.top)\n"
+        "    return Tower._make((g, steps, t.top)), birational.Tower._make(t), cls._make(t), Pyramid(g, steps, t)\n"
+    )
+    assert _tower_triples(source) == [
+        "Tower (line 3)", "Tower (line 4)", "Tower (line 8)", "Tower._make (line 9)", "Tower._make (line 9)"]
 
 
 def _public_functions(source: str) -> list[tuple[str, int]]:
