@@ -217,6 +217,9 @@ class Tower(NamedTuple("Tower", [("bottom", DualGraph), ("steps", tuple[TowerSte
     def __getnewargs__(self):  # copy and pickle rebuild the tower through its replay
         return self[:2]
 
+    def _replace(self, **fields) -> "Tower":  # through the replay too: a top= is refused
+        return type(self)(**{"bottom": self.bottom, "steps": self.steps, **fields})
+
     @classmethod
     def base(cls, g: DualGraph) -> "Tower":
         return cls(g)

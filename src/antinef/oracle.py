@@ -4,14 +4,16 @@ These deliberately work from the definitions rather than reusing the
 production algorithms, so that the test suite can play the two against each
 other.  Each oracle is one depth-first search of a coefficient box in exact
 Python integers.  The definition's conditions on the rows of M x become
-per-row bounds; the search rejects a value by its row's linear bound,
-without visiting it, and the oracle checks the rest of the definition
-literally at each point it visits.
+per-row bounds; the search rejects, without visiting it, a value that no
+completion can bring within them, and hands the last coordinate's interval
+to the oracle as one run, on which x.M.x is a quadratic; the oracle checks
+the rest of the definition literally on each run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple, Optional
 
 from .errors import PreconditionError, TheoremViolationError
@@ -54,20 +56,24 @@ def _search(
     highs: list[int],
     row_lo: list[Optional[int]],
     row_hi: list[Optional[int]],
-    visit: Callable[[list[int], int], bool],
+    visit: Callable[[list[int], int, int, int, int, int], bool],
 ) -> bool:
     """Depth-first search of the points lows <= x <= highs (vertex order)
     with row_lo[k] <= (M x)_k <= row_hi[k] for every row k (None: no bound).
 
     Vertices are assigned in breadth-first order, each component from a
-    vertex of highest degree.  A row is complete at the depth where the last
-    of its vertex and its neighbours is set, and there it is linear in that
-    depth's coordinate; so each depth steps only through the interval of
-    values that its complete rows admit, found by floor and ceiling
-    division (a row with coefficient 0 is checked as a constant).  Every
-    point in the region goes to ``visit(x, x.M.x)``; the search stops,
-    returning True, as soon as a visit returns True.  ``x`` is the search's
-    own buffer, so a visit copies what it keeps.
+    vertex of highest degree.  At the depth of x_i, each bounded row that
+    x_i enters is linear in x_i, and its bounds less the most and the least
+    that the coordinates still unset can add (sums over lows and highs, 0
+    once the row is complete) give the interval of values that some
+    completion can admit, by floor and ceiling division (a row with
+    coefficient 0 is checked as a constant); the depth steps only through it.
+
+    The last depth's interval goes to ``visit(x, q, i, k, r, e)`` as one
+    run: the k >= 1 points x + t.E_i, 0 <= t < k, with x.M.x = q and
+    (M x)_i = r at t = 0 and E_i^2 = e, so x.M.x = q + t(2r + e.t) at t.
+    The search stops, returning True, as soon as a visit returns True.
+    ``x`` is the search's own buffer, so a visit copies what it keeps.
     """
     n = len(g.vertices)
     diag = [v.self_int for v in g.vertices]
@@ -81,8 +87,15 @@ def _search(
             for i in order:  # grows as it goes: breadth-first
                 order += [j for j, _ in column[i] if j not in order]
     depth = [order.index(i) for i in range(n)]
-    # the rows complete at depth d, each with its entry in column order[d]
-    due = [[(k, m) for k, m in column[i] if max(depth[j] for j, _ in column[k]) == d] for d, i in enumerate(order)]
+
+    def shifted(d: int, k: int, m: int) -> tuple:
+        """Row k's bounds less what the coordinates unset at depth d can add."""
+        later = [(c * lows[j], c * highs[j]) for j, c in column[k] if depth[j] > d]
+        a, b = row_lo[k], row_hi[k]
+        return k, m, None if a is None else a - sum(map(max, later)), None if b is None else b - sum(map(min, later))
+
+    # the bounded rows that the coordinate at depth d enters
+    due = [[shifted(d, k, m) for k, m in column[i] if (row_lo[k], row_hi[k]) != (None, None)] for d, i in enumerate(order)]
 
     x = [0] * n
     rows = [0] * n  # M x, with every vertex not yet assigned at 0
@@ -98,8 +111,8 @@ def _search(
         # x_i is 0 here, so row k at x_i = v is rows[k] + m.v
         i = order[d]
         lo, hi = lows[i], highs[i]
-        for k, m in due[d]:
-            r, a, b = rows[k], row_lo[k], row_hi[k]
+        for k, m, a, b in due[d]:
+            r = rows[k]
             if m == 0:
                 if (a is not None and r < a) or (b is not None and r > b):
                     hi = lo - 1
@@ -130,9 +143,9 @@ def _search(
             quad[d] = q
             enter(d)
             continue
-        if visit(x, q):
+        if visit(x, q, i, top[d] - v + 1, rows[i], diag[i]):
             return True
-        move(i, 1)
+        move(i, top[d] + 1 - v)
     return False
 
 
@@ -158,23 +171,27 @@ def enumerate_max_Y(z: Cycle, c: Cycle, bound: Optional[SearchBound] = None) -> 
     # Z - Y anti-nef, and of degree zero on supp C: (M Y)_i >= (M Z)_i, with
     # equality on supp C
     z_rows = [sum(m * zv[j] for j, m in row.items()) for row in g.sparse_matrix()]
-    c_rows = [r if vid in c.support else None for vid, r in zip(g.ids, z_rows)]
+    c_rows = [r if on_c else None for on_c, r in zip(c.vec, z_rows)]
     kappa = [v.kappa for v in g.vertices]
 
-    def smooth(y: list[int], q: int) -> bool:
-        return -q + sum(k * v for k, v in zip(kappa, y)) == 0
+    def smooth(y: list[int], q: int, i: int, k: int, r: int, e: int) -> list[int]:
+        """The t of the run's points y + t.E_i with -Y^2 + K.Y = 0."""
+        ky = sum(map(operator.mul, kappa, y))
+        return [t for t in range(k) if q + t * (2 * r + e * t) == ky + kappa[i] * t]
 
     best = [0] * len(zv)  # Y = 0 is always admissible
 
-    def keep(y: list[int], q: int) -> bool:
-        if smooth(y, q):
+    def keep(y: list[int], q: int, i: int, k: int, r: int, e: int) -> bool:
+        hits = smooth(y, q, i, k, r, e)
+        if hits:
             best[:] = map(max, best, y)
+            best[i] = max(best[i], y[i] + hits[-1])
         return False
 
     _search(g, [0] * len(zv), highs, z_rows, c_rows, keep)
     # if the admissible set has a maximum it equals the coefficient-wise max,
     # so admissibility of that vector decides uniqueness
-    if any(best) and not _search(g, best, best, z_rows, c_rows, smooth):
+    if any(best) and not _search(g, best, best, z_rows, c_rows, lambda *run: bool(smooth(*run))):
         return None
     return cycle(g, dict(zip(g.ids, best)))
 
@@ -188,10 +205,13 @@ def antinef_closure_bruteforce(d: Cycle, bound: SearchBound) -> Optional[Cycle]:
     _guard(g, [max(bound.max_coeff + 1 - lo, 0) for lo in lows], bound)
     best: Optional[list[int]] = None
 
-    def keep(x: list[int], q: int) -> bool:
+    def keep(x: list[int], q: int, i: int, k: int, r: int, e: int) -> bool:
         nonlocal best
-        if any(x):
-            best = list(x) if best is None else list(map(min, best, x))
+        if not any(x):  # a run from 0: its least nonzero point is E_i
+            if k == 1:
+                return False
+            x = [int(j == i) for j in range(len(x))]
+        best = list(x) if best is None else list(map(min, best, x))
         return False
 
     n = len(lows)
@@ -212,7 +232,7 @@ def fundamental_cycle_bruteforce(g: DualGraph, bound: SearchBound) -> Cycle:
             f"no anti-nef cycle with coefficients <= {bound.max_coeff}; raise the bound"
         )
     n = len(g.vertices)
-    if z.is_zero or not _search(g, z.vector(), z.vector(), [None] * n, [0] * n, lambda x, q: True):
+    if z.is_zero or not _search(g, z.vector(), z.vector(), [None] * n, [0] * n, lambda *run: True):
         raise TheoremViolationError(
             "pointwise minimum of anti-nef candidates is not anti-nef"
         )
@@ -223,5 +243,20 @@ def negdef_bruteforce(g: DualGraph, bound: SearchBound) -> bool:
     """Check W.W < 0 for every nonzero W with |coefficients| <= max_coeff."""
     b, n = bound.max_coeff, len(g.vertices)
     _guard(g, [2 * b + 1] * n, bound)
+
+    def nonneg(w: list[int], q: int, i: int, k: int, r: int, e: int) -> bool:
+        """Some nonzero point w + t.E_i, 0 <= t < k, has W.W >= 0."""
+        # W.W = q + t(2r + e.t) is largest at an end of the run or, when
+        # e < 0, at one of the two integers around its vertex r / -e
+        if e < 0 and k > 1:
+            s = min(max(r // -e, 0), k - 2)
+            t = s + 1
+        else:
+            s, t = 0, k - 1
+        if q + s * (2 * r + e * s) < 0 and q + t * (2 * r + e * t) < 0:
+            return False
+        # rare: walk the run, leaving out W = 0
+        return any(q + t * (2 * r + e * t) >= 0 and (w[i] + t or any(w[:i] + w[i + 1 :])) for t in range(k))
+
     # W.W = (-W).(-W), so the W with a nonnegative first coefficient suffice
-    return not _search(g, [0] + [-b] * (n - 1), [b] * n, [None] * n, [None] * n, lambda w, q: q >= 0 and any(w))
+    return not _search(g, [0] + [-b] * (n - 1), [b] * n, [None] * n, [None] * n, nonneg)

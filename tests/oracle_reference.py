@@ -21,11 +21,13 @@ unchanged apart from the class's name and ``has_vertex`` written out.
 coefficients, text and equality.
 
 The depth-first search that stepped through every value of the box and
-rejected a value by ``row_ok(row, (M x)_row)`` once its row was complete:
-the ``oracle._search`` that per-row bounds, intersected into one interval of
-admissible values per depth, replaced, unchanged apart from its name.
-``test_oracle_reference.py`` checks that both make the same visits in the
-same order.
+rejected a value by ``row_ok(row, (M x)_row)`` once its row was complete,
+and visited one point at a time: the ``oracle._search`` that per-row bounds,
+less what the unset coordinates can add, intersected into one interval of
+admissible values per depth, and the last depth's interval handed over as
+one run, replaced, unchanged apart from its name.
+``test_oracle_reference.py`` checks that both visit the same points in the
+same order, with the new search's runs expanded.
 
 The dense fraction-free determinant: the ``graph.det_bareiss`` that the
 graph's one sparse elimination replaced, unchanged.  ``test_graph.py``

@@ -391,7 +391,8 @@ def test_a_tower_is_the_replay_of_its_steps(data):
     copy, deepcopy and pickle rebuild an equal tower through that replay.  A
     step list moved out of order, with a step repeated or with an attachment
     renamed to an id on no level is refused when the tower is built, and a
-    top cannot be handed in."""
+    top cannot be handed in.  ``_replace`` builds through the constructor:
+    it refuses a top and such steps, and replays the steps it is given."""
     base = corpus.get(data.draw(st.sampled_from(["A3", "D5", "E6", "HJ(7,3)", "ex244min"]))).graph
     t = grow(data, Tower.base(base), data.draw(st.integers(min_value=0, max_value=120)))
     assert Tower(t.bottom, t.steps) == Tower.from_steps(t.bottom, t.steps) == t
@@ -400,6 +401,10 @@ def test_a_tower_is_the_replay_of_its_steps(data):
         Tower(*t)
     with pytest.raises(TypeError):
         Tower(t.bottom, t.steps, top=t.top)
+    with pytest.raises(TypeError):
+        t._replace(top=t.bottom)
+    cut = t.steps[: data.draw(st.integers(0, t.height))]
+    assert t._replace(steps=cut) == Tower(t.bottom, cut)
     if not t.steps:
         return
     steps = list(t.steps)
@@ -421,6 +426,8 @@ def test_a_tower_is_the_replay_of_its_steps(data):
         message = "step attaches to unknown vertex 'nowhere'"
     with pytest.raises(InputError, match=message):
         Tower(t.bottom, steps)
+    with pytest.raises(InputError, match=message):
+        t._replace(steps=steps)
 
 
 @settings(max_examples=6, deadline=None)

@@ -66,6 +66,19 @@ class TestNegdefOracle:
         for g in (good, bad):
             assert negdef_bruteforce(g, SearchBound(max_coeff=4)) == g.negative_definite
 
+    # D4~ is semidefinite: its null cycle 2C + L0 + L1 + L2 + L3 has W.W = 0 at
+    # the vertex of its run along a leaf, away from the run's ends.  E + F has
+    # W.W = 0 at F = 1, the integer just above the vertex 3/5 of its run along
+    # F, where W.W = -1 at F = 0.
+    @pytest.mark.parametrize("g, b", [
+        (d4_affine := dual_graph("D4~", [("C", -2, 0)] + [(f"L{k}", -2, 0) for k in range(4)],
+                                 [("C", f"L{k}") for k in range(4)]), 3),
+        (d4_affine, 4),
+        (dual_graph("EF", [("E", -1, -1), ("F", -5, 3)], [("E", "F", 3)]), 1),
+    ], ids=["D4~-3", "D4~-4", "EF-1"])
+    def test_finds_w_w_nonnegative_next_to_the_vertex_of_a_run(self, g, b):
+        assert not g.negative_definite
+        assert negdef_bruteforce(g, SearchBound(max_coeff=b)) is False
 
     def test_exact_on_huge_weights(self):
         # W.M.W leaves int64 once |W_i| >= 2; the search is in exact integers

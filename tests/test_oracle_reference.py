@@ -6,9 +6,10 @@ enumerations they replaced, on small random graphs and towers.  The graphs
 have at most six vertices and include non-trees, multi-edges and graphs that
 are not negative definite.  An oracle's answer is either its value or the
 class and message of the error it raises.  The search under them, which
-steps only through each depth's admissible interval, makes the same visits
-in the same order as the stepping search it replaced, on graphs with
-E_i^2 from -6 to 1 and with any mix of row bounds.
+steps only through each depth's admissible interval and hands the last
+depth's interval over as one run, visits the same points in the same order
+as the stepping search it replaced, with each run expanded point by point,
+on graphs with E_i^2 from -6 to 1 and with any mix of row bounds.
 
 Cycles held as one vector in vertex order pair, combine, print and compare
 exactly like the cycles keyed by vertex id that they replaced, on graphs of
@@ -83,9 +84,10 @@ def row_bounds(draw, n):
 @settings(max_examples=300, deadline=None)
 @given(graphs(top_e2=1), st.data())
 def test_the_interval_search_visits_like_the_stepping_reference(g, data):
-    """The same (x, x.M.x) visits in the same order, over all of the region
-    and when a visit stops the search at its k-th point; E_i^2 = 0 and > 0
-    occur, and boxes that are empty or start below zero."""
+    """The same (x, x.M.x) visits in the same order, the new search's runs
+    expanded point by point, over all of the region and when a visit stops
+    the search at its k-th point; E_i^2 = 0 and > 0 occur, and boxes that
+    are empty or start below zero."""
     n = len(g.ids)
     lows = data.draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n))
     highs = [lo + data.draw(st.integers(-1, 3)) for lo in lows]
@@ -104,7 +106,11 @@ def test_the_interval_search_visits_like_the_stepping_reference(g, data):
                 seen.append((list(x), q))
                 return len(seen) == stop
 
-            out.append((search(g, lows, highs, *rows, visit), seen))
+            def expand(x, q, i, k, r, e):
+                """The new search's run x + t.E_i, 0 <= t < k, point by point."""
+                return any(visit(x[:i] + [x[i] + t] + x[i + 1 :], q + t * (2 * r + e * t)) for t in range(k))
+
+            out.append((search(g, lows, highs, *rows, expand if search is oracle._search else visit), seen))
         return out
 
     (new, seen), ref = run()
