@@ -25,7 +25,7 @@ from itertools import combinations, count, repeat
 from typing import Callable, Iterable, Iterator, MutableSequence, NamedTuple, Optional, Sequence
 
 from .errors import InputError, PreconditionError, TheoremViolationError
-from .graph import Coeff, Cycle, DualGraph, Vertex, _normal_vec, zero_cycle
+from .graph import Coeff, Cycle, DualGraph, Vertex, _new, _normal_vec, zero_cycle
 from .lattice import contracts_to_smooth, is_antinef
 
 
@@ -67,9 +67,6 @@ def replay(base: DualGraph, steps: Iterable[TowerStep]) -> DualGraph:
     for step in steps:
         s.insert(step)
     return s.graph()
-
-
-_new = tuple.__new__  # builds a Vertex or a TowerStep in C, past the NamedTuple's Python __new__
 
 
 class _Surgery:
@@ -275,6 +272,8 @@ class Tower(NamedTuple("Tower", [("bottom", DualGraph), ("steps", tuple[TowerSte
         top = self.graph(to_level)  # the one level check, before the direction
         if to_level < from_level:
             raise PreconditionError("pullback goes to a level >= its source")
+        if to_level == from_level:
+            return w if w.graph is top else Cycle(top, w.vec)
         return _carried(w, top, self.steps[from_level:to_level], lift)
 
     def pushforward(self, w: Cycle, from_level: int, to_level: int) -> Cycle:

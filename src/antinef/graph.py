@@ -21,6 +21,7 @@ Coeff = Union[int, Fraction]
 
 
 _set = object.__setattr__  # how the fields of a _Frozen are set, once, in __init__
+_new = tuple.__new__  # builds a Vertex (or a TowerStep) in C, past the NamedTuple's Python __new__
 
 
 class _Frozen:
@@ -152,7 +153,7 @@ def dual_graph(
     """
     vs: list[Vertex] = []
     for v in vertices:
-        vs.append(v if isinstance(v, Vertex) else Vertex(str(v[0]), int(v[1]), int(v[2])))
+        vs.append(v if isinstance(v, Vertex) else _new(Vertex, (str(v[0]), int(v[1]), int(v[2]))))
     if not vs:
         raise InputError("a dual graph needs at least one vertex")
     seen = set()
@@ -353,8 +354,9 @@ class Elimination(_Frozen):
 
     ``negative_definite`` is Sylvester's criterion on -M and ``det`` is det M.
     ``solution`` is the x with M x = rhs when a right-hand side was given and
-    M is nonsingular (otherwise None), in normal form, back-substituted from
-    the pivot steps when first read; the steps are dropped once it is built.
+    M is nonsingular (otherwise None), back-substituted in integers from the
+    pivot steps when first read, an entry an int where the last pivot divides
+    it, else a Fraction (:func:`normal`); the steps are dropped once it is built.
     """
 
     def __init__(self, negative_definite: bool, det: int, steps: Optional[list] = None):
@@ -371,9 +373,12 @@ class Elimination(_Frozen):
         p = row[c]  # y = p x is integral (Cramer), so every division below is exact
         y = [0] * len(steps)
         for c, row, br in reversed(steps):
-            y[c] = (p * br - sum(x * y[j] for j, x in row.items() if j != c)) // row[c]
+            v = p * br
+            for j, x in row.items():  # y[c] is still 0
+                v -= x * y[j]
+            y[c] = v // row[c]
         _set(self, "_steps", None)  # read once: the solution is cached, the pivot rows are let go
-        return tuple(normal(Fraction(v, p)) for v in y)
+        return tuple(Fraction(v, p) if v % p else v // p for v in y)
 
 
 def _eliminate(rows: Sequence[Mapping[int, int]], rhs: Optional[Sequence[int]] = None) -> Elimination:
@@ -388,6 +393,8 @@ def _eliminate(rows: Sequence[Mapping[int, int]], rhs: Optional[Sequence[int]] =
     then not definite), and the last pivot is det(-M) up to the permutation's
     sign.  The right-hand side rides along as an extra column; the pivot
     steps are kept, and back-substituted only when the solution is read.
+    Rows are updated in place: the pivot row is rescaled where it stands,
+    and each row it touches is multiplied, reduced and divided in one pass.
 
     A row with a zero in the pivot column would only be rescaled by
     pivot / previous pivot.  That is left undone: ``scale[i]`` is the pivot
@@ -413,30 +420,33 @@ def _eliminate(rows: Sequence[Mapping[int, int]], rhs: Optional[Sequence[int]] =
         a[r] = None
         if not row:
             return Elimination(False, 0)
-        if scale[r] != prev:
-            row = {j: x * prev // scale[r] for j, x in row.items()}
-            b[r] = b[r] * prev // scale[r]
+        s = scale[r]
+        if s != prev:
+            for j, x in row.items():
+                row[j] = x * prev // s
+            b[r] = b[r] * prev // s
         c = r if r in row else min(row)
-        p = row[c]
+        p = row.pop(c)  # back before the step is kept
         br = b[r]
         if c != r:
             sigma[r] = c
             symmetric = False
         definite = definite and symmetric and p > 0
         # while the matrix is symmetric, column c is nonzero exactly where row c is
-        touched = [j for j in row if j != c] if symmetric else [i for i, ri in enumerate(a) if ri and c in ri]
+        touched = list(row) if symmetric else [i for i, ri in enumerate(a) if ri and c in ri]
         for i in touched:
             ri = a[i]
             f = ri.pop(c)
             s = scale[i]
-            upd = {j: x * p for j, x in ri.items()}
+            for j, x in ri.items():
+                ri[j] = x * p
             for j, x in row.items():
-                if j != c:
-                    upd[j] = upd.get(j, 0) - f * x
-            a[i] = ri = {j: x // s for j, x in upd.items() if x}
+                ri[j] = ri.get(j, 0) - f * x
+            a[i] = ri = {j: x // s for j, x in ri.items() if x}
             b[i] = (b[i] * p - f * br) // s
             scale[i] = p
             heapq.heappush(heap, (len(ri) - (i in ri), i))
+        row[c] = p
         steps.append((c, row, br))
         prev = p
     det = prev * (-1) ** n * (1 if symmetric else _perm_sign(sigma))
@@ -490,17 +500,17 @@ def validate_graph(g: DualGraph) -> ValidationReport:
     """Check every DualGraph invariant; reports findings, never throws."""
     failures: list[str] = []
 
-    reach = {g.vertices[0].id}
-    frontier = [g.vertices[0].id]
+    rows = g._rows
+    reached = [True] + [False] * (len(rows) - 1)
+    frontier = [0]
     while frontier:
-        nxt = frontier.pop()
-        for other, _ in g.adjacency[nxt]:
-            if other not in reach:
-                reach.add(other)
-                frontier.append(other)
-    connected = len(reach) == len(g.vertices)
+        for j, _ in rows[frontier.pop()][1]:
+            if not reached[j]:
+                reached[j] = True
+                frontier.append(j)
+    connected = all(reached)
     if not connected:
-        missing = sorted(set(g.ids) - reach)
+        missing = sorted(vid for vid, r in zip(g.ids, reached) if not r)
         failures.append(f"graph is not connected (unreachable: {', '.join(missing)})")
 
     negative_definite = g.negative_definite

@@ -74,6 +74,9 @@ def _search(
     (M x)_i = r at t = 0 and E_i^2 = e, so x.M.x = q + t(2r + e.t) at t.
     The search stops, returning True, as soon as a visit returns True.
     ``x`` is the search's own buffer, so a visit copies what it keeps.
+    The search is one flat loop, which calls nothing but the visit: each
+    pass goes one depth deeper or hands over the last depth's run, then
+    backs up past the depths whose values are used up.
     """
     n = len(g.vertices)
     diag = [v.self_int for v in g.vertices]
@@ -101,52 +104,51 @@ def _search(
     rows = [0] * n  # M x, with every vertex not yet assigned at 0
     quad = [0] * n  # quad[d]: x.M.x over the first d vertices
     top = [0] * n  # top[d]: the last admissible value at depth d
-
-    def move(i: int, delta: int) -> None:
-        x[i] += delta
-        for j, m in column[i]:
-            rows[j] += m * delta
-
-    def enter(d: int) -> None:  # x at depth d goes to its lowest admissible value
-        # x_i is 0 here, so row k at x_i = v is rows[k] + m.v
-        i = order[d]
-        lo, hi = lows[i], highs[i]
-        for k, m, a, b in due[d]:
-            r = rows[k]
-            if m == 0:
-                if (a is not None and r < a) or (b is not None and r > b):
-                    hi = lo - 1
-                continue
-            if m < 0:
-                a, b = b, a
-            if a is not None:
-                lo = max(lo, -((r - a) // m))
-            if b is not None:
-                hi = min(hi, (b - r) // m)
-        top[d] = hi
-        move(i, lo)
-
-    d = 0
-    enter(0)
-    while d >= 0:
-        i = order[d]
-        v = x[i]
-        if v > top[d]:
-            move(i, -v)
-            d -= 1
-            if d >= 0:
-                move(order[d], 1)
-            continue
-        q = quad[d] + v * (2 * rows[i] - diag[i] * v)
-        if d < n - 1:
+    d, q = -1, 0
+    while True:
+        if d < n - 1:  # one deeper: x_i goes to its lowest admissible value
             d += 1
             quad[d] = q
-            enter(d)
-            continue
-        if visit(x, q, i, top[d] - v + 1, rows[i], diag[i]):
-            return True
-        move(i, top[d] + 1 - v)
-    return False
+            i = order[d]
+            col = column[i]
+            # x_i is 0 here, so row k at x_i = v is rows[k] + m.v
+            lo, hi = lows[i], highs[i]
+            for k, m, a, b in due[d]:
+                r = rows[k]
+                if m == 0:
+                    if (a is not None and r < a) or (b is not None and r > b):
+                        hi = lo - 1
+                    continue
+                if m < 0:
+                    a, b = b, a
+                if a is not None:
+                    lo = max(lo, -((r - a) // m))
+                if b is not None:
+                    hi = min(hi, (b - r) // m)
+            top[d] = hi
+            x[i] = delta = lo
+        else:  # the last depth: its run, then one past its end
+            delta = top[d] + 1 - x[i]
+            if visit(x, q, i, delta, rows[i], diag[i]):
+                return True
+            x[i] += delta
+        for j, m in col:
+            rows[j] += m * delta
+        # back up past every depth whose values are used up
+        v = x[i]
+        while v > top[d]:
+            x[i] = 0
+            for j, m in col:
+                rows[j] -= m * v
+            d -= 1
+            if d < 0:
+                return False
+            i = order[d]
+            col = column[i]
+            v = x[i] = x[i] + 1
+            for j, m in col:
+                rows[j] += m
+        q = quad[d] + v * (2 * rows[i] - diag[i] * v)
 
 
 def enumerate_max_Y(z: Cycle, c: Cycle, bound: Optional[SearchBound] = None) -> Optional[Cycle]:

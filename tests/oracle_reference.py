@@ -32,7 +32,15 @@ same order, with the new search's runs expanded.
 The dense fraction-free determinant: the ``graph.det_bareiss`` that the
 graph's one sparse elimination replaced, unchanged.  ``test_graph.py``
 checks the elimination's ``det`` and definiteness against it, and the
-wrapper that ``det_bareiss`` now is.
+wrapper that ``det_bareiss`` now is.  Beside it, the leading principal
+minors from one dense pass without pivoting, for Sylvester's criterion on
+graphs of up to 40 vertices.
+
+Connectivity as a walk of the adjacency by vertex id: the check in
+``graph.validate_graph`` that a walk by position over the graph's cached
+rows replaced, unchanged apart from returning what it does not reach.
+``test_graph.py`` checks ``connected`` and the ``unreachable:`` text
+against it.
 
 Contraction rules on the step that would re-insert a curve: ``excess``, -W.E
 read from a dict keyed by vertex id, is the ``birational.excess`` that rules
@@ -539,6 +547,43 @@ def det_bareiss(m: list[list[int]]) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
+
+
+def leading_minors(m: list[list[int]]) -> list[int]:
+    """The leading principal minors of an integer matrix, read off one
+    fraction-free elimination without pivoting: its k-th pivot is the k-th
+    minor.  The pass stops at the first zero minor, the last one listed."""
+    n = len(m)
+    a = [row[:] for row in m]
+    minors = []
+    prev = 1
+    for k in range(n):
+        p = a[k][k]
+        minors.append(p)
+        if p == 0:
+            break
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * p - a[i][k] * a[k][j]) // prev
+        prev = p
+    return minors
+
+
+# --- connectivity by vertex id -----------------------------------------------
+
+
+def unreachable(g: DualGraph) -> list[str]:
+    """The ids, sorted, that a walk of the adjacency by vertex id from the
+    first vertex never reaches."""
+    reach = {g.vertices[0].id}
+    frontier = [g.vertices[0].id]
+    while frontier:
+        nxt = frontier.pop()
+        for other, _ in g.adjacency[nxt]:
+            if other not in reach:
+                reach.add(other)
+                frontier.append(other)
+    return sorted(set(g.ids) - reach)
 
 
 # --- contraction rules on steps, by vertex id --------------------------------

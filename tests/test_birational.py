@@ -443,6 +443,25 @@ def test_every_level_is_the_replay_of_the_steps_below_it(data):
             assert t.graph(k) == levels[k] == replay(t.bottom, t.steps[:k])
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_a_pullback_between_equal_levels_is_its_cycle(data):
+    """pullback(w, k, k) equals w at every level, and is w itself where w
+    lives on the level's own graph (the bottom and the top); a cycle on
+    another level is still refused."""
+    base = corpus.get(data.draw(st.sampled_from(["A3", "D5", "ex244min"]))).graph
+    t = grow(data, Tower.base(base), data.draw(st.integers(min_value=1, max_value=12)))
+    for k, g in enumerate(t.levels):
+        w = cycle(g, {vid: data.draw(st.sampled_from([-2, 0, 1, 3, Fraction(1, 2)])) for vid in g.ids})
+        back = t.pullback(w, k, k)
+        assert back == w and back.graph == t.graph(k) and back.vec is w.vec
+        if g is t.graph(k):
+            assert back is w
+        other = data.draw(st.sampled_from([j for j in range(t.height + 1) if j != k]))
+        with pytest.raises(PreconditionError, match=f"^cycle lives on '{g.name}', not on tower level {other}$"):
+            t.pullback(w, other, other)
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.data())
 def test_contraction_down_and_insertion_up_agree_at_height(data):

@@ -1,5 +1,6 @@
 """Dual graph construction, validation, and cycle arithmetic."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from antinef.graph import (
     zero_cycle,
 )
 from antinef.lattice import canonical_cycle, row_pairing
-from oracle_reference import det_bareiss as dense_det
+from oracle_reference import det_bareiss as dense_det, leading_minors, unreachable
 
 
 def _mult(g, a, b):
@@ -242,6 +243,31 @@ def small_graphs(draw):
     return dual_graph("g", verts, edges)
 
 
+@st.composite
+def sized_graphs(draw):
+    """Graphs of up to 40 vertices: chains, trees, and cycles with chords and
+    double edges, E^2 from -6 to 2 (-2 drawn as often as the rest), a few
+    edges left out so that some are not connected or have isolated
+    vertices.  Zero pivots, singular forms and pivot rows rescaled from a
+    stale scale all occur."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    shape = draw(st.sampled_from(["chain", "tree", "cycle"]))
+    ids = [f"E{i:02d}" for i in range(n)]
+    e2 = draw(st.lists(st.one_of(st.just(-2), st.integers(-6, 2)), min_size=n, max_size=n))
+    kappa = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    parents = [draw(st.integers(0, i - 1)) if shape == "tree" else i - 1 for i in range(1, n)]
+    edges = [(parents[i - 1], i) for i in range(1, n)]
+    if shape == "cycle" and n > 2:
+        edges.append((n - 1, 0))
+        pick = st.integers(0, n - 1)
+        edges += [e for e in draw(st.lists(st.tuples(pick, pick), max_size=4)) if e[0] != e[1]]
+        edges += [edges[k] for k in draw(st.lists(st.integers(0, n - 1), max_size=4))]
+    if edges:
+        gone = draw(st.sets(st.integers(0, len(edges) - 1), max_size=3))
+        edges = [e for k, e in enumerate(edges) if k not in gone]
+    return dual_graph("g", zip(ids, e2, kappa), [(ids[a], ids[b]) for a, b in edges])
+
+
 class TestElimination:
     def test_zero_pivot_takes_another_column(self):
         e = _eliminate([{1: 1}, {0: 1}], [2, 3])
@@ -269,3 +295,26 @@ class TestElimination:
         else:
             zk = canonical_cycle(g)
             assert all(row_pairing(zk, v.id) == -v.kappa for v in g.vertices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(sized_graphs())
+    def test_agrees_with_the_dense_references_at_size(self, g):
+        """det, definiteness by the leading minors, the exact solution of
+        M x = -kappa with ints where integral, and connectivity with the
+        walk by vertex id, on graphs of up to 40 vertices."""
+        m = g.matrix()
+        e = g._elimination
+        minors = leading_minors([[-x for x in row] for row in m])
+        assert e.negative_definite == (len(minors) == len(m) and min(minors) > 0)
+        assert e.det == dense_det(m)
+        x = e.solution
+        if e.det == 0:
+            assert x is None
+        else:
+            assert [type(v) for v in x] == [type(normal(v)) for v in x]
+            assert [sum(map(operator.mul, row, x)) for row in m] == [-v.kappa for v in g.vertices]
+        missing = unreachable(g)
+        report = validate_graph(g)
+        assert report.connected == (not missing)
+        text = [f"graph is not connected (unreachable: {', '.join(missing)})"] if missing else []
+        assert [f for f in report.failures if "connected" in f] == text
