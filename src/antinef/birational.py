@@ -8,19 +8,20 @@ steps)`` replays its top, and only a builder that holds the top hands it
 over.  Contracting a rational (-1)-curve that meets another curve gives the
 lower graph and the step that rebuilds the upper one, so contraction
 sequences are towers read in reverse.  Each direction has its own surgery:
-:func:`replay` inserts curves into sorted lists and
-:func:`contract_positions` removes them from neighbour maps by position,
-which :func:`contract_all` names; replaying a contraction sequence checks one
-against the other.  A cycle moves up the steps in place, on a list by
-position or a dict over the top's ids, by one rule: :func:`lift` for total
-transforms, :func:`transported` for the cohomological cycle C, which is
-effective and integral.  The associated p_g-cycle follows its count: each
-branch through E_i is blown up C[E_i] times.
+:func:`replay` inserts curves into sorted lists; :func:`contract_positions`
+removes them from neighbour maps by a worklist of positions, its rule pure
+in (position, attachments), and :func:`contract_all` names them; replaying a
+contraction sequence checks one against the other.  A cycle moves up the
+steps in place, by position or by id, by one plain loop, :func:`lifted`:
+:func:`lift` for total transforms, :func:`transported` for the effective
+integral cohomological cycle C.  The associated p_g-cycle follows its
+count: each branch through E_i is blown up C[E_i] times.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from heapq import heappop, heappush
 from itertools import combinations, count, repeat
 from typing import Callable, Iterable, Iterator, MutableSequence, NamedTuple, Optional, Sequence
 
@@ -94,13 +95,21 @@ class _Surgery:
         duplicate-id check's giving the new curve's place, so the Python work
         is in len(attach)^2; list insertions and deletions move the rest in C."""
         ids, verts, edges = self.ids, self.verts, self.edges
-        new_id, attach = step
+        try:
+            new_id, attach = step
+        except (TypeError, ValueError):
+            raise InputError(f"a tower step is a new id and its attachments, not {step!r}") from None
         if not isinstance(new_id, str):
             raise InputError(f"a step's new id must be a str, not {type(new_id).__name__}")
+        if not isinstance(attach, tuple):
+            raise InputError(f"step {new_id!r} attaches by a tuple, not a {type(attach).__name__}")
         if not attach:
             raise InputError(f"step {new_id!r} attaches to no curve")
         at = []
-        for vid, m in attach:
+        for a in attach:
+            if not isinstance(a, tuple) or len(a) != 2:
+                raise InputError(f"step {new_id!r} attaches by (curve id, multiplicity) pairs, not {a!r}")
+            vid, m = a
             if not isinstance(vid, str):
                 raise InputError(f"a step attaches to curve ids, not {type(vid).__name__}")
             k = bisect_left(ids, vid)
@@ -162,28 +171,34 @@ def candidates(verts: dict[int, Vertex], adj: dict[int, dict[int, int]]) -> Iter
 
 
 def contract_positions(g: DualGraph, may_contract: Callable[[int, tuple[tuple[int, int], ...]], bool]) -> tuple:
-    """Contract rational (-1)-curves of g, all by position on g: each scan
-    takes the first of the :func:`candidates` (p, attach) for which
+    """Contract rational (-1)-curves of g, all by position on g: each step
+    takes the least of the :func:`candidates` (p, attach) for which
     ``may_contract(p, attach)`` holds, until none does.  Returns the
     survivors' vertex and neighbour maps, from ``g.sparse_matrix()``, and
     the sequence bottom first.  A rule reads a cycle on g by its ``vec``: a
-    contraction keeps the survivors' coefficients."""
+    contraction keeps the survivors' coefficients.  The rule must be a pure
+    function of (p, attach): a contraction changes only the curves it met,
+    whose self-intersections rise, so a worklist by position, of the
+    candidates at first and then of each curve a contraction makes one,
+    each checked again when popped, takes the curve a rescan would."""
     verts = dict(enumerate(g.vertices))
     adj = dict(enumerate(g.sparse_matrix()))
     for p, nb in adj.items():
         del nb[p]  # the diagonal: nb is p's neighbour map
+    work = [p for p, v in verts.items() if v.self_int == -1 and v.kappa == -1]  # ascending: a heap
     seq = []
-    while True:
-        for p, attach in candidates(verts, adj):
-            if may_contract(p, attach):
-                break
-        else:
-            break
+    while work:
+        p = heappop(work)
+        v, attach = verts[p], tuple(sorted(adj[p].items()))
+        if v.self_int != -1 or v.kappa != -1 or not attach or not may_contract(p, attach):
+            continue
         # only the curves the contracted one met change
         del verts[p], adj[p]
         for u, mu in attach:
             vid, e2, kappa = verts[u]
-            verts[u] = _new(Vertex, (vid, e2 + mu * mu, kappa - mu))
+            verts[u] = v = _new(Vertex, (vid, e2 + mu * mu, kappa - mu))
+            if v.self_int == -1 and v.kappa == -1:
+                heappush(work, u)
             nb = adj[u]
             del nb[p]
             for w, mw in attach:
@@ -298,8 +313,16 @@ def lift(acc: MutableSequence | dict, steps: Sequence[tuple], marks: Iterable[in
     is the total transform; with every mark 1 the relative canonical cycle,
     the total transform of E_k being E_k plus its lifts onto later curves."""
     for (new, attach), mark in zip(steps, marks):
-        acc[new] = sum(m * acc[u] for u, m in attach) + mark
+        acc[new] = lifted(acc, attach) + mark
     return acc
+
+
+def lifted(acc: MutableSequence | dict, attach: Sequence[tuple]) -> Coeff:
+    """sum m.acc[u] over attach, by a plain loop: the total transform on the curve it attaches."""
+    s = 0
+    for u, m in attach:
+        s += m * acc[u]
+    return s
 
 
 def _transport(acc: dict, steps: Sequence[TowerStep]) -> None:
@@ -337,7 +360,7 @@ def transported(acc: MutableSequence | dict, attach: Sequence[tuple]) -> Coeff:
     they name curves: max(sum m.C[u] - 1, 0).  For an effective integral C
     and every m >= 1 the sum is positive exactly when the center lies on
     supp C: the total transform less 1 there, else 0."""
-    return max(sum(m * acc[u] for u, m in attach) - 1, 0)
+    return max(lifted(acc, attach) - 1, 0)
 
 
 def transport_cohom(t: Tower, c_base: Cycle) -> Cycle:

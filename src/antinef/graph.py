@@ -81,14 +81,6 @@ class DualGraph(_Frozen):
     def vertex(self, vid: str) -> Vertex:
         return self.vertices[self.position(vid)]
 
-    @cached_property
-    def adjacency(self) -> dict[str, tuple[tuple[str, int], ...]]:
-        adj: dict[str, list[tuple[str, int]]] = {v.id: [] for v in self.vertices}
-        for a, b, m in self.edges:
-            adj[a].append((b, m))
-            adj[b].append((a, m))
-        return {vid: tuple(nb) for vid, nb in adj.items()}
-
     def matrix(self) -> list[list[int]]:
         """Intersection matrix in vertex order, :meth:`sparse_matrix` written out densely."""
         n = len(self.vertices)

@@ -19,8 +19,8 @@ from __future__ import annotations
 from itertools import starmap
 from typing import NamedTuple, Optional
 
-from .birational import (Tower, associated_pg_cycle, candidates, contract_all, contract_positions, lift, replay,
-                         transport_cohom)
+from .birational import (Tower, associated_pg_cycle, candidates, contract_all, contract_positions, lift, lifted,
+                         replay, transport_cohom)
 from .errors import PreconditionError, TheoremViolationError
 from .graph import Cycle, DualGraph, dual_graph, unit_cycle, validate_graph, zero_cycle
 from .lattice import (
@@ -194,7 +194,7 @@ def _off_c(c: Cycle):
     # a contracted curve is off supp C, so C keeps its coefficients on every
     # graph of the sequence
     cv = c.vec
-    return lambda p, attach: not cv[p] and sum(m * cv[q] for q, m in attach) == 0
+    return lambda p, attach: not cv[p] and lifted(cv, attach) == 0
 
 
 def _off_c_tower(g: DualGraph, c: Cycle) -> tuple[Tower, tuple]:
@@ -237,7 +237,7 @@ def colon_and_core(ideal: IdealRep) -> CoreReport:
     zv = z.vec
     b: list[int] = []
     for p, attach in reversed(seq):  # top-down: E_1 is contracted first
-        b.append(zv[p] - sum(m * zv[q] for q, m in attach))
+        b.append(zv[p] - lifted(zv, attach))
         if b[-1] < 0:
             raise TheoremViolationError(f"b_{len(b)} = {b[-1]} < 0 for contracted curve {g.ids[p]!r}")
     y = Cycle(g, tuple(lift([0] * len(zv), seq, [b_i > 0 for b_i in reversed(b)])))
@@ -269,7 +269,7 @@ def is_good(ideal: IdealRep) -> bool:
     # a contraction keeps the survivors' coefficients: pi_* Z and pi_* C are
     # Z and C read on the curves that are left, by their positions on g
     zv = ideal.z.vec
-    verts, adj, _ = contract_positions(ideal.z.graph, lambda p, attach: zv[p] == sum(m * zv[q] for q, m in attach))
+    verts, adj, _ = contract_positions(ideal.z.graph, lambda p, attach: zv[p] == lifted(zv, attach))
     return not any(starmap(_off_c(ideal.c), candidates(verts, adj)))
 
 

@@ -1,6 +1,31 @@
+import signal
+
 import pytest
 
 from antinef import corpus
+
+# the wall time one test may take; a test past it fails instead of hanging the suite
+TIME_LIMIT_S = 120
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past TIME_LIMIT_S.  Not an Exception, so that Hypothesis
+    passes it on at once instead of shrinking the example that raised it."""
+
+
+def _past_the_limit(signum, frame):
+    raise TimeLimitExceeded(f"the test ran past its {TIME_LIMIT_S} s limit")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    previous = signal.signal(signal.SIGALRM, _past_the_limit)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

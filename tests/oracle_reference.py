@@ -61,6 +61,15 @@ Goodness on a frozen lower graph, scanned by vertex id: the
 ``ideals.is_good`` that the positional contraction core and its one
 candidate rule replaced, unchanged.  ``test_ideals.py`` checks that both
 give the same answer, and colon/core's.
+
+Contraction by rescan: the ``birational.contract_positions`` that scanned
+the candidates from the first curve again after every contraction, which a
+worklist by position replaced, unchanged.  ``test_birational.py`` checks
+that both leave the same survivors and make the same sequence under the
+library's rules and random pure ones.
+
+A graph's neighbours by vertex id, in edge order: the ``DualGraph.adjacency``
+that no module of the library read any more, as a function of the graph.
 """
 
 from __future__ import annotations
@@ -70,9 +79,10 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
-from antinef.birational import TowerStep, contract_all
+from antinef.birational import TowerStep, candidates, contract_all
 from antinef.errors import InputError, PreconditionError, TheoremViolationError
-from antinef.graph import Coeff, Cycle, DualGraph, _Frozen, _graph_mismatch, _set, cycle, normal, zero_cycle
+from antinef.graph import (Coeff, Cycle, DualGraph, Vertex, _Frozen, _graph_mismatch, _new, _set, cycle, normal,
+                           zero_cycle)
 from antinef.ideals import IdealRep, _off_c
 
 if TYPE_CHECKING:
@@ -351,6 +361,7 @@ def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = No
     if not d.is_integral:
         raise PreconditionError("antinef_closure needs an integral cycle")
     g = d.graph
+    adj = adjacency(g)
     coeffs = {vid: d.coeff(vid) for vid in g.ids}
     raises = 0
     checked = False
@@ -360,7 +371,7 @@ def antinef_closure(d: Cycle, on_step: Optional[Callable[[str, int], None]] = No
         for vid in g.ids:
             e2 = g.vertex(vid).self_int
             row = coeffs[vid] * e2
-            for other, m in g.adjacency[vid]:
+            for other, m in adj[vid]:
                 row += m * coeffs[other]
             if row > 0:
                 if not checked and (raises >= len(coeffs) or e2 >= 0):
@@ -505,7 +516,7 @@ def pair(w: KeyedCycle, v: KeyedCycle) -> Coeff:
 def row_pairing(z: KeyedCycle, vid: str) -> Coeff:
     """Z.E_i for a single vertex, without building a unit cycle."""
     g, coeffs = z.graph, z._map
-    nb = sum(m * coeffs.get(u, 0) for u, m in g.adjacency[vid])
+    nb = sum(m * coeffs.get(u, 0) for u, m in adjacency(g)[vid])
     return normal(coeffs.get(vid, 0) * g.vertex(vid).self_int + nb)
 
 
@@ -577,13 +588,58 @@ def unreachable(g: DualGraph) -> list[str]:
     first vertex never reaches."""
     reach = {g.vertices[0].id}
     frontier = [g.vertices[0].id]
+    adj = adjacency(g)
     while frontier:
         nxt = frontier.pop()
-        for other, _ in g.adjacency[nxt]:
+        for other, _ in adj[nxt]:
             if other not in reach:
                 reach.add(other)
                 frontier.append(other)
     return sorted(set(g.ids) - reach)
+
+
+def adjacency(g: DualGraph) -> dict[str, tuple[tuple[str, int], ...]]:
+    """Each curve's neighbours as (id, multiplicity), in edge order."""
+    adj: dict[str, list[tuple[str, int]]] = {v.id: [] for v in g.vertices}
+    for a, b, m in g.edges:
+        adj[a].append((b, m))
+        adj[b].append((a, m))
+    return {vid: tuple(nb) for vid, nb in adj.items()}
+
+
+# --- contraction by rescan, by position --------------------------------------
+
+
+def contract_positions(g: DualGraph, may_contract: Callable[[int, tuple[tuple[int, int], ...]], bool]) -> tuple:
+    """Contract rational (-1)-curves of g, all by position on g: each scan
+    takes the first of the :func:`candidates` (p, attach) for which
+    ``may_contract(p, attach)`` holds, until none does.  Returns the
+    survivors' vertex and neighbour maps, from ``g.sparse_matrix()``, and
+    the sequence bottom first.  A rule reads a cycle on g by its ``vec``: a
+    contraction keeps the survivors' coefficients."""
+    verts = dict(enumerate(g.vertices))
+    adj = dict(enumerate(g.sparse_matrix()))
+    for p, nb in adj.items():
+        del nb[p]  # the diagonal: nb is p's neighbour map
+    seq = []
+    while True:
+        for p, attach in candidates(verts, adj):
+            if may_contract(p, attach):
+                break
+        else:
+            break
+        # only the curves the contracted one met change
+        del verts[p], adj[p]
+        for u, mu in attach:
+            vid, e2, kappa = verts[u]
+            verts[u] = _new(Vertex, (vid, e2 + mu * mu, kappa - mu))
+            nb = adj[u]
+            del nb[p]
+            for w, mw in attach:
+                if w != u:
+                    nb[w] = nb.get(w, 0) + mu * mw
+        seq.append((p, attach))
+    return verts, adj, tuple(reversed(seq))
 
 
 # --- contraction rules on steps, by vertex id --------------------------------
@@ -651,5 +707,5 @@ def is_good(ideal: IdealRep) -> bool:
     off_c, at = _off_c(ideal.c), g.position
     return not any(
         v.self_int == -1 and v.kappa == -1 and nb and off_c(at(v.id), tuple((at(u), m) for u, m in nb))
-        for v, nb in zip(low.vertices, low.adjacency.values())
+        for v, nb in zip(low.vertices, adjacency(low).values())
     )

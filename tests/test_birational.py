@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -34,7 +35,8 @@ from antinef.lattice import (
     pair,
     row_pairing,
 )
-from oracle_reference import by_step, excess, lift, transported
+import oracle_reference as reference
+from oracle_reference import adjacency, by_step, excess, lift, transported
 from towers import grow
 
 
@@ -295,7 +297,17 @@ class TestTransportRefusals:
         ("A1", (free_point("X", "Y"), free_point("E1", "X")), "step attaches to unknown vertex 'X'"),
         # over the old top A3 the pullback of 2.E1 answered 2*E1
         ("A2", (free_point("Q", "E3"),), "step attaches to unknown vertex 'Q'"),
-    ], ids=["re-insert", "out-of-order", "foreign-attach"])
+        # steps of the wrong shape, which raised TypeError and ValueError, read
+        # an id as its characters or built a tower that could not be hashed
+        ("A3", (7,), "a tower step is a new id and its attachments, not 7"),
+        ("A3", (("X", (("E1", 1),), "extra"),),
+         "a tower step is a new id and its attachments, not ('X', (('E1', 1),), 'extra')"),
+        ("A3", (TowerStep("X", ("E1",)),), "step 'X' attaches by (curve id, multiplicity) pairs, not 'E1'"),
+        ("A3", (TowerStep("X", (("E1", 1, 2),)),),
+         "step 'X' attaches by (curve id, multiplicity) pairs, not ('E1', 1, 2)"),
+        ("A3", (TowerStep("X", [("E1", 1)]),), "step 'X' attaches by a tuple, not a list"),
+    ], ids=["re-insert", "out-of-order", "foreign-attach", "not-a-step", "a-step-too-long", "an-id-for-a-pair",
+            "a-pair-too-long", "a-list-of-pairs"])
     def test_steps_that_build_no_tower_are_refused_at_construction(self, bottom, steps, message):
         with pytest.raises(InputError) as err:
             Tower(corpus.get(bottom).graph, steps)
@@ -341,7 +353,7 @@ def _reference_apply_step(g, step):
 
 
 def _reference_contract(g, vid):
-    attach = g.adjacency[vid]
+    attach = adjacency(g)[vid]
     att = dict(attach)
     verts = [Vertex(w.id, w.self_int + att.get(w.id, 0) ** 2, w.kappa - att.get(w.id, 0))
              for w in g.vertices if w.id != vid]
@@ -539,7 +551,7 @@ def test_a_level_is_replayed_up_from_the_bottom(monkeypatch):
     t = Tower.base(corpus.get("D5").graph)
     for k in range(25):  # crossings and free points, so edges are cut as well as added
         last, new = t.top.ids[-1], f"F{k:02d}"
-        nb = t.top.adjacency[last][0][0]
+        nb = adjacency(t.top)[last][0][0]
         t = t.blow_up(free_point(last, new) if k % 2 else edge_point(last, nb, new))
     levels = t.levels
     inserted = []
@@ -592,7 +604,7 @@ def _assert_canonical(g):
     dual_graph's graph computes."""
     ref = dual_graph(g.name, g.vertices, g.edges)
     assert g == ref
-    assert g.ids == ref.ids and g._index == ref._index and g.adjacency == ref.adjacency
+    assert g.ids == ref.ids and g._index == ref._index and adjacency(g) == adjacency(ref)
 
 
 def _refusal(call):
@@ -727,6 +739,89 @@ def test_rules_by_position_contract_like_their_name_keyed_references(data):
     steps = rep.contraction_tower.steps
     assert rep.b == tuple(excess(zc, step) for step in reversed(steps))
     assert rep.y == cycle(g, lift({}, steps, [int(b > 0) for b in reversed(rep.b)]))
+
+
+# --- the worklist against the rescan it replaced -------------------------------
+
+
+def _library_rules(g, zv, cv, vid):
+    """The rules the library hands ``contract_positions`` on g, caught as it
+    hands them over: colon/core's off-C rule, is_good's Z.E = 0 rule, the
+    CLI's transport rule and contract's q == p; then good_closure's True.
+    zv and cv are vectors on g, cv effective and integral."""
+    rules = [_off_c(graph.Cycle(g, cv))]
+    real = birational.contract_positions
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (birational, ideals):
+            mp.setattr(module, "contract_positions", lambda g, rule: rules.append(rule) or real(g, rule))
+        is_good(ideals.IdealRep(None, None, 0, graph.Cycle(g, zv), 0, True, graph.Cycle(g, cv)))
+        _minimalize(g, graph.Cycle(g, cv))
+        try:
+            contract(g, vid)
+        except PreconditionError:
+            pass
+    assert len(rules) == 4
+    return rules + [lambda p, attach: True]
+
+
+def _assert_contracts_like_the_rescan(data, g, zv, cv):
+    salt = data.draw(st.integers(0, 2**32))
+    rules = _library_rules(g, zv, cv, data.draw(st.sampled_from(g.ids)))
+    for rule in rules + [lambda p, attach: hash((salt, p, attach)) % 3 != 0]:  # a random pure rule
+        verts, adj, seq = birational.contract_positions(g, rule)
+        ref_verts, ref_adj, ref_seq = reference.contract_positions(g, rule)
+        assert list(verts.items()) == list(ref_verts.items())
+        assert [(p, list(nb.items())) for p, nb in adj.items()] == [(p, list(nb.items())) for p, nb in ref_adj.items()]
+        assert seq == ref_seq
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_the_worklist_contracts_towers_like_the_rescan(data):
+    """On towers up to 1,000 levels high, the worklist leaves the survivors
+    and makes the sequence, in order, that the rescan does, under every rule
+    of the library and a random pure rule."""
+    name = data.draw(st.sampled_from(["A1", "A3", "D5", "E6", "HJ(7,3)", "ex244min"]))
+    base = corpus.get(name).graph
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    t = Tower.base(base)
+    for k in range(data.draw(st.integers(0, 1000))):
+        g = t.top
+        if g.edges and rng.random() < 0.4:
+            a, b, _ = rng.choice(g.edges)
+            t = t.blow_up(edge_point(a, b, f"X{k}"))
+        else:
+            t = t.blow_up(free_point(rng.choice(g.ids), f"X{k}"))
+    g = t.top
+    c = transport_cohom(t, unit_cycle(base, "E0") if name == "ex244min" else zero_cycle(base))
+    cv = list(c.vec)
+    if data.draw(st.booleans()):  # a C that some contraction would not transport
+        cv[rng.randrange(len(cv))] += 1
+    zv = list(t.pullback(fundamental_cycle(base), 0, t.height).vec)
+    for _ in range(data.draw(st.integers(0, 3))):  # Z.E != 0 on a few curves
+        zv[rng.randrange(len(zv))] += 1
+    _assert_contracts_like_the_rescan(data, g, tuple(zv), tuple(cv))
+
+
+@st.composite
+def multigraphs(draw):
+    """Graphs of up to 24 curves with cycles and edges met twice, among
+    whose curves contractions make new rational (-1)-curves."""
+    n = draw(st.integers(1, 24))
+    kinds = st.sampled_from([(-1, -1), (-1, -1), (-2, 0), (-2, 0), (-2, 0), (-3, 1), (-5, 1), (-1, 0), (-2, -1)])
+    vertices = [(f"V{k:02d}", *draw(kinds)) for k in range(n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+    edges = draw(st.dictionaries(pairs.map(sorted).map(tuple), st.integers(1, 2), max_size=2 * n)) if n > 1 else {}
+    return dual_graph("multi", vertices, [(f"V{a:02d}", f"V{b:02d}", m) for (a, b), m in edges.items()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_worklist_contracts_multigraphs_like_the_rescan(data):
+    g = data.draw(multigraphs())
+    zv = tuple(data.draw(st.lists(st.integers(0, 2), min_size=len(g.ids), max_size=len(g.ids))))
+    cv = tuple(data.draw(st.lists(st.integers(0, 1), min_size=len(g.ids), max_size=len(g.ids))))
+    _assert_contracts_like_the_rescan(data, g, zv, cv)
 
 
 @settings(max_examples=10, deadline=None)

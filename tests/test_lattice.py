@@ -109,12 +109,13 @@ class TestAntinefClosure:
 def _unit_step_closure(d):
     """Laufer's loop with +1 raises: the reference for the jumping closure."""
     g = d.graph
+    adj = reference.adjacency(g)
     z = dict(zip(g.ids, d.vector()))
     dirty = True
     while dirty:
         dirty = False
         for vid in g.ids:
-            row = z[vid] * g.vertex(vid).self_int + sum(m * z[o] for o, m in g.adjacency[vid])
+            row = z[vid] * g.vertex(vid).self_int + sum(m * z[o] for o, m in adj[vid])
             if row > 0:
                 z[vid] += 1
                 dirty = True
